@@ -159,22 +159,18 @@ class AdditivityVerdict:
         return f"inconclusive: {self.note}"
 
 
-def _socle_copy_rows(alg: BoundAlgebra, proj: Rep, verts) -> dict | None:
-    """Rows spanning one socle copy of S_w for each w in verts, inside proj."""
-    soc, inc = repmod.socle(proj)
+def quotient_by_socle_part(alg: BoundAlgebra, v: str, verts) -> Rep | None:
+    """P_v modulo one socle copy of S_w for each w in verts.
+
+    None when the socle of P_v has no S_w part for some w in verts.
+    """
+    proj = alg.projective(v)
+    soc, soc_inc = repmod.socle(proj)
     rows = {}
     for w in verts:
         if soc.dims[w] == 0:
             return None
-        rows[w] = inc.mats[w][0:1]
-    return rows
-
-
-def _quotient_by_socle_part(alg: BoundAlgebra, v: str, verts) -> Rep | None:
-    proj = alg.projective(v)
-    rows = _socle_copy_rows(alg, proj, verts)
-    if rows is None:
-        return None
+        rows[w] = soc_inc.mats[w][0:1]
     sub, inc = repmod.submodule(proj, rows)
     if sub.is_zero:
         return None
@@ -229,7 +225,7 @@ def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets, seed: in
         verts = [w for w in alg.quiver.vertices if soc.dims[w] > 0]
         for mask in range(1, 2 ** min(len(verts), 3)):
             chosen = tuple(w for i, w in enumerate(verts[:3]) if mask & (1 << i))
-            q = _quotient_by_socle_part(alg, v, chosen)
+            q = quotient_by_socle_part(alg, v, chosen)
             if q is not None and not q.is_zero:
                 pool.append(q)
     # quotients of covers by syzygy pieces of infinite-pd simples

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class BudgetExceeded(RuntimeError):
@@ -26,9 +26,6 @@ class Budgets:
     confidence: int = 40
     max_dim: int = 40
     seed: int = 0
-
-    def with_seed(self, seed: int) -> "Budgets":
-        return replace(self, seed=seed)
 
 
 DEFAULT = Budgets()

@@ -19,7 +19,8 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
-from . import __version__, analysis, decomp, grothendieck, homology, morita, repmod
+from . import __version__, analysis, decomp, exactfield, grothendieck, homology, morita, \
+    repmod
 from .budgets import DEFAULT, BudgetExceeded, Budgets
 from .pathalgebra import BoundAlgebra, MalformedRelation, NotAdmissible, Quiver, \
     build_algebra, make_path
@@ -45,7 +46,11 @@ class AlgebraSource:
 
     def build(self, p_override: int | None = None) -> BoundAlgebra:
         q = Quiver(self.vertices, self.arrows)
-        p = p_override or self.p
+        p = self.p if p_override is None else p_override
+        try:
+            exactfield.check_prime(p)
+        except ValueError as exc:
+            raise InputError(f"{self.name}: {exc}") from exc
         rels = [[(c, make_path(q, q.arrow_map[w[0]].source, w)) for c, w in terms]
                 for terms in self.relations]
         try:
@@ -82,8 +87,10 @@ def parse_algebra(text: str, filename: str = "<input>") -> AlgebraSource:
                 m_max = int(parts[5])
             except ValueError:
                 err("field and truncate take integers")
-            if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
-                err(f"field size {p} is not prime")
+            try:
+                exactfield.check_prime(p)
+            except ValueError as exc:
+                err(str(exc))
         elif head == "vertex":
             for v in parts[1:]:
                 if v in vertices:
@@ -343,20 +350,6 @@ def _split_top_level(expr: str, sep: str) -> list[str]:
     return out
 
 
-def _socle_part_quotient(alg: BoundAlgebra, v: str, verts: list[str]) -> Rep:
-    import numpy as np
-
-    proj = alg.projective(v)
-    soc, inc = repmod.socle(proj)
-    rows = {}
-    for w in verts:
-        if soc.dims.get(w, 0) == 0:
-            raise InputError(f"socle of P{v} has no S{w} part")
-        rows[w] = inc.mats[w][0:1]
-    sub, sinc = repmod.submodule(proj, rows)
-    return repmod.quotient(proj, sinc)[0]
-
-
 def _parse_module_term(alg: BoundAlgebra, term: str) -> Rep:
     power = 1
     if "^" in term:
@@ -389,7 +382,9 @@ def _parse_module_term(alg: BoundAlgebra, term: str) -> Rep:
                     raise InputError(f"expected simple summands in {term!r}")
                 _require_vertex(alg, t[1:])
                 verts.append(t[1:])
-            base = _socle_part_quotient(alg, v, verts)
+            base = analysis.quotient_by_socle_part(alg, v, verts)
+            if base is None:
+                raise InputError(f"socle of P{v} has no part {'+'.join('S' + w for w in verts)}")
         else:
             raise InputError(f"unsupported quotient literal {term!r}")
     elif term.startswith("S"):

@@ -94,13 +94,7 @@ class EndAlgebra:
         return coords[0]
 
     def element(self, coords) -> dict[str, np.ndarray]:
-        mats = {v: ef.zeros(self.module.dims[v], self.module.dims[v]) for v in self._verts}
-        for c, f in zip(coords, self.basis):
-            c = int(c) % self.p
-            if c:
-                for v in self._verts:
-                    mats[v] = (mats[v] + c * f.mats[v]) % self.p
-        return mats
+        return repmod.combine_maps(self.basis, coords).mats
 
     def compose(self, a: dict, b: dict) -> dict:
         return {v: ef.matmul(a[v], b[v], self.p) for v in self._verts}
@@ -153,19 +147,17 @@ def _poly_kernel_piece(m: Rep, mats: dict[str, np.ndarray], g: np.ndarray) -> Re
     return sub
 
 
-def _split_by_factors(m: Rep, mats: dict[str, np.ndarray], factors) -> list[Rep]:
-    """Generalized-kernel splitting along the full coprime factor list."""
-    p = m.algebra.p
-    pieces = []
-    for q, e in factors:
-        g = q
-        for _ in range(e - 1):
-            g = fppoly.mul(g, q, p)
-        pieces.append(_poly_kernel_piece(m, mats, g))
-    total = sum(x.total_dim for x in pieces)
-    if total != m.total_dim:
-        raise AssertionError("generalized kernels do not exhaust the module")
-    return pieces
+def _coprime_split(factors, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q0^e0, product of the other prime powers) for a factor list of length >= 2."""
+    q0, e0 = factors[0]
+    g = q0
+    for _ in range(e0 - 1):
+        g = fppoly.mul(g, q0, p)
+    h = np.array([1], dtype=np.int64)
+    for q, e in factors[1:]:
+        for _ in range(e):
+            h = fppoly.mul(h, q, p)
+    return g, h
 
 
 def _lift_idempotent(m: Rep, mats: dict[str, np.ndarray], p: int):
@@ -179,29 +171,21 @@ def _lift_idempotent(m: Rep, mats: dict[str, np.ndarray], p: int):
     return None
 
 
-def _element_minpoly_in_quotient(coords, smult, p):
-    """Minimal polynomial of an element of a finite-dimensional algebra S.
+def _split_by_idempotent(m: Rep, E: EndAlgebra, S: _QuotientAlgebra, svec):
+    """ker e and ker(1 - e) for the exact lift e of an idempotent of S.
 
-    Args:
-        coords: coordinate vector of the element (length dimS, includes identity
-            handling by the caller's multiplication function).
-        smult: function (vec_a, vec_b) -> vec_ab multiplying S-coordinates.
+    Returns the two pieces, or None when the lift fails or is trivial.
     """
-    dim = len(coords)
-    one = smult(None, None)  # identity coordinates
-    rows = [one]
-    cur = one
-    for k in range(1, dim + 1):
-        cur = smult(cur, coords)
-        stack = np.stack(rows)
-        sol = ef.solve(stack.T, np.asarray(cur, dtype=np.int64).reshape(-1, 1), p)
-        if sol is not None:
-            poly = np.zeros(k + 1, dtype=np.int64)
-            poly[:k] = (-sol[:, 0]) % p
-            poly[k] = 1
-            return fppoly.trim(poly)
-        rows.append(cur)
-    raise AssertionError("element minimal polynomial not found")
+    p = E.p
+    e = _lift_idempotent(m, E.element(S.embed(svec)), p)
+    if e is None:
+        return None
+    comp = {v: (ef.eye(m.dims[v]) - e[v]) % p for v in e}
+    p1, _ = repmod.submodule(m, {v: ef.kernel_basis(e[v].T, p) for v in e})
+    p2, _ = repmod.submodule(m, {v: ef.kernel_basis(comp[v].T, p) for v in comp})
+    if p1.total_dim and p2.total_dim and p1.total_dim + p2.total_dim == m.total_dim:
+        return [p1, p2]
+    return None
 
 
 class _QuotientAlgebra:
@@ -219,12 +203,7 @@ class _QuotientAlgebra:
         self._c = c
 
     def project(self, vec: np.ndarray) -> np.ndarray:
-        v = vec % self.p
-        v = v.reshape(1, -1)
-        for j, pc in enumerate(self.rad_pivots):
-            f = v[0, pc]
-            if f:
-                v = (v - f * self.rad_rref[j].reshape(1, -1)) % self.p
+        v = ef.reduce_rows(self.rad_rref, self.rad_pivots, vec.reshape(1, -1), self.p)
         return v[0, self.free]
 
     def embed(self, svec: np.ndarray) -> np.ndarray:
@@ -237,20 +216,11 @@ class _QuotientAlgebra:
         return self.project(self.E.coordinates(self.E._identity_mats))
 
     def mult(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ea, eb = self.embed(a), self.embed(b)
-        prod = np.einsum("i,j,ijk->k", ea % self.p, eb % self.p, self._c) % self.p
-        return self.project(prod)
-
-    def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            a = np.zeros(self.dim, dtype=np.int64)
-            a[i] = 1
-            for j in range(i + 1, self.dim):
-                b = np.zeros(self.dim, dtype=np.int64)
-                b[j] = 1
-                if not np.array_equal(self.mult(a, b), self.mult(b, a)):
-                    return False
-        return True
+        # contract one index at a time, reducing in between, so that each
+        # int64 sum has dim(E) terms of two residues (see ef.MAX_PRIME)
+        n = self.E.dim
+        left = (self.embed(a) @ self._c.reshape(n, n * n)) % self.p
+        return self.project((self.embed(b) @ left.reshape(n, n)) % self.p)
 
 
 def _radical_rows(E: EndAlgebra) -> np.ndarray:
@@ -271,14 +241,14 @@ def _radical_rows(E: EndAlgebra) -> np.ndarray:
     except ValueError:
         return ef.zeros(0, n)
     # every radical element acts nilpotently (batched squaring of L_r)
-    power = np.einsum("ri,ijk->rjk", rad % p, c) % p
+    power = np.einsum("ri,ijk->rjk", rad, c) % p
     for _ in range(int(np.ceil(np.log2(max(n, 2)))) + 1):
         power = np.matmul(power, power) % p
     if power.any():
         return ef.zeros(0, n)
     # two-sided ideal: b_i . r and r . b_i stay inside the span
-    left = np.einsum("rj,ijk->rik", rad % p, c) % p
-    right = np.einsum("ri,ijk->rjk", rad % p, c) % p
+    left = np.einsum("rj,ijk->rik", rad, c) % p
+    right = np.einsum("ri,ijk->rjk", rad, c) % p
     products = np.concatenate([left.reshape(-1, n), right.reshape(-1, n)])
     if span.coordinates(products) is None:
         return ef.zeros(0, n)
@@ -298,11 +268,6 @@ def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
     if S.dim == 1:
         return ("certified", None)
 
-    def smult(a, b):
-        if a is None:
-            return S.identity()
-        return S.mult(a, b)
-
     candidates = []
     for i in range(S.dim):
         v = np.zeros(S.dim, dtype=np.int64)
@@ -311,20 +276,13 @@ def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
     for _ in range(confidence):
         candidates.append(rng.integers(0, p, size=S.dim).astype(np.int64))
     for x in candidates:
-        mu = _element_minpoly_in_quotient(x, smult, p)
+        mu = fppoly.krylov_minpoly(S.identity(), lambda v: S.mult(v, x), p, S.dim)
         if fppoly.degree(mu) == S.dim and fppoly.is_irreducible(mu, p):
             return ("certified", None)
         factors = fppoly.factor(mu, p, rng)
         if len(factors) >= 2:
             # CRT idempotent in S, lifted to an exact idempotent on M
-            q0, e0 = factors[0]
-            g = q0
-            for _ in range(e0 - 1):
-                g = fppoly.mul(g, q0, p)
-            h = np.array([1], dtype=np.int64)
-            for q, e in factors[1:]:
-                for _ in range(e):
-                    h = fppoly.mul(h, q, p)
+            g, h = _coprime_split(factors, p)
             gg, u, _ = _xgcd_poly(g, h, p)
             if fppoly.degree(gg) != 0:
                 continue
@@ -336,35 +294,16 @@ def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
             for coeff in idem_poly:
                 val = (val + int(coeff) * cur) % p
                 cur = S.mult(cur, x)
-            emats = E.element(S.embed(val))
-            lifted = _lift_idempotent(m, emats, p)
-            if lifted is None:
-                continue
-            if all(not lifted[v].any() for v in lifted):
-                continue
-            if all(np.array_equal(lifted[v], ef.eye(m.dims[v])) for v in lifted):
-                continue
-            comp = {v: (ef.eye(m.dims[v]) - lifted[v]) % p for v in lifted}
-            rows1 = {v: ef.kernel_basis(lifted[v].T, p) for v in lifted}
-            rows2 = {v: ef.kernel_basis(comp[v].T, p) for v in comp}
-            p1, _ = repmod.submodule(m, rows1)
-            p2, _ = repmod.submodule(m, rows2)
-            if p1.total_dim and p2.total_dim and p1.total_dim + p2.total_dim == m.total_dim:
-                return ("pieces", [p1, p2])
+            pieces = _split_by_idempotent(m, E, S, val)
+            if pieces is not None:
+                return ("pieces", pieces)
     if p ** S.dim <= EXHAUSTIVE_LIMIT:
         idem = _exhaustive_idempotent(S)
         if idem is None:
             return ("certified", None)
-        emats = E.element(S.embed(idem))
-        lifted = _lift_idempotent(m, emats, p)
-        if lifted is not None:
-            rows1 = {v: ef.kernel_basis(lifted[v].T, p) for v in lifted}
-            comp = {v: (ef.eye(m.dims[v]) - lifted[v]) % p for v in lifted}
-            rows2 = {v: ef.kernel_basis(comp[v].T, p) for v in comp}
-            p1, _ = repmod.submodule(m, rows1)
-            p2, _ = repmod.submodule(m, rows2)
-            if p1.total_dim and p2.total_dim:
-                return ("pieces", [p1, p2])
+        pieces = _split_by_idempotent(m, E, S, idem)
+        if pieces is not None:
+            return ("pieces", pieces)
     return ("probabilistic", None)
 
 
@@ -411,46 +350,32 @@ def indecomposable_pieces(m: Rep, rng, confidence: int):
     E = end_algebra(m)
     if E.dim == 1:
         return [m], True
-    candidates = list(E.basis)
     split = None
-    for rounds in range(len(candidates) + confidence):
-        if rounds < len(candidates):
-            f = candidates[rounds].mats
+    for rounds in range(E.dim + confidence):
+        if rounds < E.dim:
+            f = E.basis[rounds].mats
         else:
             f = E.element(rng.integers(0, p, size=E.dim))
         mu = _minpoly_of_mats(f, p)
         factors = fppoly.factor(mu, p, rng)
         if len(factors) >= 2:
-            q0, e0 = factors[0]
-            g = q0
-            for _ in range(e0 - 1):
-                g = fppoly.mul(g, q0, p)
-            h = np.array([1], dtype=np.int64)
-            for q, e in factors[1:]:
-                for _ in range(e):
-                    h = fppoly.mul(h, q, p)
+            g, h = _coprime_split(factors, p)
             first = _poly_kernel_piece(m, f, g)
             second = _poly_kernel_piece(m, f, h)
             if first.total_dim + second.total_dim != m.total_dim:
                 raise AssertionError("generalized kernels do not exhaust the module")
             split = [first, second]
             break
-    if split is not None:
-        out, ok = [], True
-        for piece in split:
-            sub_pieces, sub_ok = indecomposable_pieces(piece, rng, confidence)
-            out.extend(sub_pieces)
-            ok = ok and sub_ok
-        return out, ok
-    status, payload = _certify_or_split(m, E, rng, confidence)
-    if status == "pieces":
-        out, ok = [], True
-        for piece in payload:
-            sub_pieces, sub_ok = indecomposable_pieces(piece, rng, confidence)
-            out.extend(sub_pieces)
-            ok = ok and sub_ok
-        return out, ok
-    return [m], status == "certified"
+    if split is None:
+        status, split = _certify_or_split(m, E, rng, confidence)
+        if status != "pieces":
+            return [m], status == "certified"
+    out, ok = [], True
+    for piece in split:
+        sub_pieces, sub_ok = indecomposable_pieces(piece, rng, confidence)
+        out.extend(sub_pieces)
+        ok = ok and sub_ok
+    return out, ok
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +532,6 @@ class DecomposeResult:
     items: tuple  # ((class id, multiplicity), ...) sorted by id
     certified: bool
     confidence: int
-
-    def ids(self) -> list[int]:
-        out = []
-        for i, k in self.items:
-            out.extend([i] * k)
-        return out
 
     def nonprojective(self, registry: IsoRegistry) -> tuple:
         return tuple((i, k) for i, k in self.items if not registry.is_projective(i))

@@ -1,9 +1,17 @@
 """Exact linear algebra over a prime field F_p and over the integers.
 
-Matrices over F_p are dense numpy int64 arrays with entries in [0, p);
-row vectors act on the right of arrow matrices throughout the package.
-Integer lattices are handled fraction-free (Bareiss for ranks, Hermite
-form for membership), so no rational arithmetic ever appears.
+The matrix contract: an F_p matrix is a 2-d numpy int64 array with entries
+in [0, p).  `as_matrix` is the one coerce-and-reduce step; it runs where
+data enters the package (the Rep/RepMap constructors, which also serve JSON
+input, and the row arguments of submodule construction).  Every other
+function here takes and returns matrices that already meet the contract and
+does not re-coerce or re-reduce them.  Row vectors act on the right of arrow
+matrices throughout the package.
+
+p must be a prime below MAX_PRIME (see `check_prime`), so that no int64
+accumulation in the package overflows.  Integer lattices are handled
+fraction-free (Bareiss for ranks, Hermite form for membership), so no
+rational arithmetic ever appears.
 """
 
 from __future__ import annotations
@@ -12,20 +20,33 @@ import numpy as np
 
 DEFAULT_PRIME = 101
 
+# The widest int64 accumulation in the package is the trace form of End(M) in
+# decomp, a sum of dim(End)**2 products of two residues.  Below 2**20 each
+# product is below 2**40, so sums of up to 2**23 products stay below 2**63.
+# That allows dim(End) <= 2896; as dim(End) <= (dim M)**2, it covers every
+# module of dimension up to 53 (the default decomposition cap is 40).
+MAX_PRIME = 2 ** 20
 
-def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a 2-d int64 array, supplying a shape for empty input."""
-    a = np.array(m, dtype=np.int64)
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below MAX_PRIME."""
+    if p < 2:
+        raise ValueError(f"field size {p} is not prime")
+    if p >= MAX_PRIME:
+        raise ValueError(f"field size {p} is not below the int64 overflow cap {MAX_PRIME}")
+    if any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+        raise ValueError(f"field size {p} is not prime")
+
+
+def as_matrix(m, p: int, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """A new 2-d int64 array of m reduced mod p, supplying a shape for empty input."""
+    a = np.asarray(m, dtype=np.int64)
     if a.ndim != 2:
         if a.size == 0:
             a = a.reshape(rows if rows is not None else 0, cols if cols is not None else 0)
         else:
             raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    return a
-
-
-def mod_p(m: np.ndarray, p: int) -> np.ndarray:
-    return np.mod(m, p)
+    return np.mod(a, p)
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
@@ -47,7 +68,7 @@ def rref(m, p: int, augment: np.ndarray | None = None):
     """Row-reduce over F_p.
 
     Args:
-        m: matrix to reduce (not modified).
+        m: matrix to reduce (not modified); nested lists are accepted.
         p: prime modulus.
         augment: optional block carried along (same row count).
 
@@ -56,8 +77,9 @@ def rref(m, p: int, augment: np.ndarray | None = None):
         its nonzero rows, pivots is the list of pivot column indices and A is
         the transformed augment block (None when not supplied).
     """
-    a = mod_p(as_matrix(m), p).copy()
-    aug = None if augment is None else mod_p(as_matrix(augment), p).copy()
+    # one C-ordered working copy: the row operations below walk rows
+    a = np.array(m, dtype=np.int64, order="C")
+    aug = None if augment is None else np.array(augment, dtype=np.int64, order="C")
     nrows, ncols = a.shape
     row = 0
     pivots: list[int] = []
@@ -106,9 +128,8 @@ def kernel_basis(m, p: int) -> np.ndarray:
     Row count is cols(m) - rank(m); the basis is the canonical one obtained
     from the RREF free columns, so it is reproducible bit for bit.
     """
-    a = as_matrix(m)
-    ncols = a.shape[1]
-    r, pivots, _ = rref(a, p)
+    r, pivots, _ = rref(m, p)
+    ncols = r.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     basis = zeros(len(free), ncols)
     for i, fc in enumerate(free):
@@ -123,14 +144,11 @@ def solve(a, b, p: int) -> np.ndarray | None:
 
     b may be a matrix (each column solved simultaneously).
     """
-    a = as_matrix(a)
-    b = as_matrix(b, rows=a.shape[0])
     if b.shape[0] != a.shape[0]:
         raise ValueError("incompatible shapes in solve")
     r, pivots, aug = rref(a, p, augment=b)
     # rows of the eliminated system beyond rank must have zero rhs
-    tail = aug[len(pivots):]
-    if tail.size and np.any(tail % p):
+    if aug[len(pivots):].any():
         return None
     x = zeros(a.shape[1], b.shape[1])
     for j, pc in enumerate(pivots):
@@ -143,27 +161,36 @@ def solve_left(x_rows, target_rows, p: int) -> np.ndarray | None:
 
     Used to express rows of `target_rows` in terms of the rows of `x_rows`.
     """
-    xt = as_matrix(x_rows).T
-    tt = as_matrix(target_rows, cols=xt.shape[0]).T
-    if tt.shape[0] != xt.shape[0]:
-        raise ValueError("incompatible shapes in solve_left")
-    y = solve(xt, tt, p)
+    y = solve(x_rows.T, target_rows.T, p)
     return None if y is None else y.T
 
 
-def is_invertible(m, p: int) -> bool:
-    a = as_matrix(m)
-    return a.shape[0] == a.shape[1] and rank_fp(a, p) == a.shape[0]
+def is_invertible(m: np.ndarray, p: int) -> bool:
+    return m.shape[0] == m.shape[1] and rank_fp(m, p) == m.shape[0]
 
 
-def invert(m, p: int) -> np.ndarray | None:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+def invert(m: np.ndarray, p: int) -> np.ndarray | None:
+    if m.shape[0] != m.shape[1]:
         return None
-    x = solve(a, eye(a.shape[0]), p)
+    x = solve(m, eye(m.shape[0]), p)
     if x is None:
         return None
-    return x if np.array_equal(matmul(a, x, p), eye(a.shape[0])) else None
+    return x if np.array_equal(matmul(m, x, p), eye(m.shape[0])) else None
+
+
+def reduce_rows(basis: np.ndarray, pivots: list[int], vecs: np.ndarray, p: int) -> np.ndarray:
+    """Residue of each row of vecs modulo the row space of an RREF basis.
+
+    The residue is zero on every pivot column, and vecs minus the residue
+    lies in the row space of basis.
+    """
+    out = vecs.copy()
+    for j, pc in enumerate(pivots):
+        factors = out[:, pc].copy()
+        hit = np.nonzero(factors)[0]
+        if hit.size:
+            out[hit] = (out[hit] - np.outer(factors[hit], basis[j])) % p
+    return out
 
 
 class RowSolver:
@@ -174,7 +201,7 @@ class RowSolver:
 
     def __init__(self, basis_rows: np.ndarray, p: int):
         self.p = p
-        self.basis = as_matrix(basis_rows)
+        self.basis = basis_rows
         n = self.basis.shape[0]
         r, pivots, transform = rref(self.basis, p, augment=eye(n))
         if len(pivots) != n:
@@ -186,11 +213,10 @@ class RowSolver:
 
     def coordinates(self, vecs: np.ndarray) -> np.ndarray | None:
         """Coordinates of each row of vecs in the basis, or None if any falls outside."""
-        v = mod_p(as_matrix(vecs, cols=self.basis.shape[1]), self.p)
         if not self.pivots:
-            return None if v.any() else zeros(v.shape[0], 0)
-        coords = matmul(v[:, self.pivots], self.transform, self.p)
-        if not np.array_equal(matmul(coords, self.basis, self.p), v):
+            return None if vecs.any() else zeros(vecs.shape[0], 0)
+        coords = matmul(vecs[:, self.pivots], self.transform, self.p)
+        if not np.array_equal(matmul(coords, self.basis, self.p), vecs):
             return None
         return coords
 

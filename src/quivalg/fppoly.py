@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import exactfield as ef
+
 
 def trim(f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=np.int64)
@@ -220,23 +222,30 @@ def eval_matrix(f: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def min_poly_matrix(mat: np.ndarray, p: int) -> np.ndarray:
-    """Monic minimal polynomial of a square matrix over F_p."""
-    from . import exactfield as ef
+def krylov_minpoly(one: np.ndarray, step, p: int, max_degree: int) -> np.ndarray:
+    """Least monic f with f(x) applied to the nonzero vector `one` equal to zero.
 
-    n = mat.shape[0]
-    if n == 0:
-        return np.array([1], dtype=np.int64)
-    rows = [np.eye(n, dtype=np.int64).reshape(-1)]
-    cur = np.eye(n, dtype=np.int64)
-    for k in range(1, n + 1):
-        cur = (cur @ mat) % p
-        stack = np.stack(rows)
-        sol = ef.solve(stack.T, cur.reshape(-1, 1), p)
+    step(v) applies x to v over F_p.  Vectors may have any shape; they are
+    compared flattened.  max_degree must bound the dimension of the Krylov
+    space of `one`.
+    """
+    rows = [one.reshape(-1)]
+    cur = one
+    for k in range(1, max_degree + 1):
+        cur = step(cur)
+        sol = ef.solve(np.stack(rows).T, cur.reshape(-1, 1), p)
         if sol is not None:
             coeffs = np.zeros(k + 1, dtype=np.int64)
             coeffs[:k] = (-sol[:, 0]) % p
             coeffs[k] = 1
             return trim(coeffs)
         rows.append(cur.reshape(-1))
-    raise AssertionError("minimal polynomial not found within matrix size")
+    raise AssertionError("minimal polynomial not found within the degree bound")
+
+
+def min_poly_matrix(mat: np.ndarray, p: int) -> np.ndarray:
+    """Monic minimal polynomial of a square matrix over F_p."""
+    n = mat.shape[0]
+    if n == 0:
+        return np.array([1], dtype=np.int64)
+    return krylov_minpoly(np.eye(n, dtype=np.int64), lambda cur: (cur @ mat) % p, p, n)

@@ -27,21 +27,19 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
     """Minimal projective cover P(m) ->> m.
 
     The cover is assembled per vertex from the earliest-pivot complement of
-    rad(m); minimality (kernel inside rad P) is asserted on every call.
+    rad(m), which makes it minimal; syzygy(..., check_minimal=True) also
+    asserts minimality (kernel inside rad P).
     """
     alg = m.algebra
     p = alg.p
     if m.is_zero:
         z = repmod.zero_rep(alg)
         return z, RepMap(z, m, {})
-    rad, _ = repmod.radical(m)
-    rad_rows, rad_pivots = {}, {}
     copies: list[tuple[str, np.ndarray]] = []
     for v in alg.quiver.vertices:
-        rows, pivots, _ = ef.rref(
+        _, pivots, _ = ef.rref(
             np.concatenate([m.mats[a.name] for a in alg.quiver.arrows_in(v)], axis=0)
             if alg.quiver.arrows_in(v) else ef.zeros(0, m.dims[v]), p)
-        rad_rows[v], rad_pivots[v] = rows, pivots
         for c in range(m.dims[v]):
             if c not in pivots:
                 gen = np.zeros(m.dims[v], dtype=np.int64)
@@ -239,10 +237,6 @@ class PdResult:
     value: int | None = None
     evidence: dict | None = None
     depth_reached: int = 0
-
-    @property
-    def certified_infinite(self) -> bool:
-        return self.status == "infinite"
 
     def describe(self) -> str:
         if self.status == "finite":

@@ -184,27 +184,72 @@ def pi_b(c: GluedAlgebra, m: Rep) -> Rep:
     return repmod.restrict_rep(c.right, m)
 
 
-def pi_a_map(c: GluedAlgebra, f: RepMap) -> RepMap:
-    return RepMap(pi_a(c, f.source), pi_a(c, f.target),
-                  {v: f.mats[v] for v in c.left.quiver.vertices})
-
-
-def pi_b_map(c: GluedAlgebra, f: RepMap) -> RepMap:
-    return RepMap(pi_b(c, f.source), pi_b(c, f.target),
-                  {v: f.mats[v] for v in c.right.quiver.vertices})
-
-
 # ---------------------------------------------------------------------------
 # extension functors into mod C^op
 
 
+def _side(c: GluedAlgebra, side: str):
+    """(side algebra, connectors reversed into it in C^op) for side "a" or "b"."""
+    return (c.left, c.spec.betas) if side == "a" else (c.right, c.spec.alphas)
+
+
 def _incoming_blocks(c: GluedAlgebra, side: str):
     """For each target-side vertex, the connectors feeding it in C^op order."""
-    connectors = c.spec.betas if side == "a" else c.spec.alphas
     blocks: dict[str, list[Connector]] = {}
-    for con in connectors:
+    for con in _side(c, side)[1]:
         blocks.setdefault(con.source, []).append(con)
     return blocks
+
+
+def _extend(c: GluedAlgebra, m: Rep, side: str) -> Rep:
+    """G_A (side "a", along betas) or G_B (side "b", along alphas) on modules."""
+    alg, connectors = _side(c, side)
+    op = alg.opposite()
+    if m.algebra is not op:
+        which = "left" if side == "a" else "right"
+        raise ValueError(f"g_{side} expects a module over the opposite of the {which} algebra")
+    cop = c.algebra.opposite()
+    blocks = _incoming_blocks(c, side)
+    dims = {v: m.dims[v] for v in op.quiver.vertices}
+    offsets: dict[str, dict[str, int]] = {}
+    for i, cons in blocks.items():
+        off = 0
+        offsets[i] = {}
+        for con in cons:
+            offsets[i][con.name] = off
+            off += m.dims[con.target]  # con.target is on this side
+        dims[i] = off
+    mats = {}
+    for arr in cop.quiver.arrows:
+        if arr.name in op.quiver.arrow_map:
+            mats[arr.name] = m.mats[arr.name]
+        elif any(con.name == arr.name for con in connectors):
+            # reversed connector: from this side's vertex t(con) into the block at s(con)
+            con = next(x for x in connectors if x.name == arr.name)
+            src_dim = m.dims[con.target]
+            tgt_dim = dims.get(con.source, 0)
+            block = ef.zeros(src_dim, tgt_dim)
+            off = offsets[con.source][con.name]
+            for j in range(src_dim):
+                block[j, off + j] = 1
+            mats[arr.name] = block
+        # the other connectors and the other side's arrows act by zero (default)
+    return Rep(cop, dims, mats)
+
+
+def _extend_map(c: GluedAlgebra, f: RepMap, side: str, gm: Rep, gn: Rep) -> RepMap:
+    """The extension functor of `side` on a map f, given its values gm, gn on the ends."""
+    mats = {v: f.mats[v] for v in _side(c, side)[0].opposite().quiver.vertices}
+    for i, cons in _incoming_blocks(c, side).items():
+        mat = ef.zeros(gm.dims[i], gn.dims[i])
+        ro = co = 0
+        for con in cons:
+            blk = f.mats[con.target]
+            mat[ro:ro + blk.shape[0], co:co + blk.shape[1]] = blk
+            ro += blk.shape[0]
+            co += blk.shape[1]
+        mats[i] = mat
+    return RepMap(gm, gn, mats)
 
 
 def g_a(c: GluedAlgebra, m: Rep) -> Rep:
@@ -214,102 +259,20 @@ def g_a(c: GluedAlgebra, m: Rep) -> Rep:
     connectors, the direct sum of the sources' spaces; the designated connector
     acts by the identity block, every other new arrow by zero.
     """
-    aop = c.left.opposite()
-    if m.algebra is not aop:
-        raise ValueError("g_a expects a module over the opposite of the left algebra")
-    cop = c.algebra.opposite()
-    blocks = _incoming_blocks(c, "a")
-    dims = {v: m.dims[v] for v in aop.quiver.vertices}
-    offsets: dict[str, dict[str, int]] = {}
-    for i, cons in blocks.items():
-        off = 0
-        offsets[i] = {}
-        for con in cons:
-            offsets[i][con.name] = off
-            off += m.dims[con.target]  # con.target is the A-side vertex
-        dims[i] = off
-    mats = {}
-    for arr in cop.quiver.arrows:
-        if arr.name in aop.quiver.arrow_map:
-            mats[arr.name] = m.mats[arr.name]
-        elif any(con.name == arr.name for con in c.spec.betas):
-            # reversed beta: from A-side vertex t(beta) into the block at s(beta)
-            con = next(x for x in c.spec.betas if x.name == arr.name)
-            src_dim = m.dims[con.target]
-            tgt_dim = dims.get(con.source, 0)
-            block = ef.zeros(src_dim, tgt_dim)
-            off = offsets[con.source][con.name]
-            for j in range(src_dim):
-                block[j, off + j] = 1
-            mats[arr.name] = block
-        # reversed alphas and B-side arrows act by zero (default)
-    return Rep(cop, dims, mats)
+    return _extend(c, m, "a")
 
 
 def g_a_map(c: GluedAlgebra, f: RepMap) -> RepMap:
-    aop = c.left.opposite()
-    gm, gn = g_a(c, f.source), g_a(c, f.target)
-    blocks = _incoming_blocks(c, "a")
-    mats = {v: f.mats[v] for v in aop.quiver.vertices}
-    for i, cons in blocks.items():
-        mat = ef.zeros(gm.dims[i], gn.dims[i])
-        ro = co = 0
-        for con in cons:
-            blk = f.mats[con.target]
-            mat[ro:ro + blk.shape[0], co:co + blk.shape[1]] = blk
-            ro += blk.shape[0]
-            co += blk.shape[1]
-        mats[i] = mat
-    return RepMap(gm, gn, mats)
+    return _extend_map(c, f, "a", g_a(c, f.source), g_a(c, f.target))
 
 
 def g_b(c: GluedAlgebra, m: Rep) -> Rep:
     """Extension functor mod B^op -> mod C^op (mirror of g_a along alphas)."""
-    bop = c.right.opposite()
-    if m.algebra is not bop:
-        raise ValueError("g_b expects a module over the opposite of the right algebra")
-    cop = c.algebra.opposite()
-    blocks = _incoming_blocks(c, "b")
-    dims = {v: m.dims[v] for v in bop.quiver.vertices}
-    offsets: dict[str, dict[str, int]] = {}
-    for i, cons in blocks.items():
-        off = 0
-        offsets[i] = {}
-        for con in cons:
-            offsets[i][con.name] = off
-            off += m.dims[con.target]
-        dims[i] = off
-    mats = {}
-    for arr in cop.quiver.arrows:
-        if arr.name in bop.quiver.arrow_map:
-            mats[arr.name] = m.mats[arr.name]
-        elif any(con.name == arr.name for con in c.spec.alphas):
-            con = next(x for x in c.spec.alphas if x.name == arr.name)
-            src_dim = m.dims[con.target]
-            tgt_dim = dims.get(con.source, 0)
-            block = ef.zeros(src_dim, tgt_dim)
-            off = offsets[con.source][con.name]
-            for j in range(src_dim):
-                block[j, off + j] = 1
-            mats[arr.name] = block
-    return Rep(cop, dims, mats)
+    return _extend(c, m, "b")
 
 
 def g_b_map(c: GluedAlgebra, f: RepMap) -> RepMap:
-    bop = c.right.opposite()
-    gm, gn = g_b(c, f.source), g_b(c, f.target)
-    blocks = _incoming_blocks(c, "b")
-    mats = {v: f.mats[v] for v in bop.quiver.vertices}
-    for i, cons in blocks.items():
-        mat = ef.zeros(gm.dims[i], gn.dims[i])
-        ro = co = 0
-        for con in cons:
-            blk = f.mats[con.target]
-            mat[ro:ro + blk.shape[0], co:co + blk.shape[1]] = blk
-            ro += blk.shape[0]
-            co += blk.shape[1]
-        mats[i] = mat
-    return RepMap(gm, gn, mats)
+    return _extend_map(c, f, "b", g_b(c, f.source), g_b(c, f.target))
 
 
 # ---------------------------------------------------------------------------

@@ -287,13 +287,6 @@ class BoundAlgebra:
         self._refresh_lengths()
         return lead[1]
 
-    def _rule_element(self, lm: tuple) -> dict[PathKey, int]:
-        start = self.quiver.arrow_map[lm[0]].source
-        elem = {(start, lm): 1}
-        for k, c in self._rules[lm].items():
-            elem[k] = (elem.get(k, 0) - c) % self.p
-        return elem
-
     def _interreduce(self) -> bool:
         """Bring the rule set to reduced form; returns True if anything changed."""
         changed_any = False
@@ -435,9 +428,6 @@ class BoundAlgebra:
     def path_target(self, key: PathKey) -> str:
         start, arrows = key
         return self.quiver.arrow_map[arrows[-1]].target if arrows else start
-
-    def basis_between(self, v: str, w: str) -> list[PathKey]:
-        return [k for k in self.basis if k[0] == v and self.path_target(k) == w]
 
     def basis_from(self, v: str) -> list[PathKey]:
         return [k for k in self.basis if k[0] == v]

@@ -45,7 +45,7 @@ class Rep:
             if m is None:
                 m = ef.zeros(ds, dt)
             else:
-                m = ef.mod_p(ef.as_matrix(m, ds, dt), algebra.p)
+                m = ef.as_matrix(m, algebra.p, ds, dt)
                 if m.shape != (ds, dt):
                     raise ValueError(
                         f"arrow {a.name}: matrix shape {m.shape} != ({ds}, {dt})")
@@ -114,7 +114,7 @@ class RepMap:
             if m is None:
                 m = ef.zeros(ds, dt)
             else:
-                m = ef.mod_p(ef.as_matrix(m, ds, dt), p)
+                m = ef.as_matrix(m, p, ds, dt)
                 if m.shape != (ds, dt):
                     raise ValueError(f"vertex {v}: map shape {m.shape} != ({ds}, {dt})")
             m.setflags(write=False)
@@ -149,16 +149,6 @@ class RepMap:
     def is_invertible(self) -> bool:
         return all(m.shape[0] == m.shape[1] for m in self.mats.values()) \
             and self.is_injective()
-
-    def inverse(self) -> "RepMap":
-        p = self.source.algebra.p
-        inv = {}
-        for v, m in self.mats.items():
-            im = ef.invert(m, p)
-            if im is None:
-                raise ValueError("map is not invertible")
-            inv[v] = im
-        return RepMap(self.target, self.source, inv)
 
     def is_zero(self) -> bool:
         return all(not m.size or not m.any() for m in self.mats.values())
@@ -239,13 +229,6 @@ def validate(m: Rep) -> Violation | None:
     return None
 
 
-def assert_valid(m: Rep) -> Rep:
-    bad = validate(m)
-    if bad is not None:
-        raise ValueError(f"representation violates relation {bad.relation}")
-    return m
-
-
 def direct_sum(ms) -> tuple[Rep, list[RepMap], list[RepMap]]:
     """Block-diagonal sum with inclusion and projection maps."""
     ms = list(ms)
@@ -307,7 +290,7 @@ def submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMap]:
     bases = {}
     for v in alg.quiver.vertices:
         r = rows.get(v)
-        r = ef.zeros(0, m.dims[v]) if r is None else ef.as_matrix(r, cols=m.dims[v])
+        r = ef.zeros(0, m.dims[v]) if r is None else ef.as_matrix(r, p, cols=m.dims[v])
         bases[v] = ef.row_basis(r, p)
     dims = {v: bases[v].shape[0] for v in alg.quiver.vertices}
     mats = {}
@@ -322,11 +305,6 @@ def submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMap]:
     return sub, inc
 
 
-def image(f: RepMap) -> tuple[Rep, RepMap]:
-    """Image of f as a submodule of the target."""
-    return submodule(f.target, {v: f.mats[v] for v in f.mats})
-
-
 def generated_submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMap]:
     """Smallest submodule containing the given row spans (arrow-action closure)."""
     alg = m.algebra
@@ -334,7 +312,7 @@ def generated_submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMa
     spans = {}
     for v in alg.quiver.vertices:
         r = rows.get(v)
-        r = ef.zeros(0, m.dims[v]) if r is None else ef.as_matrix(r, cols=m.dims[v])
+        r = ef.zeros(0, m.dims[v]) if r is None else ef.as_matrix(r, p, cols=m.dims[v])
         spans[v] = ef.row_basis(r, p)
     changed = True
     while changed:
@@ -355,16 +333,6 @@ def kernel(f: RepMap) -> tuple[Rep, RepMap]:
     p = f.source.algebra.p
     rows = {v: ef.kernel_basis(f.mats[v].T, p) for v in f.mats}
     return submodule(f.source, rows)
-
-
-def _reduce_rows(basis: np.ndarray, pivots: list[int], vecs: np.ndarray, p: int) -> np.ndarray:
-    out = vecs % p
-    for j, pc in enumerate(pivots):
-        factors = out[:, pc].copy()
-        hit = np.nonzero(factors)[0]
-        if hit.size:
-            out[hit] = (out[hit] - np.outer(factors[hit], basis[j])) % p
-    return out
 
 
 def quotient(m: Rep, sub: RepMap) -> tuple[Rep, RepMap]:
@@ -388,13 +356,13 @@ def quotient(m: Rep, sub: RepMap) -> tuple[Rep, RepMap]:
         for i, c in enumerate(frees[v]):
             sec[i, c] = 1
         sections[v] = sec
-        residues = _reduce_rows(b, piv, ef.eye(m.dims[v]), p)
+        residues = ef.reduce_rows(b, piv, ef.eye(m.dims[v]), p)
         projs[v] = residues[:, frees[v]]
     dims = {v: len(frees[v]) for v in alg.quiver.vertices}
     mats = {}
     for a in alg.quiver.arrows:
         moved = ef.matmul(red[a.source], m.mats[a.name], p)
-        if _reduce_rows(red[a.target], pivots[a.target], moved, p).any():
+        if ef.reduce_rows(red[a.target], pivots[a.target], moved, p).any():
             raise NotASubmodule(f"image not stable under arrow {a.name}")
         mats[a.name] = ef.matmul(ef.matmul(sections[a.source], m.mats[a.name], p),
                                  projs[a.target], p)
@@ -478,7 +446,7 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
         # T^m_a f_t  contributes kron(T^m_a, I) on f_t's variables
         if sizes[vidx[t]]:
             row[:, offsets[vidx[t]]:offsets[vidx[t] + 1]] = np.kron(
-                m.mats[a.name], ef.eye(n.dims[t])) % p
+                m.mats[a.name], ef.eye(n.dims[t]))
         # -f_s T^n_a contributes -kron(I, T^n_a^T) on f_s's variables
         if sizes[vidx[s]]:
             row[:, offsets[vidx[s]]:offsets[vidx[s] + 1]] -= np.kron(
@@ -493,10 +461,6 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
             mats[v] = row[offsets[i]:offsets[i + 1]].reshape(m.dims[v], n.dims[v])
         maps.append(RepMap(m, n, mats))
     return maps
-
-
-def hom_dim(m: Rep, n: Rep) -> int:
-    return len(hom_basis(m, n))
 
 
 def combine_maps(maps: list[RepMap], coeffs) -> RepMap:

@@ -23,10 +23,6 @@ def _crit(name: str, passed: bool, summary: str, details=None) -> dict:
             "details": details or []}
 
 
-def _load(name: str, budgets: Budgets):
-    return cli.load_any(name)
-
-
 class Fixtures:
     """Fresh builds of the bundled fixtures (fresh registries per battery run)."""
 

@@ -167,3 +167,15 @@ def test_field_override(capsys):
     data = json.loads(capsys.readouterr().out)
     assert code == 0
     assert data["dim"] == 8  # the presentation stays 8-dimensional over F_7
+
+
+@pytest.mark.parametrize("field", ["0", "6", "1048583", "4294967311"])
+def test_field_override_rejects_bad_fields(field, capsys):
+    # 1048583 is the least prime above the int64 overflow cap 2**20
+    assert _run(["--field", field, "phi", "exB.alg", "--module", "S1+S2"]) == 3
+    assert "input error" in capsys.readouterr().err
+
+
+def test_dsl_rejects_prime_above_cap():
+    with pytest.raises(cli.InputError):
+        cli.parse_algebra("algebra t field 1048583 truncate 5\n", "big.alg")

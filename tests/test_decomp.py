@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quivalg import decomp, exactfield as ef, repmod
+from quivalg import cli, decomp, exactfield as ef, repmod
 from quivalg.budgets import DEFAULT, BudgetExceeded
 
 
@@ -144,3 +144,33 @@ def test_registry_dump_schema(exB):
                for e in dump)
     ids = [e["id"] for e in dump]
     assert ids == sorted(ids)
+
+
+def test_field_endomorphism_algebra_certified_in_quotient():
+    # a Kronecker module at a degree-2 point over F_3 has End(M) = F_9: no
+    # element splits it, so locality is certified in E/rad(E) by an element
+    # whose minimal polynomial is irreducible of full degree
+    kron = cli.parse_algebra("algebra K field 3 truncate 5\nvertex 1 2\n"
+                             "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
+    m = repmod.Rep(kron, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 1], [2, 0]]})
+    assert decomp.end_algebra(m).dim == 2
+    pieces, certified = decomp.indecomposable_pieces(m, np.random.default_rng(0), 5)
+    assert certified and len(pieces) == 1
+    _check_quotient_mult(m)
+
+
+def test_quotient_algebra_multiplication(exB):
+    # E/rad(E) with a nonzero radical: P1 + S1 over exB
+    _check_quotient_mult(repmod.direct_sum([exB.projective("1"), repmod.simple(exB, "1")])[0])
+
+
+def _check_quotient_mult(m):
+    """S.mult on the images of basis elements equals the image of their composite."""
+    E = decomp.end_algebra(m)
+    S = decomp._QuotientAlgebra(E, decomp._radical_rows(E))
+    unit = np.eye(E.dim, dtype=np.int64)
+    for i in range(E.dim):
+        for j in range(E.dim):
+            prod = E.coordinates(E.compose(E.basis[i].mats, E.basis[j].mats))
+            got = S.mult(S.project(unit[i]), S.project(unit[j]))
+            assert np.array_equal(got, S.project(prod))

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from quivalg import exactfield as ef
 
@@ -85,3 +88,83 @@ def test_row_solver_coordinates():
     assert np.array_equal(coords % 7 @ basis % 7 % 7,
                           np.array([[1, 3, 1], [2, 4, 0]]) % 7)
     assert rs.coordinates(np.array([[0, 0, 5]], dtype=np.int64)) is None
+
+
+# ---------------------------------------------------------------------------
+# the F_p kernel against sympy's DomainMatrix over GF(p)
+
+
+def _gf(m, p):
+    K = GF(p)
+    return DomainMatrix([[K(int(x)) for x in row] for row in m], m.shape, K)
+
+
+def _ints(dm, p):
+    return np.array([[int(x) % p for x in row] for row in dm.to_list()],
+                    dtype=np.int64).reshape(dm.shape)
+
+
+def _matrices(p, seed):
+    """Seeded matrices over F_p: empty shapes, full-rank and low-rank ones."""
+    rng = np.random.default_rng(seed)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 8, size=2)) for _ in range(24)]
+    for i, (r, c) in enumerate(shapes):
+        if i % 2 and r and c:
+            k = int(rng.integers(1, min(r, c) + 1))
+            yield (rng.integers(0, p, size=(r, k)) @ rng.integers(0, p, size=(k, c))) % p
+        else:
+            yield rng.integers(0, p, size=(r, c)).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_rref_and_rank_match_sympy(p):
+    for m in _matrices(p, p):
+        r, pivots, _ = ef.rref(m, p)
+        ref, ref_pivots = _gf(m, p).rref()
+        assert list(ref_pivots) == pivots
+        assert np.array_equal(r, _ints(ref, p)[: len(pivots)])
+        assert ef.rank_fp(m, p) == len(ref_pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_kernel_basis_matches_sympy(p):
+    for m in _matrices(p, 10 + p):
+        k = ef.kernel_basis(m, p)
+        assert k.shape == (m.shape[1] - len(_gf(m, p).rref()[1]), m.shape[1])
+        assert not (m @ k.T % p).any()
+        if m.shape[0] and m.shape[1]:
+            ref = _ints(_gf(m, p).nullspace(), p)
+            assert np.array_equal(ef.row_basis(k, p), ef.row_basis(ref, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_solve_matches_sympy(p):
+    rng = np.random.default_rng(20 + p)
+    for m in _matrices(p, 30 + p):
+        b = rng.integers(0, p, size=(m.shape[0], 2)).astype(np.int64)
+        if rng.integers(2):
+            b = (m @ rng.integers(0, p, size=(m.shape[1], 2))) % p
+        x = ef.solve(m, b, p)
+        aug = np.concatenate([m, b], axis=1)
+        ref, ref_pivots = _gf(aug, p).rref()
+        if any(pc >= m.shape[1] for pc in ref_pivots):
+            assert x is None
+            continue
+        expected = np.zeros((m.shape[1], 2), dtype=np.int64)
+        for j, pc in enumerate(ref_pivots):
+            expected[pc] = _ints(ref, p)[j, m.shape[1]:]
+        assert np.array_equal(x, expected)
+        assert np.array_equal(ef.matmul(m, x, p), b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_reduce_rows_residue(p):
+    rng = np.random.default_rng(40 + p)
+    for m in _matrices(p, 50 + p):
+        basis, pivots, _ = ef.rref(m, p)
+        vecs = rng.integers(0, p, size=(3, m.shape[1])).astype(np.int64)
+        res = ef.reduce_rows(basis, pivots, vecs, p)
+        assert not res[:, pivots].any()
+        # vecs - res lies in the row space of basis
+        assert ef.RowSolver(basis, p).coordinates((vecs - res) % p) is not None

@@ -75,3 +75,23 @@ def test_factor_p2():
     g = fppoly.mul(f, _poly(1, 1), 2)
     factors = fppoly.factor(g, 2, rng)
     assert sorted(fppoly.degree(q) for q, _ in factors) == [1, 2]
+
+
+def test_krylov_minpoly_definition():
+    """Monic, annihilates its input, degree at most the dimension."""
+    for p in (2, 3, 101):
+        rng = np.random.default_rng(p)
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            k = int(rng.integers(1, n + 1))
+            mat = (rng.integers(0, p, size=(n, k)) @ rng.integers(0, p, size=(k, n))) % p
+            mu = fppoly.min_poly_matrix(mat, p)
+            assert mu[-1] == 1 and 1 <= fppoly.degree(mu) <= n
+            assert not fppoly.eval_matrix(mu, mat, p).any()
+            # the same routine on a single vector: the local minimal polynomial
+            v = rng.integers(0, p, size=n).astype(np.int64)
+            v[int(rng.integers(n))] = 1
+            nu = fppoly.krylov_minpoly(v, lambda w: (w @ mat) % p, p, n)
+            assert nu[-1] == 1 and fppoly.degree(nu) <= n
+            assert not (v @ fppoly.eval_matrix(nu, mat, p) % p).any()
+            assert not fppoly.mod_poly(mu, nu, p).size  # it divides mu
