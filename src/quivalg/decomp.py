@@ -102,12 +102,15 @@ class EndAlgebra:
     def structure_constants(self) -> np.ndarray:
         """c[i, j] = coordinates of basis_i . basis_j (shape dim x dim x dim)."""
         if self._structure is None:
-            rows = []
-            for bi in self.basis:
-                for bj in self.basis:
-                    rows.append(self.flatten(self.compose(bi.mats, bj.mats)))
-            if rows:
-                coords = self.solver.coordinates(np.stack(rows))
+            if self.dim:
+                # all dim**2 composites at once, one broadcast product per
+                # vertex; row i * dim + j holds basis_i . basis_j
+                blocks = []
+                for v in self._verts:
+                    b = np.stack([f.mats[v] for f in self.basis])
+                    blocks.append(((b[:, None] @ b[None, :]) % self.p).reshape(
+                        self.dim * self.dim, b.shape[1] * b.shape[2]))
+                coords = self.solver.coordinates(np.concatenate(blocks, axis=1))
                 if coords is None:
                     raise ValueError("End(M) is not closed under composition")
                 self._structure = coords.reshape(self.dim, self.dim, self.dim)

@@ -469,13 +469,14 @@ def combine_maps(maps: list[RepMap], coeffs) -> RepMap:
         raise ValueError("no maps to combine")
     src, tgt = maps[0].source, maps[0].target
     p = src.algebra.p
-    mats = {v: ef.zeros(src.dims[v], tgt.dims[v]) for v in src.algebra.quiver.vertices}
-    for c, f in zip(coeffs, maps):
-        c = int(c) % p
-        if not c:
-            continue
-        for v in mats:
-            mats[v] = (mats[v] + c * f.mats[v]) % p
+    # reduced coefficients keep each sum below len(maps) * p**2 (see ef.MAX_PRIME);
+    # the RepMap constructor reduces the sums
+    c = np.asarray(coeffs, dtype=np.int64) % p
+    mats = {}
+    for v in src.algebra.quiver.vertices:
+        ds, dt = src.dims[v], tgt.dims[v]
+        stack = np.array([f.mats[v] for f in maps]).reshape(len(maps), ds * dt)
+        mats[v] = (c @ stack).reshape(ds, dt)
     return RepMap(src, tgt, mats)
 
 

@@ -159,9 +159,11 @@ def test_field_endomorphism_algebra_certified_in_quotient():
     _check_quotient_mult(m)
 
 
-def test_quotient_algebra_multiplication(exB):
+def test_quotient_algebra_multiplication(exB, a2):
     # E/rad(E) with a nonzero radical: P1 + S1 over exB
     _check_quotient_mult(repmod.direct_sum([exB.projective("1"), repmod.simple(exB, "1")])[0])
+    # End = M_2(F), on a module that is zero at vertex 2
+    _check_quotient_mult(repmod.power(repmod.simple(a2, "1"), 2))
 
 
 def _check_quotient_mult(m):
@@ -172,5 +174,6 @@ def _check_quotient_mult(m):
     for i in range(E.dim):
         for j in range(E.dim):
             prod = E.coordinates(E.compose(E.basis[i].mats, E.basis[j].mats))
+            assert np.array_equal(E.structure_constants()[i, j], prod)
             got = S.mult(S.project(unit[i]), S.project(unit[j]))
             assert np.array_equal(got, S.project(prod))

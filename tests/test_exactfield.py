@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -109,6 +111,8 @@ def _matrices(p, seed):
     rng = np.random.default_rng(seed)
     shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1)]
     shapes += [tuple(int(x) for x in rng.integers(1, 8, size=2)) for _ in range(24)]
+    # above the list/numpy crossover of rref
+    shapes += [(40, 40), (24, 60), (60, 24), (40, 40)]
     for i, (r, c) in enumerate(shapes):
         if i % 2 and r and c:
             k = int(rng.integers(1, min(r, c) + 1))
@@ -119,6 +123,7 @@ def _matrices(p, seed):
 
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_rref_and_rank_match_sympy(p):
+    assert max(m.size for m in _matrices(p, p)) > ef.RREF_LIST_CELLS
     for m in _matrices(p, p):
         r, pivots, _ = ef.rref(m, p)
         ref, ref_pivots = _gf(m, p).rref()
@@ -168,3 +173,48 @@ def test_reduce_rows_residue(p):
         assert not res[:, pivots].any()
         # vecs - res lies in the row space of basis
         assert ef.RowSolver(basis, p).coordinates((vecs - res) % p) is not None
+
+
+# ---------------------------------------------------------------------------
+# rref's list kernel (up to RREF_LIST_CELLS) and numpy kernel agree bit for bit
+
+MAX_PRIME_BELOW_CAP = 1048573  # the largest prime below ef.MAX_PRIME
+
+
+@st.composite
+def _rref_inputs(draw):
+    """(m, p, augment): full-rank, low-rank and sparse matrices, any shape."""
+    p = draw(st.sampled_from([2, 3, 101, MAX_PRIME_BELOW_CAP]))
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    naug = draw(st.none() | st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["full", "low-rank", "sparse"]))
+    m = rng.integers(0, p, size=(rows, cols))
+    if kind == "low-rank":
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        m = (rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))) % p
+    elif kind == "sparse":
+        m = m * (rng.random((rows, cols)) < 0.2)
+    aug = None if naug is None else rng.integers(0, p, size=(rows, naug))
+    return m.astype(np.int64), p, None if aug is None else aug.astype(np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rref_inputs())
+@example((np.zeros((0, 0), dtype=np.int64), 2, None))
+@example((np.zeros((0, 5), dtype=np.int64), 3, np.zeros((0, 2), dtype=np.int64)))
+@example((np.zeros((4, 0), dtype=np.int64), 101, np.ones((4, 3), dtype=np.int64)))
+@example((np.eye(3, dtype=np.int64), MAX_PRIME_BELOW_CAP, np.zeros((3, 0), dtype=np.int64)))
+@example((np.array([[0, 2], [1, 1]], dtype=np.int64), 3, np.zeros((2, 0), dtype=np.int64)))
+def test_rref_list_and_numpy_kernels_agree(case):
+    m, p, aug = case
+    r1, piv1, a1 = ef._rref_lists(m, p, aug)
+    r2, piv2, a2 = ef._rref_numpy(m, p, aug)
+    assert piv1 == piv2
+    assert r1.dtype == r2.dtype == np.int64 and r1.shape == r2.shape == (len(piv1), m.shape[1])
+    assert np.array_equal(r1, r2)
+    if aug is None:
+        assert a1 is None and a2 is None
+    else:
+        assert a1.dtype == a2.dtype == np.int64 and a1.shape == a2.shape == aug.shape
+        assert np.array_equal(a1, a2)

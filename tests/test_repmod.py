@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from quivalg import decomp, exactfield as ef, repmod
@@ -148,3 +149,19 @@ def test_module_json_roundtrip(exB):
     assert back.equals(m)
     with pytest.raises(ValueError):
         repmod.Rep.from_json(exB, {"algebra": "somewhere-else", "dims": {}, "maps": {}})
+
+
+def test_combine_maps_is_the_linear_combination(exB, a2):
+    rng = np.random.default_rng(6)
+    for m in (repmod.direct_sum([exB.projective("1"), repmod.simple(exB, "1")])[0],
+              repmod.power(repmod.simple(a2, "1"), 2)):
+        p = m.algebra.p
+        homs = repmod.hom_basis(m, m)
+        for coeffs in ([0] * len(homs), list(range(len(homs))),
+                       rng.integers(-3 * p, 3 * p, size=len(homs))):
+            f = repmod.combine_maps(homs, coeffs)
+            for v in m.dims:
+                want = ef.zeros(m.dims[v], m.dims[v])
+                for c, h in zip(coeffs, homs):
+                    want = (want + int(c) * h.mats[v]) % p
+                assert np.array_equal(f.mats[v], want)
