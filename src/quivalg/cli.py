@@ -221,7 +221,10 @@ def parse_gluing(text: str, filename: str = "<input>") -> GlueSource:
             if ":" not in rest or "->" not in rest:
                 err(f"expected: {head} name: v -> w")
             aname, spec = rest.split(":", 1)
-            s, t = (x.strip() for x in spec.split("->"))
+            bits = spec.split("->")
+            if len(bits) != 2:
+                err(f"expected: {head} name: v -> w")
+            s, t = bits[0].strip(), bits[1].strip()
             (alphas if head == "alpha" else betas).append((aname.strip(), s, t))
         elif head == "ideal":
             if len(parts) != 2 or parts[1] not in ("generated", "extended"):
@@ -279,9 +282,12 @@ def load_glue_file(path: str, p_override: int | None = None) -> morita.GluedAlge
     base = os.path.dirname(path)
     left = load_algebra_file(os.path.join(base, src.left), p_override)
     right = load_algebra_file(os.path.join(base, src.right), p_override)
-    spec = morita.GluingSpec(left, right, src.alphas, src.betas, src.mode,
-                             tuple(_resolve_extra(left, right, src)),
-                             name=src.name)
+    try:
+        spec = morita.GluingSpec(left, right, src.alphas, src.betas, src.mode,
+                                 tuple(_resolve_extra(left, right, src)),
+                                 name=src.name)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     try:
         return morita.glue(spec)
     except morita.H3Violation as exc:
@@ -328,7 +334,10 @@ def parse_module_expr(alg: BoundAlgebra, expr: str) -> Rep:
     if expr.endswith(".json"):
         path = resolve_path(expr)
         with open(path, "r", encoding="utf-8") as fh:
-            return Rep.from_json(alg, json.load(fh))
+            try:
+                return Rep.from_json(alg, json.load(fh))
+            except ValueError as exc:  # JSONDecodeError is one too
+                raise InputError(f"{path}: {exc}") from exc
     terms = _split_top_level(expr, "+")
     mods = [_parse_module_term(alg, t.strip()) for t in terms]
     return repmod.direct_sum(mods)[0] if len(mods) > 1 else mods[0]
@@ -357,6 +366,8 @@ def _parse_module_term(alg: BoundAlgebra, term: str) -> Rep:
         try:
             power = int(k)
         except ValueError:
+            power = 0  # rejected below
+        if power < 1:
             raise InputError(f"bad power in module literal {term!r}")
     term = term.strip()
     base: Rep
@@ -489,6 +500,8 @@ def cmd_simples(obj, args, budgets, rep: Report):
 
 def cmd_syzygy(obj, args, budgets, rep: Report):
     alg = underlying_algebra(obj)
+    if args.power < 0:
+        raise InputError(f"--power must be >= 0, not {args.power}")
     m = parse_module_expr(alg, args.module)
     om = homology.omega_power(m, args.power)
     rep.results = {"module": m.to_json(), "syzygy": om.to_json(),
@@ -606,6 +619,8 @@ def cmd_check_h(obj, args, budgets, rep: Report):
 def cmd_split_check(obj, args, budgets, rep: Report):
     if not isinstance(obj, morita.GluedAlgebra):
         raise InputError("split-check expects a .glue file")
+    if args.samples < 1:
+        raise InputError(f"--samples must be >= 1, not {args.samples}")
     alg = obj.algebra
     failures = []
     for i in range(args.samples):

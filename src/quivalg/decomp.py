@@ -1,8 +1,10 @@
 """Endomorphism algebras, Krull-Schmidt decomposition, iso tests, registry.
 
 Splitting strategy: factor minimal polynomials of endomorphisms; a coprime
-factorization induces a direct splitting by generalized kernels.  Locality of
-the endomorphism algebra is certified by exhibiting E/rad(E) as a finite field
+factorization induces a direct splitting by generalized kernels.  Every split
+is such a pair of generalized kernels of one endomorphism of M, including the
+lifts to End(M) of elements and idempotents of E/rad(E).  Locality of the
+endomorphism algebra is certified by exhibiting E/rad(E) as a finite field
 (an element whose minimal polynomial is irreducible of full degree), with an
 exhaustive idempotent search below |F|^dim <= 10^6 and an honest
 probabilistic flag otherwise.
@@ -10,6 +12,7 @@ probabilistic flag otherwise.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -127,19 +130,19 @@ def end_algebra(m: Rep) -> EndAlgebra:
 # splitting
 
 
-def _minpoly_of_mats(mats: dict[str, np.ndarray], p: int) -> np.ndarray:
-    """Minimal polynomial of a vertexwise endomorphism (lcm over vertices)."""
-    mu = np.array([1], dtype=np.int64)
+def _minpoly_of_mats(mats: dict[str, np.ndarray], p: int) -> list[int]:
+    """Minimal polynomial of a vertexwise endomorphism: that of its block diagonal."""
+    n = sum(mat.shape[0] for mat in mats.values())
+    diag = ef.zeros(n, n)
+    i = 0
     for mat in mats.values():
-        if mat.shape[0] == 0:
-            continue
-        mv = fppoly.min_poly_matrix(mat, p)
-        g = fppoly.gcd(mu, mv, p)
-        mu = fppoly.divmod_poly(fppoly.mul(mu, mv, p), g, p)[0]
-    return fppoly.monic(mu, p)
+        k = mat.shape[0]
+        diag[i:i + k, i:i + k] = mat
+        i += k
+    return fppoly.min_poly_matrix(diag, p)
 
 
-def _poly_kernel_piece(m: Rep, mats: dict[str, np.ndarray], g: np.ndarray) -> Rep:
+def _poly_kernel_piece(m: Rep, mats: dict[str, np.ndarray], g: list[int]) -> Rep:
     """The submodule ker g(f) for an endomorphism f given vertexwise."""
     p = m.algebra.p
     rows = {}
@@ -150,45 +153,29 @@ def _poly_kernel_piece(m: Rep, mats: dict[str, np.ndarray], g: np.ndarray) -> Re
     return sub
 
 
-def _coprime_split(factors, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _coprime_split(factors, p: int) -> tuple[list[int], list[int]]:
     """(q0^e0, product of the other prime powers) for a factor list of length >= 2."""
-    q0, e0 = factors[0]
-    g = q0
-    for _ in range(e0 - 1):
-        g = fppoly.mul(g, q0, p)
-    h = np.array([1], dtype=np.int64)
+    g, h = [1], [1]
+    for _ in range(factors[0][1]):
+        g = fppoly.mul(g, factors[0][0], p)
     for q, e in factors[1:]:
         for _ in range(e):
             h = fppoly.mul(h, q, p)
     return g, h
 
 
-def _lift_idempotent(m: Rep, mats: dict[str, np.ndarray], p: int):
-    """Newton-lift an idempotent-mod-nilpotents to an exact idempotent."""
-    e = dict(mats)
-    for _ in range(64):
-        sq = {v: ef.matmul(e[v], e[v], p) for v in e}
-        if all(np.array_equal(sq[v], e[v]) for v in e):
-            return e
-        e = {v: (3 * sq[v] - 2 * ef.matmul(sq[v], e[v], p)) % p for v in e}
-    return None
-
-
-def _split_by_idempotent(m: Rep, E: EndAlgebra, S: _QuotientAlgebra, svec):
-    """ker e and ker(1 - e) for the exact lift e of an idempotent of S.
-
-    Returns the two pieces, or None when the lift fails or is trivial.
-    """
-    p = E.p
-    e = _lift_idempotent(m, E.element(S.embed(svec)), p)
-    if e is None:
+def _split_by(m: Rep, f: dict[str, np.ndarray], rng) -> list[Rep] | None:
+    """ker g(f) and ker h(f) for coprime g, h with g h the minimal polynomial
+    of the endomorphism f (given vertexwise); None when it is a prime power."""
+    p = m.algebra.p
+    factors = fppoly.factor(_minpoly_of_mats(f, p), p, rng)
+    if len(factors) < 2:
         return None
-    comp = {v: (ef.eye(m.dims[v]) - e[v]) % p for v in e}
-    p1, _ = repmod.submodule(m, {v: ef.kernel_basis(e[v].T, p) for v in e})
-    p2, _ = repmod.submodule(m, {v: ef.kernel_basis(comp[v].T, p) for v in comp})
-    if p1.total_dim and p2.total_dim and p1.total_dim + p2.total_dim == m.total_dim:
-        return [p1, p2]
-    return None
+    g, h = _coprime_split(factors, p)
+    pieces = [_poly_kernel_piece(m, f, g), _poly_kernel_piece(m, f, h)]
+    if pieces[0].total_dim + pieces[1].total_dim != m.total_dim:
+        raise AssertionError("generalized kernels do not exhaust the module")
+    return pieces
 
 
 class _QuotientAlgebra:
@@ -271,78 +258,40 @@ def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
     if S.dim == 1:
         return ("certified", None)
 
-    candidates = []
-    for i in range(S.dim):
-        v = np.zeros(S.dim, dtype=np.int64)
-        v[i] = 1
-        candidates.append(v)
-    for _ in range(confidence):
-        candidates.append(rng.integers(0, p, size=S.dim).astype(np.int64))
+    candidates = list(ef.eye(S.dim))
+    candidates += [rng.integers(0, p, size=S.dim) for _ in range(confidence)]
     for x in candidates:
         mu = fppoly.krylov_minpoly(S.identity(), lambda v: S.mult(v, x), p, S.dim)
         if fppoly.degree(mu) == S.dim and fppoly.is_irreducible(mu, p):
             return ("certified", None)
-        factors = fppoly.factor(mu, p, rng)
-        if len(factors) >= 2:
-            # CRT idempotent in S, lifted to an exact idempotent on M
-            g, h = _coprime_split(factors, p)
-            gg, u, _ = _xgcd_poly(g, h, p)
-            if fppoly.degree(gg) != 0:
-                continue
-            inv = pow(int(gg[0]), p - 2, p)
-            idem_poly = fppoly.mul(fppoly.mul(u, np.array([inv], dtype=np.int64), p), g, p)
-            # evaluate at x inside S
-            cur = S.identity()
-            val = np.zeros(S.dim, dtype=np.int64)
-            for coeff in idem_poly:
-                val = (val + int(coeff) * cur) % p
-                cur = S.mult(cur, x)
-            pieces = _split_by_idempotent(m, E, S, val)
-            if pieces is not None:
-                return ("pieces", pieces)
+        # rad(E) is nil, so the minimal polynomial of x divides that of its
+        # lift; when it is reducible the lift splits M
+        pieces = _split_by(m, E.element(S.embed(x)), rng)
+        if pieces is not None:
+            return ("pieces", pieces)
     if p ** S.dim <= EXHAUSTIVE_LIMIT:
         idem = _exhaustive_idempotent(S)
         if idem is None:
             return ("certified", None)
-        pieces = _split_by_idempotent(m, E, S, idem)
+        pieces = _split_by(m, E.element(S.embed(idem)), rng)
         if pieces is not None:
             return ("pieces", pieces)
     return ("probabilistic", None)
 
 
-def _xgcd_poly(a, b, p):
-    """Extended gcd for polynomials over F_p: returns (g, u, v) with ua + vb = g."""
-    r0, r1 = fppoly.trim(a % p), fppoly.trim(b % p)
-    s0, s1 = np.array([1], dtype=np.int64), np.zeros(0, dtype=np.int64)
-    t0, t1 = np.zeros(0, dtype=np.int64), np.array([1], dtype=np.int64)
-    while r1.size:
-        q, r = fppoly.divmod_poly(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, fppoly.add(s0, (-fppoly.mul(q, s1, p)) % p, p)
-        t0, t1 = t1, fppoly.add(t0, (-fppoly.mul(q, t1, p)) % p, p)
-    return r0, s0, t0
+def _fp_vectors(p: int, n: int):
+    """Every vector of F_p^n as an int64 array, the first coordinate varying fastest."""
+    for t in itertools.product(range(p), repeat=n):
+        yield np.array(t[::-1], dtype=np.int64)
 
 
 def _exhaustive_idempotent(S: _QuotientAlgebra):
     """Search all of S for a nontrivial idempotent (certified when None)."""
-    p = S.p
     one = S.identity()
-    zero = np.zeros(S.dim, dtype=np.int64)
-    idx = np.zeros(S.dim, dtype=np.int64)
-    while True:
-        vec = idx.copy()
-        if not np.array_equal(vec, zero) and not np.array_equal(vec, one):
-            if np.array_equal(S.mult(vec, vec), vec):
-                return vec
-        i = 0
-        while i < S.dim:
-            idx[i] += 1
-            if idx[i] < p:
-                break
-            idx[i] = 0
-            i += 1
-        if i == S.dim:
-            return None
+    for vec in _fp_vectors(S.p, S.dim):
+        if vec.any() and not np.array_equal(vec, one) and np.array_equal(S.mult(vec, vec), vec):
+            return vec
+    return None
 
 
 def indecomposable_pieces(m: Rep, rng, confidence: int):
@@ -359,15 +308,8 @@ def indecomposable_pieces(m: Rep, rng, confidence: int):
             f = E.basis[rounds].mats
         else:
             f = E.element(rng.integers(0, p, size=E.dim))
-        mu = _minpoly_of_mats(f, p)
-        factors = fppoly.factor(mu, p, rng)
-        if len(factors) >= 2:
-            g, h = _coprime_split(factors, p)
-            first = _poly_kernel_piece(m, f, g)
-            second = _poly_kernel_piece(m, f, h)
-            if first.total_dim + second.total_dim != m.total_dim:
-                raise AssertionError("generalized kernels do not exhaust the module")
-            split = [first, second]
+        split = _split_by(m, f, rng)
+        if split is not None:
             break
     if split is None:
         status, split = _certify_or_split(m, E, rng, confidence)
@@ -432,21 +374,11 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
     if p ** len(homs) <= EXHAUSTIVE_LIMIT:
         # invertibility is scale-invariant: sweep projective space only
         for lead in range(len(homs)):
-            coeffs = np.zeros(len(homs), dtype=np.int64)
-            coeffs[lead] = 1
-            while True:
+            for tail in _fp_vectors(p, len(homs) - lead - 1):
+                coeffs = np.concatenate([np.zeros(lead, dtype=np.int64), [1], tail])
                 f = repmod.combine_maps(homs, coeffs)
                 if f.is_invertible():
                     return IsoResult("yes", f, "exhaustive search")
-                i = lead + 1
-                while i < len(homs):
-                    coeffs[i] += 1
-                    if coeffs[i] < p:
-                        break
-                    coeffs[i] = 0
-                    i += 1
-                if i == len(homs):
-                    break
         return IsoResult("no", None, "exhaustive search")
     return IsoResult("inconclusive", None,
                      f"no invertible hom after {confidence} rounds")

@@ -87,11 +87,33 @@ class Rep:
         }
 
     @classmethod
-    def from_json(cls, algebra: BoundAlgebra, data: dict) -> "Rep":
+    def from_json(cls, algebra: BoundAlgebra, data) -> "Rep":
+        """The module `to_json` wrote; ValueError unless data is one over `algebra`."""
+        if not isinstance(data, dict):
+            raise ValueError("a module is a JSON object")
+        extra = set(data) - {"algebra", "dims", "maps"}
+        if extra:
+            raise ValueError(f"unknown keys {sorted(extra)}")
         if data.get("algebra") not in (None, algebra.name):
             raise ValueError(
                 f"module file targets algebra {data.get('algebra')!r}, not {algebra.name!r}")
-        return cls(algebra, data.get("dims", {}), data.get("maps", {}))
+        dims, maps = data.get("dims", {}), data.get("maps", {})
+        if not isinstance(dims, dict) or not isinstance(maps, dict):
+            raise ValueError("dims and maps are JSON objects")
+        for keys, known, what in ((dims, algebra.quiver.vertices, "vertices"),
+                                  (maps, algebra.quiver.arrow_map, "arrows")):
+            extra = set(keys) - set(known)
+            if extra:
+                raise ValueError(f"unknown {what} {sorted(extra)}")
+        if any(type(d) is not int for d in dims.values()):
+            raise ValueError("dimensions are integers")
+        if any(np.asarray(mat).size and np.asarray(mat).dtype.kind != "i" for mat in maps.values()):
+            raise ValueError("matrix entries are integers")
+        m = cls(algebra, dims, maps)
+        bad = validate(m)
+        if bad is not None:
+            raise ValueError(f"the relation {bad.relation} does not hold")
+        return m
 
     def __repr__(self) -> str:
         dims = ",".join(f"{v}:{d}" for v, d in self.dims.items() if d) or "0"

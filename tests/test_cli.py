@@ -67,6 +67,33 @@ def _run(args):
     return cli.main(args)
 
 
+BROKEN = {"algebra": "exB", "dims": {"1": 1, "2": 0}, "maps": {"bb1": [[1]]}}
+
+
+@pytest.mark.parametrize("command,payload,says", [
+    # bb1 * bb1 = 0 fails: the radical series of the fingerprint never ends
+    ("phi", BROKEN, "bb1*bb1"),
+    ("pd", BROKEN, "bb1*bb1"),
+    ("decompose", BROKEN, "bb1*bb1"),
+    ("phi", "{not json", "Expecting"),
+    ("phi", [1, 2], "JSON object"),
+    ("phi", {"dims": {"9": 1}}, "unknown vertices"),
+    ("phi", {"dims": {"1": 1}, "map": {}}, "unknown keys"),
+    ("phi", {"dims": {"1": 1}, "maps": {"zz": [[0]]}}, "unknown arrows"),
+    ("phi", {"dims": {"1": -1}}, "negative dimension"),
+    ("phi", {"dims": {"1": 1.5}}, "integers"),
+    ("phi", {"dims": {"1": 1}, "maps": {"bb1": [[0, 0]]}}, "shape"),
+    ("phi", {"dims": {"1": 1}, "maps": {"bb1": [[0.5]]}}, "integers"),
+    ("phi", {"dims": {"1": 1}, "maps": {"bb1": [[0], [0, 0]]}}, "input error"),
+])
+def test_bad_module_json_exits_3(tmp_path, capsys, command, payload, says):
+    path = tmp_path / "m.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    assert _run([command, "exB.alg", "--module", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and says in err
+
+
 def test_cli_phi_command(capsys):
     code = _run(["phi", "exB.alg", "--module", "S1+S2"])
     out = capsys.readouterr().out
@@ -179,3 +206,24 @@ def test_field_override_rejects_bad_fields(field, capsys):
 def test_dsl_rejects_prime_above_cap():
     with pytest.raises(cli.InputError):
         cli.parse_algebra("algebra t field 1048583 truncate 5\n", "big.alg")
+
+
+@pytest.mark.parametrize("connector", ["alpha a0: 0 -> 1 -> 2", "alpha a0: 1 -> 0"])
+def test_bad_gluing_file_exits_3(tmp_path, capsys, connector):
+    # a connector with two arrows, and an alpha connector going B -> A
+    path = tmp_path / "g.glue"
+    path.write_text(f"glue g\nleft exA.alg\nright exB.alg\n{connector}\nideal extended\n")
+    assert _run(["info", str(path)]) == 3
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["syzygy", "exB.alg", "--module", "S1", "--power", "-1"],
+    ["split-check", "exC.glue", "--samples", "-1"],
+    ["split-check", "exC.glue", "--samples", "0"],
+    ["phi", "exB.alg", "--module", "S1^0"],
+    ["phi", "exB.alg", "--module", "S1^-1"],
+])
+def test_bad_counts_exit_3(capsys, args):
+    assert _run(args) == 3
+    assert "input error" in capsys.readouterr().err

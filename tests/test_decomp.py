@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from quivalg import cli, decomp, exactfield as ef, repmod
+from quivalg import cli, decomp, exactfield as ef, fppoly, repmod
 from quivalg.budgets import DEFAULT, BudgetExceeded
 
 
@@ -110,22 +110,6 @@ def test_decompose_budget(exB):
         decomp.decompose(big, budgets=DEFAULT)
 
 
-def test_lift_idempotent_helper(exB):
-    # a projection perturbed by a nilpotent part lifts back to an idempotent
-    from quivalg.decomp import _lift_idempotent
-
-    p = exB.p
-    s1 = repmod.simple(exB, "1")
-    m = repmod.direct_sum([s1, s1])[0].strip()
-    e = {"1": np.array([[1, 1], [0, 0]], dtype=np.int64),
-         "2": ef.zeros(0, 0)}
-    lifted = _lift_idempotent(m, e, p)
-    assert lifted is not None
-    sq = {v: ef.matmul(lifted[v], lifted[v], p) for v in lifted}
-    assert all(np.array_equal(sq[v], lifted[v]) for v in lifted)
-    assert ef.rank_fp(lifted["1"], p) == 1
-
-
 def test_zero_module_paths(exB):
     from quivalg import grothendieck as gk, homology
 
@@ -177,3 +161,95 @@ def _check_quotient_mult(m):
             assert np.array_equal(E.structure_constants()[i, j], prod)
             got = S.mult(S.project(unit[i]), S.project(unit[j]))
             assert np.array_equal(got, S.project(prod))
+
+
+# ---------------------------------------------------------------------------
+# the splitting path from E/rad(E), the exhaustive searches and the minimal
+# polynomial of a vertexwise endomorphism
+
+
+def _kronecker_f9():
+    kron = cli.parse_algebra("algebra K field 3 truncate 5\nvertex 1 2\n"
+                             "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
+    return repmod.Rep(kron, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 1], [2, 0]]})
+
+
+def test_certify_or_split_lifts_a_candidate(exB):
+    # End(S1 + S1) = M_2(F): a candidate of E/rad(E) with a reducible minimal
+    # polynomial lifts to an endomorphism that splits the module
+    s1 = repmod.simple(exB, "1")
+    m = repmod.direct_sum([s1, s1])[0].strip()
+    status, pieces = decomp._certify_or_split(m, decomp.end_algebra(m), np.random.default_rng(0), 5)
+    assert status == "pieces"
+    assert [piece.dims for piece in pieces] == [{"1": 1, "2": 0}] * 2
+
+
+def test_certify_or_split_lifts_the_exhaustive_idempotent():
+    # End(S + S) = M_2(F_2) over a one-vertex algebra, with a basis none of
+    # whose elements splits: two nilpotents, a unipotent and a field element
+    # (minimal polynomials x^2, x^2, (x+1)^2, x^2+x+1).  With no random
+    # candidates only the exhaustive idempotent search is left to split it.
+    point = cli.load_algebra_file("point.alg", 2)
+    s = repmod.simple(point, "v")
+    m = repmod.direct_sum([s, s])[0].strip()
+    E = decomp.end_algebra(m)
+    E.basis = [repmod.RepMap(m, m, {"v": mat}) for mat in
+               ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 1]])]
+    E.flat = np.stack([E.flatten(f.mats) for f in E.basis])
+    E.solver = ef.RowSolver(E.flat, 2)
+    S = decomp._QuotientAlgebra(E, decomp._radical_rows(E))
+    assert S.dim == 4
+    status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)
+    assert status == "pieces"
+    assert [piece.dims for piece in pieces] == [{"v": 1}] * 2
+
+
+def test_exhaustive_idempotent_none_on_a_field():
+    m = _kronecker_f9()
+    E = decomp.end_algebra(m)
+    S = decomp._QuotientAlgebra(E, decomp._radical_rows(E))
+    assert S.dim == 2
+    assert decomp._exhaustive_idempotent(S) is None
+
+
+def test_minpoly_of_mats_is_the_lcm_over_vertices():
+    for p in (2, 3, 101):
+        rng = np.random.default_rng(p)
+        for _ in range(40):
+            mats = {}
+            for v in "abc":
+                d = int(rng.integers(0, 5))
+                # low rank plus a scalar, so vertices share eigenvalues
+                k = int(rng.integers(0, d + 1))
+                mat = rng.integers(0, p, size=(d, k)) @ rng.integers(0, p, size=(k, d))
+                mats[v] = ((mat + int(rng.integers(0, 2)) * np.eye(d, dtype=np.int64)) % p
+                           ).astype(np.int64)
+            want = [1]
+            for mat in mats.values():
+                if mat.shape[0]:
+                    mv = fppoly.min_poly_matrix(mat, p)
+                    g = fppoly.gcd(want, mv, p)
+                    want = fppoly.divmod_poly(fppoly.mul(want, mv, p), g, p)[0]
+            assert np.array_equal(decomp._minpoly_of_mats(mats, p), want)
+
+
+# witnesses of the exhaustive iso sweep, recorded at the commit that still had
+# its own odometer: the first invertible combination in projective order, first
+# coordinate fastest.  Sweeping with the last coordinate fastest finds another
+# witness on each pair, so these pin the order.
+EXHAUSTIVE_WITNESSES = [
+    ("exB.alg", 3, 11, 6, {"1": [[0, 1, 0], [1, 1, 1], [2, 1, 0]], "2": [[0, 1], [1, 0]]}),
+    ("exB.alg", 2, 26, 5, {"1": [[1, 0], [0, 1]], "2": [[1, 1, 0], [0, 1, 1], [0, 1, 0]]}),
+    ("nakayama-a3.alg", 2, 12, 5, {"1": [[0, 1], [1, 1]], "2": [[1, 1], [1, 0]], "3": [[1]]}),
+]
+
+
+@pytest.mark.parametrize("name,p,seed,size,witness", EXHAUSTIVE_WITNESSES)
+def test_iso_exhaustive_search_witness_pinned(name, p, seed, size, witness):
+    alg = cli.load_algebra_file(name, p)
+    m = repmod.random_module(alg, seed, size)
+    n = _base_change(m, np.random.default_rng(seed))
+    assert 3 <= len(repmod.hom_basis(m, n)) <= 6
+    r = decomp.is_isomorphic(m, n, confidence=0)
+    assert (r.verdict, r.method) == ("yes", "exhaustive search")
+    assert {v: x.tolist() for v, x in r.witness.mats.items()} == witness

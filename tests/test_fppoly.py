@@ -6,14 +6,14 @@ from quivalg import fppoly
 
 
 def _poly(*coeffs):
-    return np.array(coeffs, dtype=np.int64)
+    return list(coeffs)
 
 
 def test_divmod_and_gcd():
     p = 101
     f = fppoly.mul(_poly(1, 1), _poly(2, 1), p)  # (x+1)(x+2)
     q, r = fppoly.divmod_poly(f, _poly(1, 1), p)
-    assert not r.size
+    assert r == []
     assert np.array_equal(fppoly.monic(q, p), _poly(2, 1))
     g = fppoly.gcd(f, _poly(1, 1), p)
     assert np.array_equal(g, _poly(1, 1))
@@ -24,8 +24,7 @@ def test_factor_reassembles():
     rng = np.random.default_rng(3)
     for _ in range(25):
         deg = int(rng.integers(1, 9))
-        f = fppoly.monic(np.concatenate([rng.integers(0, p, size=deg),
-                                         [1]]).astype(np.int64), p)
+        f = fppoly.monic(rng.integers(0, p, size=deg).tolist() + [1], p)
         factors = fppoly.factor(f, p, rng)
         prod = _poly(1)
         for q, e in factors:
@@ -96,7 +95,7 @@ def test_krylov_minpoly_definition():
             nu = fppoly.krylov_minpoly(v, lambda w: (w @ mat) % p, p, n)
             assert nu[-1] == 1 and fppoly.degree(nu) <= n
             assert not (v @ fppoly.eval_matrix(nu, mat, p) % p).any()
-            assert not fppoly.mod_poly(mu, nu, p).size  # it divides mu
+            assert fppoly.divmod_poly(mu, nu, p)[1] == []  # it divides mu
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +109,7 @@ def _sym(f, p):
 
 
 def _coeffs(poly, p):
-    return fppoly.trim(np.array([int(c) % p for c in reversed(poly.all_coeffs())]))
+    return fppoly.trim([int(c) % p for c in reversed(poly.all_coeffs())])
 
 
 def _oracle_polys(p, seed):
@@ -131,16 +130,16 @@ def _oracle_polys(p, seed):
                 qp = np.convolve(qp, q) % p
             out.append(qp)
             out.append(np.convolve(qp, [int(rng.integers(p)), 1]) % p)
-    return [f.astype(np.int64) for f in out]
+    return [f.tolist() for f in out]
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_factor_matches_sympy(p):
     rng = np.random.default_rng(p)
     for f in _oracle_polys(p, 100 + p):
-        got = sorted((tuple(q.tolist()), e) for q, e in fppoly.factor(f, p, rng))
+        got = sorted((tuple(q), e) for q, e in fppoly.factor(f, p, rng))
         _, ref = _sym(f, p).factor_list()
-        want = sorted((tuple(fppoly.monic(_coeffs(q, p), p).tolist()), e) for q, e in ref)
+        want = sorted((tuple(fppoly.monic(_coeffs(q, p), p)), e) for q, e in ref)
         assert got == want
 
 
@@ -172,7 +171,7 @@ def _pinned_polys():
                 q = np.append(rng.integers(0, p, size=int(rng.integers(1, 4))), 1)
                 for _ in range(int(rng.integers(1, 4))):
                     f = np.convolve(f, q) % p
-            out.append((p, f))
+            out.append((p, f.tolist()))
     return out
 
 
@@ -209,6 +208,6 @@ def test_factor_output_and_draws_pinned():
     for i, ((p, f), (factors, draw)) in enumerate(zip(_pinned_polys(), PINNED)):
         rng = np.random.default_rng([p, i])
         got = fppoly.factor(f, p, rng)
-        assert all(q.dtype == np.int64 for q, _ in got)
-        assert [(q.tolist(), e) for q, e in got] == factors
+        assert all(type(c) is int for q, _ in got for c in q)
+        assert got == factors
         assert int(rng.integers(0, 2 ** 31)) == draw
