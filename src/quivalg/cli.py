@@ -807,6 +807,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    for opt in ("depth_budget", "class_budget", "confidence", "max_dim"):
+        if getattr(args, opt) < 0:
+            print(f"input error: --{opt.replace('_', '-')} must be >= 0, "
+                  f"not {getattr(args, opt)}", file=sys.stderr)
+            return 3
     budgets = Budgets(depth=args.depth_budget, classes=args.class_budget,
                       confidence=args.confidence, max_dim=args.max_dim,
                       seed=args.seed)

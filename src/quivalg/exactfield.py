@@ -17,8 +17,18 @@ rational arithmetic ever appears.
 and augment block bit for bit.  Up to RREF_LIST_CELLS cells (rows times
 columns, augment columns included) it eliminates on Python int lists, where
 the per-call numpy overhead would cost more than the arithmetic; above that
-it runs one numpy row operation per pivot.  Most calls are on matrices of a
-few rows, so most take the list kernel.
+it runs one numpy row operation per pivot with delayed reduction.  Most
+calls are on matrices of a few rows, so most take the list kernel.
+
+The numpy kernel works on one int64 array, the augment block concatenated
+on the right.  For each pivot it reduces mod p only what a decision reads:
+the pivot column (to find the pivot row and the row factors) and the pivot
+row, which it scales to a leading 1.  It then subtracts f * (pivot row) from
+every hit row, from the pivot column rightwards (entries to the left are
+multiples of p there), with no `% p`, and when many rows are hit by a sparse
+pivot row, only on that row's nonzero columns.  Every decision reads exact
+residues, so R, the pivots and the augment block equal the list kernel's;
+the outputs are reduced once at the end.
 """
 
 from __future__ import annotations
@@ -27,22 +37,41 @@ import numpy as np
 
 DEFAULT_PRIME = 101
 
-# The widest int64 accumulation in the package is the trace form of End(M) in
-# decomp, a sum of dim(End)**2 products of two residues.  Below 2**20 each
-# product is below 2**40, so sums of up to 2**23 products stay below 2**63.
-# That allows dim(End) <= 2896; as dim(End) <= (dim M)**2, it covers every
-# module of dimension up to 53 (the default decomposition cap is 40).
+# Below 2**20 each product of two residues is below 2**40, so sums of up to
+# 2**23 such products stay below 2**63.  The int64 accumulations this bounds:
+# - the trace form of End(M) in decomp, a sum of dim(End)**2 products.  That
+#   allows dim(End) <= 2896; as dim(End) <= (dim M)**2, it covers every
+#   module of dimension up to 53 (the default decomposition cap is 40).
+# - matmul, a sum of cols(a) products per entry: cols(a) < 2**23.
+# - the numpy rref kernel, which reduces an entry only at the end: each pivot
+#   subtracts one product below (p - 1)**2 from it, so it stays within
+#   p + ncols * (p - 1)**2 < 2**63 for ncols < 2**23 columns (augment
+#   columns excluded, as the number of pivots is at most ncols).
 MAX_PRIME = 2 ** 20
 
 # rref runs on Python int lists up to this many cells, rows * (cols + augment
-# cols), and with numpy row operations above it.  On rref inputs sampled from
-# the battery, phi-stream and large-dense benchmark workloads (2-vCPU x86 VM,
-# Python 3.11, numpy 2.4), the numpy kernel's time over the list kernel's
-# summed to 2.3 up to 512 cells, 1.15-1.33 at 513-1024, 0.70-0.93 at
-# 1025-2048 and 0.14-0.24 above 4096.  Single shapes scatter around that
-# (tall matrices favour numpy), so the crossover is the last bucket edge at
-# which the list kernel still won on both sample sets.
+# cols), and with the numpy kernel above it.  Replaying every rref input above
+# 256 cells from one seed-0 pass of the battery, phi-stream and large-dense
+# benchmark workloads (2-vCPU x86 VM, Python 3.11, numpy 2.4, fastest of 5
+# per call), the numpy kernel's time over the list kernel's, summed per
+# bucket, was 1.6 at 257-512 cells on battery and phi-stream (1.0 on
+# large-dense); at 513-1024, 1.14-1.52 in three of the four 128-cell buckets
+# and 0.77-0.79 in 641-768, mostly tall shapes (0.49-0.71 on large-dense);
+# 1.06-1.10 at 1025-1536 (0.31); and 0.25-0.66 above 1536.  Single shapes
+# scatter around that (tall matrices favour numpy).  Moving the crossover to
+# 512 would save about 0.13 s summed over the three passes and slow most
+# shapes in between; moving it to 1536 would save under 0.01 s on battery
+# and phi-stream and cost 0.04 s on large-dense.  So it stays at 1024.
 RREF_LIST_CELLS = 1024
+
+# The numpy kernel updates only the nonzero columns of the pivot row when it
+# hits at least this many rows and fewer than a quarter of the row's columns
+# are nonzero.  Replaying the numpy-kernel inputs of one large-dense seed-0
+# pass (2-vCPU x86 VM, one BLAS thread, fastest of 5 per call), the kernel
+# with the restricted update took 0.72-0.75x the time of the one without it,
+# summed over the ops' systems, and moved the prepare() systems by under 4%;
+# thresholds of 8, 16 and 64 rows and cuts at 1/2 and 1/8 gave 0.71-0.78x.
+RREF_SUPPORT_ROWS = 32
 
 
 def check_prime(p: int) -> None:
@@ -75,7 +104,11 @@ def eye(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product mod p.  Entries stay below p**2 * cols, safe in int64 for desk sizes."""
+    """Product mod p.
+
+    Before the reduction each entry is a sum of a.shape[1] products below
+    p**2, which fits int64 while a.shape[1] < 2**23 (see MAX_PRIME).
+    """
     if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
         return zeros(a.shape[0], b.shape[1])
     return np.mod(a @ b, p)
@@ -138,38 +171,45 @@ def _rref_lists(a: np.ndarray, p: int, aug: np.ndarray | None):
 
 
 def _rref_numpy(a: np.ndarray, p: int, aug: np.ndarray | None):
-    """rref with one numpy row operation per pivot; same pivot rule as _rref_lists."""
-    # one C-ordered working copy each: the row operations below walk rows
-    a = np.array(a, order="C")
-    aug = None if aug is None else np.array(aug, order="C")
+    """rref with delayed reduction (see the module docstring); same pivot rule
+    as _rref_lists.  Entries stay residues plus multiples of p until the
+    outputs are reduced at the end (the int64 bound is at MAX_PRIME)."""
     nrows, ncols = a.shape
+    # one C-ordered working copy, the augment block riding on the right
+    w = np.array(a, order="C") if aug is None else np.concatenate([a, aug], axis=1)
     row = 0
     pivots: list[int] = []
     for col in range(ncols):
         if row == nrows:
             break
-        nz = np.nonzero(a[row:, col])[0]
+        factors = w[:, col] % p
+        nz = factors[row:].nonzero()[0]
         if nz.size == 0:
             continue
         pr = row + int(nz[0])
+        # left of col, rows from `row` down hold multiples of p: the swap and
+        # the pivot row start at col
+        prow = w[pr, col:] % p
         if pr != row:
-            a[[row, pr]] = a[[pr, row]]
-            if aug is not None:
-                aug[[row, pr]] = aug[[pr, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = (a[row] * inv) % p
-        if aug is not None:
-            aug[row] = (aug[row] * inv) % p
-        factors = a[:, col].copy()
+            w[pr, col:] = w[row, col:]
+            factors[pr] = factors[row]
+        inv = pow(int(prow[0]), p - 2, p)
+        if inv != 1:
+            prow = prow * inv % p
+        w[row, col:] = prow
         factors[row] = 0
-        hit = np.nonzero(factors)[0]
-        if hit.size:
-            a[hit] = (a[hit] - np.outer(factors[hit], a[row])) % p
-            if aug is not None:
-                aug[hit] = (aug[hit] - np.outer(factors[hit], aug[row])) % p
+        hit = factors.nonzero()[0]
+        if hit.size >= RREF_SUPPORT_ROWS and 4 * np.count_nonzero(prow) < prow.size:
+            sup = prow.nonzero()[0]
+            w[np.ix_(hit, col + sup)] -= np.outer(factors[hit], prow[sup])
+        elif hit.size:
+            w[hit, col:] -= np.outer(factors[hit], prow)
         pivots.append(col)
         row += 1
-    return a[: len(pivots)], pivots, aug
+    rank = len(pivots)
+    if aug is None:
+        return w[:rank] % p, pivots, None
+    return w[:rank, :ncols] % p, pivots, w[:, ncols:] % p
 
 
 def rank_fp(m, p: int) -> int:
@@ -192,17 +232,20 @@ def kernel_basis(m, p: int) -> np.ndarray:
     """
     r, pivots, _ = rref(m, p)
     ncols = r.shape[1]
-    rows = r.tolist()
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc not in pivot_set:
-            vec = [0] * ncols
-            vec[fc] = 1
-            for row, pc in zip(rows, pivots):
-                vec[pc] = -row[fc] % p
-            basis.append(vec)
-    return np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
+    # most calls have rank 0 or full column rank; both skip the indexing
+    # below, whose per-call numpy overhead outweighs the work on tiny inputs
+    if not pivots:
+        return eye(ncols)
+    if len(pivots) == ncols:
+        return zeros(0, ncols)
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = free.nonzero()[0]
+    # one row per free column fc: 1 at fc, -R[j, fc] at the j-th pivot column
+    basis = zeros(free.size, ncols)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -r[:, free].T % p
+    return basis
 
 
 def solve(a, b, p: int) -> np.ndarray | None:

@@ -227,3 +227,11 @@ def test_bad_gluing_file_exits_3(tmp_path, capsys, connector):
 def test_bad_counts_exit_3(capsys, args):
     assert _run(args) == 3
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--depth-budget", "--class-budget", "--max-dim",
+                                    "--confidence"])
+def test_negative_budget_options_exit_3(capsys, option):
+    assert _run([option, "-1", "phi", "exB.alg", "--module", "S1+S2"]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and option in err

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from quivalg import exactfield as ef
+from quivalg import exactfield as ef, repmod
 
 
 def test_rank_identity_and_zero():
@@ -207,7 +207,10 @@ def _rref_inputs(draw):
 @example((np.eye(3, dtype=np.int64), MAX_PRIME_BELOW_CAP, np.zeros((3, 0), dtype=np.int64)))
 @example((np.array([[0, 2], [1, 1]], dtype=np.int64), 3, np.zeros((2, 0), dtype=np.int64)))
 def test_rref_list_and_numpy_kernels_agree(case):
-    m, p, aug = case
+    _assert_kernels_agree(*case)
+
+
+def _assert_kernels_agree(m, p, aug):
     r1, piv1, a1 = ef._rref_lists(m, p, aug)
     r2, piv2, a2 = ef._rref_numpy(m, p, aug)
     assert piv1 == piv2
@@ -218,3 +221,87 @@ def test_rref_list_and_numpy_kernels_agree(case):
     else:
         assert a1.dtype == a2.dtype == np.int64 and a1.shape == a2.shape == aug.shape
         assert np.array_equal(a1, a2)
+
+
+def _tall_sparse(p, seed):
+    """120 x 40 at 3-5% density; some with a dense column 0 (a pivot hitting
+    every row), some also with a dense row 0 (a pivot row with full support)."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(1, p, size=(120, 40))
+    m *= rng.random((120, 40)) < rng.uniform(0.03, 0.05)
+    if seed % 3:
+        m[:, 0] = rng.integers(1, p, size=120)
+    if seed % 3 == 2:
+        m[0] = rng.integers(1, p, size=40)
+    return m.astype(np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 101, MAX_PRIME_BELOW_CAP])
+def test_rref_kernels_agree_on_tall_sparse_matrices(p):
+    # the numpy kernel's many-hit-rows paths; the augment block has 120 rows,
+    # most of them beyond the rank
+    rng = np.random.default_rng(p)
+    for seed in range(6):
+        m = _tall_sparse(p, seed)
+        assert ef.rank_fp(m, p) < m.shape[0]
+        _assert_kernels_agree(m, p, None)
+        _assert_kernels_agree(m, p, rng.integers(0, p, size=(m.shape[0], 7)))
+
+
+def test_rref_kernels_agree_on_a_dense_matrix_at_the_largest_prime():
+    # 200 pivots each add up to (p - 1)**2 to every unreduced entry: about
+    # 200 * 2**40 before the final reduction; the zero corner forces a swap
+    p = MAX_PRIME_BELOW_CAP
+    rng = np.random.default_rng(7)
+    m = rng.integers(0, p, size=(200, 210))
+    m[0, 0] = 0
+    _assert_kernels_agree(m, p, rng.integers(0, p, size=(200, 3)))
+
+
+def test_rref_kernels_agree_on_a_hom_system(exA, monkeypatch):
+    # Hom(A^2, A^3 in another basis) over exA: the system hom_basis solves
+    p = exA.p
+    proj = [repmod.projective(exA, v) for v in exA.quiver.vertices]
+    m = repmod.direct_sum(proj * 2)[0]
+    n = repmod.direct_sum(proj * 3)[0]
+    rng = np.random.default_rng(3)
+    g = {}
+    for v, d in n.dims.items():
+        x = rng.integers(0, p, size=(d, d))
+        while not ef.is_invertible(x, p):
+            x = rng.integers(0, p, size=(d, d))
+        g[v] = (x, ef.invert(x, p))
+    n = repmod.Rep(exA, n.dims, {
+        a.name: ef.matmul(ef.matmul(g[a.source][1], n.mats[a.name], p), g[a.target][0], p)
+        for a in exA.quiver.arrows})
+    systems = []
+    kernel_basis = ef.kernel_basis
+    monkeypatch.setattr(ef, "kernel_basis", lambda s, q: systems.append(s) or kernel_basis(s, q))
+    maps = repmod.hom_basis(m, n)
+    (system,) = systems
+    assert system.shape[1] >= 300 and system.size > ef.RREF_LIST_CELLS
+    assert len(maps) == system.shape[1] - ef.rank_fp(system, p)
+    _assert_kernels_agree(system, p, None)
+
+
+def _kernel_basis_by_loop(m, p):
+    """kernel_basis's definition, one free column at a time."""
+    r, pivots, _ = ef.rref(m, p)
+    ncols = r.shape[1]
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [0] * ncols
+            vec[fc] = 1
+            for row, pc in zip(r.tolist(), pivots):
+                vec[pc] = -row[fc] % p
+            basis.append(vec)
+    return np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_kernel_basis_matches_its_loop_definition(p):
+    for m in [*_matrices(p, 60 + p), _tall_sparse(p, 1).T, _tall_sparse(p, 2)]:
+        k = ef.kernel_basis(m, p)
+        assert k.dtype == np.int64
+        assert np.array_equal(k, _kernel_basis_by_loop(m, p))
