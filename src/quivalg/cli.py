@@ -651,10 +651,10 @@ def cmd_zero_it_check(obj, args, budgets, rep: Report):
     alg = underlying_algebra(obj)
     gens = [parse_module_expr(alg, e) for e in args.generators.split(",")] \
         if args.generators else []
-    blocks = []
-    if args.block:
-        for b in args.block:
-            blocks.append([v.strip() for v in b.split(",")])
+    blocks = [[v.strip() for v in b.split(",")] for b in args.block]
+    for block in blocks:
+        for v in block:
+            _require_vertex(alg, v)
     r = analysis.zero_it_check(alg, gens, blocks, budgets)
     rep.results = {"passed": r.passed, "failed_axioms": r.failed_axioms(),
                    "details": r.details}
@@ -666,19 +666,17 @@ def cmd_classify(obj, args, budgets, rep: Report):
     if not isinstance(obj, morita.GluedAlgebra):
         raise InputError("classify expects a .glue file")
 
-    def status_from(level, kind):
-        return None if level is None else {"n": level, "provenance": "asserted"}
+    def side_status(side):
+        levels = {}
+        for kind in ("it", "lit"):
+            level = getattr(args, f"assert_{side}_{kind}")
+            if level is not None and level < 0:
+                raise InputError(f"--assert-{side}-{kind} must be >= 0, not {level}")
+            levels[f"{kind}_level"] = (None if level is None
+                                       else {"n": level, "provenance": "asserted"})
+        return morita.SideStatus(**levels) if any(levels.values()) else None
 
-    a_status = b_status = None
-    if args.assert_a_it is not None or args.assert_a_lit is not None:
-        a_status = morita.SideStatus(
-            it_level=status_from(args.assert_a_it, "it"),
-            lit_level=status_from(args.assert_a_lit, "lit"))
-    if args.assert_b_it is not None or args.assert_b_lit is not None:
-        b_status = morita.SideStatus(
-            it_level=status_from(args.assert_b_it, "it"),
-            lit_level=status_from(args.assert_b_lit, "lit"))
-    r = morita.classify_gluing(obj, a_status, b_status, budgets)
+    r = morita.classify_gluing(obj, side_status("a"), side_status("b"), budgets)
     rep.results = {
         "flags": r.flags,
         "notes": r.notes,

@@ -3,10 +3,14 @@
 Splitting strategy: factor minimal polynomials of endomorphisms; a coprime
 factorization induces a direct splitting by generalized kernels.  Every split
 is such a pair of generalized kernels of one endomorphism of M, including the
-lifts to End(M) of elements and idempotents of E/rad(E).  Locality of the
-endomorphism algebra is certified by exhibiting E/rad(E) as a finite field
-(an element whose minimal polynomial is irreducible of full degree), with an
-exhaustive idempotent search below |F|^dim <= 10^6 and an honest
+lifts to End(M) of elements and idempotents of E/J(E).  The radical J(E) is
+the radical of the trace form tr_M(x y) of E = End(M) on M: one product of
+the flattened basis with its vertexwise transpose, exact for p > dim M and
+checked by a nilpotency flag on M below that (when the flag stalls, a local
+E can still be certified by the eigenvalues of its basis).  Locality of E is
+certified by exhibiting E/J(E) as a finite field (an element whose lift has a
+minimal polynomial with one irreducible factor, of degree dim E/J(E)), with
+an exhaustive idempotent search below |F|^dim <= 10^6 and an honest
 probabilistic flag otherwise.
 """
 
@@ -69,7 +73,7 @@ def fingerprint(m: Rep) -> tuple:
 
 
 class EndAlgebra:
-    """End(M) with a flat coordinate system and composition helpers."""
+    """End(M) as a basis of vertexwise endomorphisms."""
 
     def __init__(self, module: Rep):
         self.module = module
@@ -77,49 +81,9 @@ class EndAlgebra:
         self.basis = repmod.hom_basis(module, module)
         self.dim = len(self.basis)
         module._end_dim = self.dim
-        verts = module.algebra.quiver.vertices
-        self._flat_len = sum(module.dims[v] * module.dims[v] for v in verts)
-        self._verts = verts
-        flats = [self.flatten(f.mats) for f in self.basis]
-        self.flat = np.stack(flats) if flats else ef.zeros(0, self._flat_len)
-        self.solver = ef.RowSolver(self.flat, self.p) if self.dim else None
-        self._identity_mats = {v: ef.eye(module.dims[v]) for v in verts}
-        self._structure = None
-
-    def flatten(self, mats: dict[str, np.ndarray]) -> np.ndarray:
-        parts = [mats[v].reshape(-1) for v in self._verts]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-    def coordinates(self, mats: dict[str, np.ndarray]) -> np.ndarray:
-        coords = self.solver.coordinates(self.flatten(mats).reshape(1, -1))
-        if coords is None:
-            raise ValueError("endomorphism outside the computed basis span")
-        return coords[0]
 
     def element(self, coords) -> dict[str, np.ndarray]:
         return repmod.combine_maps(self.basis, coords).mats
-
-    def compose(self, a: dict, b: dict) -> dict:
-        return {v: ef.matmul(a[v], b[v], self.p) for v in self._verts}
-
-    def structure_constants(self) -> np.ndarray:
-        """c[i, j] = coordinates of basis_i . basis_j (shape dim x dim x dim)."""
-        if self._structure is None:
-            if self.dim:
-                # all dim**2 composites at once, one broadcast product per
-                # vertex; row i * dim + j holds basis_i . basis_j
-                blocks = []
-                for v in self._verts:
-                    b = np.stack([f.mats[v] for f in self.basis])
-                    blocks.append(((b[:, None] @ b[None, :]) % self.p).reshape(
-                        self.dim * self.dim, b.shape[1] * b.shape[2]))
-                coords = self.solver.coordinates(np.concatenate(blocks, axis=1))
-                if coords is None:
-                    raise ValueError("End(M) is not closed under composition")
-                self._structure = coords.reshape(self.dim, self.dim, self.dim)
-            else:
-                self._structure = np.zeros((0, 0, 0), dtype=np.int64)
-        return self._structure
 
 
 def end_algebra(m: Rep) -> EndAlgebra:
@@ -164,134 +128,143 @@ def _coprime_split(factors, p: int) -> tuple[list[int], list[int]]:
     return g, h
 
 
-def _split_by(m: Rep, f: dict[str, np.ndarray], rng) -> list[Rep] | None:
-    """ker g(f) and ker h(f) for coprime g, h with g h the minimal polynomial
-    of the endomorphism f (given vertexwise); None when it is a prime power."""
+def _split_by(m: Rep, f: dict[str, np.ndarray], rng):
+    """(factors, pieces) for the endomorphism f of m, given vertexwise.
+
+    factors is the factorization of the minimal polynomial of f; pieces is
+    [ker g(f), ker h(f)] for coprime g, h with g h that polynomial, or None
+    when it is a prime power.
+    """
     p = m.algebra.p
     factors = fppoly.factor(_minpoly_of_mats(f, p), p, rng)
     if len(factors) < 2:
-        return None
+        return factors, None
     g, h = _coprime_split(factors, p)
     pieces = [_poly_kernel_piece(m, f, g), _poly_kernel_piece(m, f, h)]
     if pieces[0].total_dim + pieces[1].total_dim != m.total_dim:
         raise AssertionError("generalized kernels do not exhaust the module")
-    return pieces
+    return factors, pieces
 
 
-class _QuotientAlgebra:
-    """E / R for a verified nil ideal R, in E-coordinates."""
-
-    def __init__(self, E: EndAlgebra, rad_rows: np.ndarray):
-        self.E = E
-        self.p = E.p
-        c = E.structure_constants()
-        r, pivots, _ = ef.rref(rad_rows, self.p) if rad_rows.size else (ef.zeros(0, E.dim), [], None)
-        self.rad_rref = r
-        self.rad_pivots = list(pivots)
-        self.free = [i for i in range(E.dim) if i not in self.rad_pivots]
-        self.dim = len(self.free)
-        self._c = c
-
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        v = ef.reduce_rows(self.rad_rref, self.rad_pivots, vec.reshape(1, -1), self.p)
-        return v[0, self.free]
-
-    def embed(self, svec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.E.dim, dtype=np.int64)
-        for c, i in zip(svec, self.free):
-            out[i] = int(c) % self.p
-        return out
-
-    def identity(self) -> np.ndarray:
-        return self.project(self.E.coordinates(self.E._identity_mats))
-
-    def mult(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # contract one index at a time, reducing in between, so that each
-        # int64 sum has dim(E) terms of two residues (see ef.MAX_PRIME)
-        n = self.E.dim
-        left = (self.embed(a) @ self._c.reshape(n, n * n)) % self.p
-        return self.project((self.embed(b) @ left.reshape(n, n)) % self.p)
+def _stacks(m: Rep, maps: list[dict]) -> list[np.ndarray]:
+    """Vertexwise endomorphisms of m as one (len(maps), d, d) stack per vertex
+    of dimension d > 0, in quiver order."""
+    return [np.stack([f[v] for f in maps]) for v in m.algebra.quiver.vertices if m.dims[v]]
 
 
-def _radical_rows(E: EndAlgebra) -> np.ndarray:
-    """Trace-form radical candidate, verified to be a nil ideal (else empty).
+def _nilpotent_on(stacks: list[np.ndarray], p: int) -> bool:
+    """Whether the span R of the stacked endomorphisms has R^k = 0 for some
+    k: the flag M, M R, M R^2, ... reaches 0 rather than stalling."""
+    spans = [ef.eye(b.shape[1]) for b in stacks]
+    size = sum(b.shape[1] for b in stacks)
+    while size:
+        spans = [ef.row_basis((u @ b % p).reshape(-1, b.shape[2]), p)
+                 for u, b in zip(spans, stacks)]
+        rank = sum(u.shape[0] for u in spans)
+        if rank == size:
+            return False
+        size = rank
+    return True
 
-    Valid whenever p > dim E; the verification keeps smaller primes honest.
+
+def _trace_radical(E: EndAlgebra):
+    """J(E) from the trace form B(x, y) = tr_M(x y) of E = End(M) on M.
+
+    Returns (pivots, pair): J(E), in E-coordinates, has RREF pivot columns
+    `pivots`, and y in E lies in J(E) iff row @ pair is zero mod p, with row
+    the vertex blocks of y flattened in quiver order.
+    The radical R of B is a two-sided ideal (B is symmetric and associative)
+    that contains J(E).  For p > dim M, x in R has tr(x^k) = B(x, x^(k-1)) = 0
+    for k <= dim M, so x is nilpotent by Newton's identities and R = J(E).
+    For smaller p, R = J(E) iff the flag shows R nilpotent; when it stalls,
+    ([], None) stands for J = 0, under which y lies in J iff y = 0.
     """
     p = E.p
-    n = E.dim
-    c = E.structure_constants()
-    # gram[i, j] = trace(L_i L_j) with L_i = c[i]
-    gram = np.einsum("iab,jba->ij", c, c) % p
-    rad = ef.kernel_basis(gram, p)
-    if rad.shape[0] == 0:
-        return rad
-    try:
-        span = ef.RowSolver(ef.row_basis(rad, p), p)
-    except ValueError:
-        return ef.zeros(0, n)
-    # every radical element acts nilpotently (batched squaring of L_r)
-    power = np.einsum("ri,ijk->rjk", rad, c) % p
-    for _ in range(int(np.ceil(np.log2(max(n, 2)))) + 1):
-        power = np.matmul(power, power) % p
-    if power.any():
-        return ef.zeros(0, n)
-    # two-sided ideal: b_i . r and r . b_i stay inside the span
-    left = np.einsum("rj,ijk->rik", rad, c) % p
-    right = np.einsum("ri,ijk->rjk", rad, c) % p
-    products = np.concatenate([left.reshape(-1, n), right.reshape(-1, n)])
-    if span.coordinates(products) is None:
-        return ef.zeros(0, n)
-    return ef.row_basis(rad, p)
+    stacks = _stacks(E.module, [f.mats for f in E.basis])
+    flat = np.concatenate([b.reshape(E.dim, -1) for b in stacks], axis=1)
+    pair = np.concatenate([b.transpose(0, 2, 1).reshape(E.dim, -1) for b in stacks], axis=1).T
+    # gram[i, j] = sum over vertices of tr(b_i b_j), a sum of
+    # sum_v dim(M_v)**2 products (the matmul bound at ef.MAX_PRIME)
+    rad, pivots, _ = ef.rref(ef.kernel_basis(ef.matmul(flat, pair, p), p), p)
+    if (pivots and p <= E.module.total_dim
+            and not _nilpotent_on([np.tensordot(rad, b, 1) % p for b in stacks], p)):
+        return [], None
+    return pivots, pair
+
+
+def _local_by_eigenvalues(E: EndAlgebra) -> bool:
+    """Whether every basis element b_i of E has one eigenvalue lambda_i, in
+    F_p, and the flag shows the b_i - lambda_i nilpotent.
+
+    Then they generate a nilpotent ideal N with E = F_p + N, so E is local.
+    This certifies a local E whose trace form vanishes, as it does when p
+    divides the length of M over E.
+    """
+    shifted = []
+    for f in E.basis:
+        # a prime power makes no random draw; a local generator keeps the
+        # caller's stream out of it either way
+        factors = fppoly.factor(_minpoly_of_mats(f.mats, E.p), E.p, np.random.default_rng(0))
+        if len(factors) != 1 or fppoly.degree(factors[0][0]) != 1:
+            return False
+        # the factor is x + c, so b_i - lambda_i = b_i + c
+        shifted.append({v: x + factors[0][0][0] * ef.eye(len(x)) for v, x in f.mats.items()})
+    return _nilpotent_on(_stacks(E.module, shifted), E.p)
 
 
 def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
     """Outcome for a module no random element managed to split.
 
-    Returns ("certified", None), ("probabilistic", None) or ("pieces", [Rep]).
+    Works in S = E/J(E), whose basis is E's basis elements off the pivot
+    columns of J(E); x in S lifts to E with those coordinates.  Returns
+    ("certified", None), ("probabilistic", None) or ("pieces", [Rep]).
     """
     p = E.p
     if E.dim == 1:
         return ("certified", None)
-    rad = _radical_rows(E)
-    S = _QuotientAlgebra(E, rad)
-    if S.dim == 1:
+    pivots, pair = _trace_radical(E)
+    free = [i for i in range(E.dim) if i not in pivots]
+    if len(free) == 1 or (pair is None and _local_by_eigenvalues(E)):
         return ("certified", None)
 
-    candidates = list(ef.eye(S.dim))
-    candidates += [rng.integers(0, p, size=S.dim) for _ in range(confidence)]
+    def lift(x):
+        coords = np.zeros(E.dim, dtype=np.int64)
+        coords[free] = x
+        return E.element(coords)
+
+    def in_radical(y):
+        row = np.concatenate([y[v].reshape(-1) for v in m.algebra.quiver.vertices])
+        return not (row.any() if pair is None else ef.matmul(row.reshape(1, -1), pair, p).any())
+
+    candidates = list(ef.eye(len(free)))
+    candidates += [rng.integers(0, p, size=len(free)) for _ in range(confidence)]
     for x in candidates:
-        mu = fppoly.krylov_minpoly(S.identity(), lambda v: S.mult(v, x), p, S.dim)
-        if fppoly.degree(mu) == S.dim and fppoly.is_irreducible(mu, p):
-            return ("certified", None)
-        # rad(E) is nil, so the minimal polynomial of x divides that of its
-        # lift; when it is reducible the lift splits M
-        pieces = _split_by(m, E.element(S.embed(x)), rng)
+        # J(E) is nilpotent, so the minimal polynomial of x in S divides that
+        # of its lift, which divides a power of it: a reducible one splits M,
+        # and an irreducible one of degree dim S makes S a field
+        factors, pieces = _split_by(m, lift(x), rng)
         if pieces is not None:
             return ("pieces", pieces)
-    if p ** S.dim <= EXHAUSTIVE_LIMIT:
-        idem = _exhaustive_idempotent(S)
-        if idem is None:
+        if fppoly.degree(factors[0][0]) == len(free):
             return ("certified", None)
-        pieces = _split_by(m, E.element(S.embed(idem)), rng)
-        if pieces is not None:
-            return ("pieces", pieces)
-    return ("probabilistic", None)
+    if p ** len(free) > EXHAUSTIVE_LIMIT:
+        return ("probabilistic", None)
+    # x is a nontrivial idempotent of S iff x != 0, lift^2 - lift lies in J(E)
+    # and lift - 1 does not; then the minimal polynomial of the lift has the
+    # factors x and x - 1, and the lift splits M
+    one = {v: ef.eye(d) for v, d in m.dims.items()}
+    for x in _fp_vectors(p, len(free)):
+        f = lift(x)
+        if (x.any() and in_radical({v: ef.matmul(f[v], f[v], p) - f[v] for v in f})
+                and not in_radical({v: f[v] - one[v] for v in f})):
+            return ("pieces", _split_by(m, f, rng)[1])
+    return ("certified", None)
 
 
 def _fp_vectors(p: int, n: int):
     """Every vector of F_p^n as an int64 array, the first coordinate varying fastest."""
     for t in itertools.product(range(p), repeat=n):
         yield np.array(t[::-1], dtype=np.int64)
-
-
-def _exhaustive_idempotent(S: _QuotientAlgebra):
-    """Search all of S for a nontrivial idempotent (certified when None)."""
-    one = S.identity()
-    for vec in _fp_vectors(S.p, S.dim):
-        if vec.any() and not np.array_equal(vec, one) and np.array_equal(S.mult(vec, vec), vec):
-            return vec
-    return None
 
 
 def indecomposable_pieces(m: Rep, rng, confidence: int):
@@ -308,7 +281,7 @@ def indecomposable_pieces(m: Rep, rng, confidence: int):
             f = E.basis[rounds].mats
         else:
             f = E.element(rng.integers(0, p, size=E.dim))
-        split = _split_by(m, f, rng)
+        split = _split_by(m, f, rng)[1]
         if split is not None:
             break
     if split is None:
@@ -389,7 +362,7 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
 
 
 class RegistryEntry:
-    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "pd", "cache")
+    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "pd")
 
     def __init__(self, id_: int, rep: Rep, fp, projective: bool):
         self.id = id_
@@ -398,7 +371,6 @@ class RegistryEntry:
         self.projective = projective
         self.syzygy = None  # tuple[(id, mult)] once computed
         self.pd = None
-        self.cache = {}
 
 
 class IsoRegistry:

@@ -39,10 +39,9 @@ DEFAULT_PRIME = 101
 
 # Below 2**20 each product of two residues is below 2**40, so sums of up to
 # 2**23 such products stay below 2**63.  The int64 accumulations this bounds:
-# - the trace form of End(M) in decomp, a sum of dim(End)**2 products.  That
-#   allows dim(End) <= 2896; as dim(End) <= (dim M)**2, it covers every
-#   module of dimension up to 53 (the default decomposition cap is 40).
-# - matmul, a sum of cols(a) products per entry: cols(a) < 2**23.
+# - matmul, a sum of cols(a) products per entry: cols(a) < 2**23.  The
+#   widest is the trace form of End(M) in decomp, a sum of
+#   sum_v dim(M_v)**2 products.
 # - the numpy rref kernel, which reduces an entry only at the end: each pivot
 #   subtracts one product below (p - 1)**2 from it, so it stays within
 #   p + ncols * (p - 1)**2 < 2**63 for ncols < 2**23 columns (augment
@@ -299,34 +298,6 @@ def reduce_rows(basis: np.ndarray, pivots: list[int], vecs: np.ndarray, p: int) 
         if hit.size:
             out[hit] = (out[hit] - np.outer(factors[hit], basis[j])) % p
     return out
-
-
-class RowSolver:
-    """Factorized row-space membership/coordinate queries for a fixed basis.
-
-    Given independent rows B, answers x = c @ B (or None) for many x cheaply.
-    """
-
-    def __init__(self, basis_rows: np.ndarray, p: int):
-        self.p = p
-        self.basis = basis_rows
-        n = self.basis.shape[0]
-        r, pivots, transform = rref(self.basis, p, augment=eye(n))
-        if len(pivots) != n:
-            raise ValueError("basis rows are dependent")
-        self.pivots = pivots
-        # basis[:, pivots] @ transform.T? — transform satisfies R = U B with
-        # R[:, pivots] = I, so coordinates of x are x[pivots] @ U.
-        self.transform = transform[:n]
-
-    def coordinates(self, vecs: np.ndarray) -> np.ndarray | None:
-        """Coordinates of each row of vecs in the basis, or None if any falls outside."""
-        if not self.pivots:
-            return None if vecs.any() else zeros(vecs.shape[0], 0)
-        coords = matmul(vecs[:, self.pivots], self.transform, self.p)
-        if not np.array_equal(matmul(coords, self.basis, self.p), vecs):
-            return None
-        return coords
 
 
 # ---------------------------------------------------------------------------

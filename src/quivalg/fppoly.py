@@ -222,25 +222,25 @@ def eval_matrix(f: list[int], mat: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def krylov_minpoly(one: np.ndarray, step, p: int, max_degree: int) -> list[int]:
-    """Least monic f with f(x) applied to the nonzero vector `one` equal to zero.
+def min_poly_matrix(mat: np.ndarray, p: int) -> list[int]:
+    """Monic minimal polynomial of a square matrix over F_p.
 
-    step(v) applies x to v over F_p.  Vectors may have any shape; they are
-    compared flattened.  max_degree must bound the dimension of the Krylov
-    space of `one`.
-
-    The Krylov vectors v_0 = one, v_k = x v_{k-1} are kept in reduced row
-    echelon form, each row followed by its coordinates in the v_j, so every
-    new vector is reduced once; the first v_k that reduces to zero gives the
-    relation v_k - sum c_j v_j = 0, whose coefficients are the answer.
+    The Krylov vectors v_0 = I, v_k = v_{k-1} mat, flattened, are kept in
+    reduced row echelon form, each row followed by its coordinates in the
+    v_j, so every new vector is reduced once; the first v_k that reduces to
+    zero gives the relation v_k - sum c_j v_j = 0, whose coefficients are the
+    answer.
     """
-    size = one.size
-    rows = np.zeros((max_degree + 1, size + max_degree + 1), dtype=np.int64)
+    n = mat.shape[0]
+    if n == 0:
+        return [1]
+    size = n * n
+    rows = np.zeros((n + 1, size + n + 1), dtype=np.int64)
     pivots: list[int] = []
-    cur = one
-    for k in range(max_degree + 1):
+    cur = np.eye(n, dtype=np.int64)
+    for k in range(n + 1):
         if k:
-            cur = step(cur)
+            cur = (cur @ mat) % p
         w = np.zeros(rows.shape[1], dtype=np.int64)
         w[:size] = cur.reshape(-1)
         w[size + k] = 1
@@ -256,11 +256,3 @@ def krylov_minpoly(one: np.ndarray, step, p: int, max_degree: int) -> list[int]:
         rows[k] = w
         pivots.append(pc)
     raise AssertionError("minimal polynomial not found within the degree bound")
-
-
-def min_poly_matrix(mat: np.ndarray, p: int) -> list[int]:
-    """Monic minimal polynomial of a square matrix over F_p."""
-    n = mat.shape[0]
-    if n == 0:
-        return [1]
-    return krylov_minpoly(np.eye(n, dtype=np.int64), lambda cur: (cur @ mat) % p, p, n)

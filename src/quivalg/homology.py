@@ -27,8 +27,7 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
     """Minimal projective cover P(m) ->> m.
 
     The cover is assembled per vertex from the earliest-pivot complement of
-    rad(m), which makes it minimal; syzygy(..., check_minimal=True) also
-    asserts minimality (kernel inside rad P).
+    rad(m), which makes it minimal (its kernel lies in rad P).
     """
     alg = m.algebra
     p = alg.p
@@ -70,25 +69,14 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
     return cover, epi
 
 
-def _check_minimal(cover: Rep, epi: RepMap) -> None:
-    p = cover.algebra.p
-    ker_rows = {v: ef.kernel_basis(epi.mats[v].T, p) for v in epi.mats}
-    radP, rad_inc = repmod.radical(cover)
-    for v, rows in ker_rows.items():
-        if rows.size and ef.solve_left(rad_inc.mats[v], rows, p) is None:
-            raise AssertionError("cover kernel escapes the radical (not minimal)")
-
-
-def syzygy(m: Rep, check_minimal: bool = False) -> Rep:
+def syzygy(m: Rep) -> Rep:
     """Kernel of the projective cover; blockwise on recorded direct sums."""
     if m.summands is not None:
-        parts = [syzygy(x, check_minimal) for x in m.summands]
+        parts = [syzygy(x) for x in m.summands]
         return repmod.direct_sum(parts)[0] if parts else repmod.zero_rep(m.algebra)
     if m.is_zero:
         return repmod.zero_rep(m.algebra)
-    cover, epi = projective_cover(m)
-    if check_minimal:
-        _check_minimal(cover, epi)
+    _, epi = projective_cover(m)
     ker, _ = repmod.kernel(epi)
     return ker
 
@@ -217,13 +205,11 @@ def syzygy_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> tup
             # stable equivalence: the minimal syzygy of an indecomposable
             # nonprojective is again indecomposable nonprojective
             entry.syzygy = ((registry.register(om), 1),)
-            entry.cache["syzygy_certified"] = True
         else:
             res = decomp.decompose(om, seed=budgets.seed,
                                    confidence=budgets.confidence,
                                    budgets=budgets, registry=registry)
             entry.syzygy = res.items
-            entry.cache["syzygy_certified"] = res.certified
     return entry.syzygy
 
 

@@ -235,3 +235,18 @@ def test_negative_budget_options_exit_3(capsys, option):
     assert _run([option, "-1", "phi", "exB.alg", "--module", "S1+S2"]) == 3
     err = capsys.readouterr().err
     assert "input error" in err and option in err
+
+
+@pytest.mark.parametrize("block", ["nope", ""])
+def test_zero_it_check_unknown_block_vertex_exits_3(capsys, block):
+    assert _run(["zero-it-check", "exA.alg", "--generators", "S0", "--block", block]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and f"unknown vertex {block!r}" in err
+
+
+@pytest.mark.parametrize("option", ["--assert-a-it", "--assert-b-it", "--assert-a-lit",
+                                    "--assert-b-lit"])
+def test_classify_negative_asserted_level_exits_3(capsys, option):
+    assert _run(["classify", "rad-square-zero-pair.glue", option, "-3"]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and option in err

@@ -132,39 +132,123 @@ def test_registry_dump_schema(exB):
 
 def test_field_endomorphism_algebra_certified_in_quotient():
     # a Kronecker module at a degree-2 point over F_3 has End(M) = F_9: no
-    # element splits it, so locality is certified in E/rad(E) by an element
+    # element splits it, so locality is certified in E/J(E) by an element
     # whose minimal polynomial is irreducible of full degree
-    kron = cli.parse_algebra("algebra K field 3 truncate 5\nvertex 1 2\n"
-                             "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
-    m = repmod.Rep(kron, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 1], [2, 0]]})
-    assert decomp.end_algebra(m).dim == 2
+    m = _kronecker_f9()
+    E = decomp.end_algebra(m)
+    assert E.dim == 2
+    assert decomp._trace_radical(E)[0] == []  # J(E) = 0
     pieces, certified = decomp.indecomposable_pieces(m, np.random.default_rng(0), 5)
     assert certified and len(pieces) == 1
-    _check_quotient_mult(m)
 
 
-def test_quotient_algebra_multiplication(exB, a2):
-    # E/rad(E) with a nonzero radical: P1 + S1 over exB
-    _check_quotient_mult(repmod.direct_sum([exB.projective("1"), repmod.simple(exB, "1")])[0])
-    # End = M_2(F), on a module that is zero at vertex 2
-    _check_quotient_mult(repmod.power(repmod.simple(a2, "1"), 2))
+def test_trace_radical_codimension(exB, a2):
+    # E/J(E) = F x F for P1 + S1 over exB, and M_2(F) for S1 + S1 over a2,
+    # a module that is zero at vertex 2
+    for m, dim_s in ((repmod.direct_sum([exB.projective("1"), repmod.simple(exB, "1")])[0], 2),
+                     (repmod.power(repmod.simple(a2, "1"), 2), 4)):
+        E = decomp.end_algebra(m)
+        pivots, pair = decomp._trace_radical(E)
+        assert pair is not None and E.dim - len(pivots) == dim_s
 
 
-def _check_quotient_mult(m):
-    """S.mult on the images of basis elements equals the image of their composite."""
+def _truncated_polynomial_ring(n, p):
+    """k[x]/(x^n) over F_p and its one indecomposable projective."""
+    alg = cli.parse_algebra(f"algebra L field {p} truncate 10\nvertex v\narrow x: v -> v\n"
+                            f"relation 1 {'*'.join(['x'] * n)}\n").build()
+    return alg.projective("v")
+
+
+def test_trace_radical_passes_the_flag_when_p_is_small():
+    # k[x]/(x^3) at p = 2: tr_M(x y) has radical span{x, x^2} = J(E), which
+    # acts nilpotently on M although p <= dim M
+    m = _truncated_polynomial_ring(3, 2)
     E = decomp.end_algebra(m)
-    S = decomp._QuotientAlgebra(E, decomp._radical_rows(E))
-    unit = np.eye(E.dim, dtype=np.int64)
-    for i in range(E.dim):
-        for j in range(E.dim):
-            prod = E.coordinates(E.compose(E.basis[i].mats, E.basis[j].mats))
-            assert np.array_equal(E.structure_constants()[i, j], prod)
-            got = S.mult(S.project(unit[i]), S.project(unit[j]))
-            assert np.array_equal(got, S.project(prod))
+    pivots, pair = decomp._trace_radical(E)
+    assert E.dim == 3 and len(pivots) == 2 and pair is not None
+    assert decomp.indecomposable_pieces(m, np.random.default_rng(0), 5)[1]
+
+
+def test_trace_radical_stalls_when_p_divides_the_length():
+    # k[x]/(x^2) at p = 2 on M = P: tr_M(x y) = 2 x(0) y(0) vanishes, so the
+    # radical of the form is all of E; it is not nil, the flag stalls and the
+    # eigenvalue certificate (E = F + span{x}) shows E is local
+    m = _truncated_polynomial_ring(2, 2)
+    E = decomp.end_algebra(m)
+    assert decomp._trace_radical(E) == ([], None)
+    assert decomp._local_by_eigenvalues(E)
+    assert decomp._certify_or_split(m, E, np.random.default_rng(0), 0) == ("certified", None)
+
+
+def test_stalled_form_radical_is_not_trusted():
+    # M = P1 + S3 over F_2 with P1 = (1 -> 2) of dimension 2 and S3 on an
+    # isolated vertex: E = F x F, and tr_M(x y) = 2 x1 y1 + x2 y2 has the
+    # idempotent of P1 in its radical.  Taking that radical for J(E) would
+    # certify the module; the stall falls back to J = 0, and the first
+    # candidate, a basis idempotent, splits it.
+    alg = cli.parse_algebra("algebra T field 2 truncate 5\nvertex 1 2 3\n"
+                            "arrow a: 1 -> 2\n").build()
+    m = repmod.direct_sum([alg.projective("1"), repmod.simple(alg, "3")])[0].strip()
+    E = decomp.end_algebra(m)
+    assert E.dim == 2 and decomp._trace_radical(E) == ([], None)
+    assert not decomp._local_by_eigenvalues(E)
+    status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)
+    assert status == "pieces"
+    assert sorted(piece.total_dim for piece in pieces) == [1, 2]
+
+
+def test_eigenvalue_certificate_when_the_form_vanishes():
+    # a local End(M) of dimension 14 for a 10-dimensional exA module at
+    # p = 5: p divides the length of M, the form vanishes, and E is too big
+    # for the exhaustive search (5^14 > 10^6); the eigenvalue flag certifies
+    alg = cli.load_algebra_file("exA.alg", 5)
+    m = repmod.random_module(alg, 11, 10).strip()
+    E = decomp.end_algebra(m)
+    assert (m.total_dim, E.dim) == (10, 14) and decomp._trace_radical(E) == ([], None)
+    pieces, certified = decomp.indecomposable_pieces(m, np.random.default_rng(0), 5)
+    assert certified and len(pieces) == 1
+
+
+def test_eigenvalue_certificate_needs_the_flag():
+    # End(S + S) = M_2(F_3) with a basis of elements with one eigenvalue
+    # each (E12, E21, 1, and [[1, 1], [2, 0]] with eigenvalue 2): the shifted
+    # elements include E12 and E21, whose product is not nilpotent
+    point = cli.load_algebra_file("point.alg", 3)
+    s = repmod.simple(point, "v")
+    m = repmod.direct_sum([s, s])[0].strip()
+    E = decomp.end_algebra(m)
+    E.basis = [repmod.RepMap(m, m, {"v": mat}) for mat in
+               ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [2, 0]])]
+    assert not decomp._local_by_eigenvalues(E)
+
+
+@pytest.mark.parametrize("name", ["exB.alg", "a2.alg", "nakayama-a3.alg", "exA.alg"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_certified_pieces_have_local_end_brute_force(name, p):
+    # every certified piece has a local End(M): enumerated, its non-units
+    # form a subspace (J(E)); checked wherever p^dim E <= 3^8
+    alg = cli.load_algebra_file(name, p)
+    checked = 0
+    for seed in range(12):
+        m = repmod.random_module(alg, seed, 4 + seed % 5)
+        if m.is_zero:
+            continue
+        rng = np.random.default_rng(seed)
+        for piece in decomp.indecomposable_pieces(m.strip(), rng, 5)[0]:
+            E = decomp.end_algebra(piece)
+            if not decomp.indecomposable_pieces(piece, rng, 5)[1] or p ** E.dim > 3 ** 8:
+                continue
+            nonunits = [x for x in decomp._fp_vectors(p, E.dim)
+                        if not all(ef.is_invertible(mat, p)
+                                   for mat in E.element(x).values() if mat.size)]
+            rank = ef.rank_fp(np.stack(nonunits), p)
+            assert len(nonunits) == p ** rank
+            checked += 1
+    assert checked
 
 
 # ---------------------------------------------------------------------------
-# the splitting path from E/rad(E), the exhaustive searches and the minimal
+# the splitting path from E/J(E), the exhaustive searches and the minimal
 # polynomial of a vertexwise endomorphism
 
 
@@ -175,7 +259,7 @@ def _kronecker_f9():
 
 
 def test_certify_or_split_lifts_a_candidate(exB):
-    # End(S1 + S1) = M_2(F): a candidate of E/rad(E) with a reducible minimal
+    # End(S1 + S1) = M_2(F): a candidate of E/J(E) with a reducible minimal
     # polynomial lifts to an endomorphism that splits the module
     s1 = repmod.simple(exB, "1")
     m = repmod.direct_sum([s1, s1])[0].strip()
@@ -195,21 +279,58 @@ def test_certify_or_split_lifts_the_exhaustive_idempotent():
     E = decomp.end_algebra(m)
     E.basis = [repmod.RepMap(m, m, {"v": mat}) for mat in
                ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 1]])]
-    E.flat = np.stack([E.flatten(f.mats) for f in E.basis])
-    E.solver = ef.RowSolver(E.flat, 2)
-    S = decomp._QuotientAlgebra(E, decomp._radical_rows(E))
-    assert S.dim == 4
+    assert decomp._trace_radical(E)[0] == []  # E/J(E) = E, of dimension 4
     status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)
     assert status == "pieces"
     assert [piece.dims for piece in pieces] == [{"v": 1}] * 2
 
 
-def test_exhaustive_idempotent_none_on_a_field():
-    m = _kronecker_f9()
+def test_exhaustive_idempotent_search_certifies_a_local_end():
+    # the regular Kronecker module of length 2 at the degree-2 point over F_2:
+    # a = 1 and b = the companion matrix of (x^2 + x + 1)^2, so E = F_2[b],
+    # local with E/J(E) = F_4.  M has length 4 over E, so tr_M(x y) vanishes,
+    # and no basis element has an eigenvalue in F_2: J(E) is not found, and
+    # the search over all 16 elements of E finds no nontrivial idempotent.
+    kron = cli.parse_algebra("algebra K field 2 truncate 5\nvertex 1 2\n"
+                             "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
+    comp = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0]]
+    m = repmod.Rep(kron, {"1": 4, "2": 4}, {"a": np.eye(4, dtype=np.int64), "b": comp})
     E = decomp.end_algebra(m)
-    S = decomp._QuotientAlgebra(E, decomp._radical_rows(E))
-    assert S.dim == 2
-    assert decomp._exhaustive_idempotent(S) is None
+    assert E.dim == 4 and decomp._trace_radical(E) == ([], None)
+    assert not decomp._local_by_eigenvalues(E)
+    assert decomp._certify_or_split(m, E, np.random.default_rng(0), 0) == ("certified", None)
+
+
+def test_exhaustive_idempotent_search_works_modulo_the_radical():
+    # End(P + P) = M_2(k[x]/(x^2)) at p = 3, with J(E) = x M_2(k) found by the
+    # form and a basis of E/J(E) lifted as E12, E21, 1 + x E11 and
+    # [[1, 1], [2, 0]] + x E22: no element splits, and no lift of an
+    # idempotent of E/J(E) is an idempotent of E, so the search must test
+    # e^2 - e for membership in J(E), not for zero
+    alg = cli.parse_algebra("algebra L field 3 truncate 10\nvertex v\narrow x: v -> v\n"
+                            "relation 1 x*x\n").build()
+    proj = alg.projective("v")
+    m = repmod.direct_sum([proj, proj])[0].strip()
+    E = decomp.end_algebra(m)
+
+    def unit(i, j):
+        u = np.zeros((2, 2), dtype=np.int64)
+        u[i, j] = 1
+        return u
+
+    # c0 + x c1 in M_2(k[x]/(x^2)) acts on M = k^2 (x) P as kron(c0, 1) + kron(c1, x)
+    x = proj.mats["x"]
+    zero = np.zeros((2, 2), dtype=np.int64)
+    pairs = [(unit(0, 1), zero), (unit(1, 0), zero), (np.eye(2, dtype=np.int64), unit(0, 0)),
+             (np.array([[1, 1], [2, 0]]), unit(1, 1))]
+    pairs += [(zero, unit(i, j)) for i in range(2) for j in range(2)]
+    E.basis = [repmod.RepMap(m, m, {"v": (np.kron(c0, np.eye(2, dtype=np.int64))
+                                          + np.kron(c1, x)) % 3}) for c0, c1 in pairs]
+    pivots, pair = decomp._trace_radical(E)
+    assert pivots == [4, 5, 6, 7] and pair is not None
+    status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)
+    assert status == "pieces"
+    assert [piece.total_dim for piece in pieces] == [2, 2]
 
 
 def test_minpoly_of_mats_is_the_lcm_over_vertices():

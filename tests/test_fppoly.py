@@ -89,13 +89,6 @@ def test_krylov_minpoly_definition():
             mu = fppoly.min_poly_matrix(mat, p)
             assert mu[-1] == 1 and 1 <= fppoly.degree(mu) <= n
             assert not fppoly.eval_matrix(mu, mat, p).any()
-            # the same routine on a single vector: the local minimal polynomial
-            v = rng.integers(0, p, size=n).astype(np.int64)
-            v[int(rng.integers(n))] = 1
-            nu = fppoly.krylov_minpoly(v, lambda w: (w @ mat) % p, p, n)
-            assert nu[-1] == 1 and fppoly.degree(nu) <= n
-            assert not (v @ fppoly.eval_matrix(nu, mat, p) % p).any()
-            assert fppoly.divmod_poly(mu, nu, p)[1] == []  # it divides mu
 
 
 # ---------------------------------------------------------------------------
