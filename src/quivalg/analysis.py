@@ -231,8 +231,8 @@ def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets, seed: in
     # quotients of covers by syzygy pieces of infinite-pd simples
     for v in sorted(qinf.certified):
         s = repmod.simple(alg, v)
-        cover, epi = homology.projective_cover(s)
-        om, kinc = repmod.kernel(epi)
+        cover, _ = homology.projective_cover(s)
+        om, kinc = repmod.submodule(cover, repmod.presentation(s).omega)
         if om.is_zero or om.total_dim > budgets.max_dim:
             continue
         pieces, _ = decomp.indecomposable_pieces(om.strip(), rng, budgets.confidence)

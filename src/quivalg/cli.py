@@ -468,8 +468,12 @@ def _phi_json(r) -> dict:
 
 
 def _pd_json(r) -> dict:
-    return {"status": r.status, "value": r.value, "evidence": r.evidence,
-            "depth_reached": r.depth_reached}
+    out = {"status": r.status, "value": r.value, "evidence": r.evidence,
+           "depth_reached": r.depth_reached}
+    if not r.certified:
+        # only then, so that certified reports keep their payload
+        out["certified"] = False
+    return out
 
 
 def cmd_info(obj, args, budgets, rep: Report):
@@ -503,7 +507,7 @@ def cmd_syzygy(obj, args, budgets, rep: Report):
     if args.power < 0:
         raise InputError(f"--power must be >= 0, not {args.power}")
     m = parse_module_expr(alg, args.module)
-    om = homology.omega_power(m, args.power)
+    om = homology.omega_power(m, args.power, budgets.max_dim)
     rep.results = {"module": m.to_json(), "syzygy": om.to_json(),
                    "power": args.power}
 
@@ -513,7 +517,7 @@ def cmd_pd(obj, args, budgets, rep: Report):
     m = parse_module_expr(alg, args.module)
     r = homology.pd(m, budgets)
     rep.results = _pd_json(r)
-    if r.status == "unknown":
+    if r.status == "unknown" or not r.certified:
         rep.status = "inconclusive"
 
 
@@ -585,8 +589,11 @@ def cmd_opposite(obj, args, budgets, rep: Report):
     text = print_algebra(src)
     rep.results = {"dim": op.dim, "source": text}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}") from exc
 
 
 def cmd_glue(obj, args, budgets, rep: Report):

@@ -332,12 +332,15 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
     homs = repmod.hom_basis(m, n)
     if not homs:
         return IsoResult("no", None, "hom space is zero")
+    # an isomorphism M ~ N identifies Hom(M,N) with both endomorphism spaces;
+    # a known End dimension settles "no" before the random rounds
+    if any(x._end_dim is not None and x._end_dim != len(homs) for x in (m, n)):
+        return IsoResult("no", None, "hom dimension mismatch")
     rng = np.random.default_rng([int(seed) % (2 ** 31), m.algebra.structural_digest() % (2 ** 31), 17])
     for _ in range(confidence):
         f = repmod.combine_maps(homs, rng.integers(0, p, size=len(homs)))
         if f.is_invertible():
             return IsoResult("yes", f, "random invertible hom")
-    # an isomorphism M ~ N identifies Hom(M,N) with both endomorphism spaces
     if m._end_dim is None:
         m._end_dim = len(repmod.hom_basis(m, m))
     if n._end_dim is None:
@@ -362,7 +365,7 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
 
 
 class RegistryEntry:
-    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "pd")
+    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "syzygy_certified", "pd")
 
     def __init__(self, id_: int, rep: Rep, fp, projective: bool):
         self.id = id_
@@ -370,6 +373,7 @@ class RegistryEntry:
         self.fp = fp
         self.projective = projective
         self.syzygy = None  # tuple[(id, mult)] once computed
+        self.syzygy_certified = True  # False when that decomposition is probabilistic
         self.pd = None
 
 

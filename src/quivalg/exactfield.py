@@ -230,6 +230,11 @@ def kernel_basis(m, p: int) -> np.ndarray:
     from the RREF free columns, so it is reproducible bit for bit.
     """
     r, pivots, _ = rref(m, p)
+    return rref_kernel(r, pivots, p)
+
+
+def rref_kernel(r: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """kernel_basis of a matrix from its rref (R, pivots)."""
     ncols = r.shape[1]
     # most calls have rank 0 or full column rank; both skip the indexing
     # below, whose per-call numpy overhead outweighs the work on tiny inputs

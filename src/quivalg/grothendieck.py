@@ -17,6 +17,10 @@ establishes injectivity for every later depth, pinning the exact value:
     class-level syzygy map, so once the trace sits at rank 1 with a
     certified-infinite-pd class in its support, it can never reach 0 and no
     further drop is possible.
+
+The trace rests on the decompositions of the syzygies it passes through; when
+one of them (or one behind a pd certificate) is only probabilistic, so is the
+result: `certified` is False and the status reads "probabilistic".
 """
 
 from __future__ import annotations
@@ -83,9 +87,12 @@ class PhiResult:
     certificate: str
     trace: list
     note: str = ""
+    probabilistic: bool = False  # a syzygy decomposition used was probabilistic
 
     @property
     def status(self) -> str:
+        if self.probabilistic:
+            return "probabilistic"
         return "certified" if self.certified else "lower_bound"
 
     def describe(self) -> str:
@@ -106,22 +113,30 @@ def _support_vertices(alg: BoundAlgebra, ids) -> set[str]:
 def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
     """The (right) Igusa-Todorov function with certification."""
     alg = m.algebra
+    reg = alg.registry()
     gens = subgroup_add(m, budgets)
     trace = [len(gens)]
+    used: set[int] = set()  # the classes whose syzygies the trace read
+
+    def result(value, certified, certificate, note="", pdres=None):
+        sure = all(reg.entries[i].syzygy_certified for i in used) \
+            and (pdres is None or pdres.certified)
+        return PhiResult(value, certified and sure, certificate, trace, note,
+                         probabilistic=not sure)
+
     if not gens:
-        return PhiResult(0, True, "rank_zero", trace)
+        return result(0, True, "rank_zero")
     if homology.selfinjectivity(alg):
-        return PhiResult(0, True, "theorem_selfinjective", trace, "whole algebra")
+        return result(0, True, "theorem_selfinjective", "whole algebra")
     ids0 = [next(iter(v)) for v in gens]
     blk = homology.covering_selfinjective_block(alg, _support_vertices(alg, ids0))
     if blk is not None:
-        return PhiResult(0, True, "theorem_selfinjective", trace,
-                         f"block {'+'.join(sorted(blk))}")
+        return result(0, True, "theorem_selfinjective", f"block {'+'.join(sorted(blk))}")
     if len(gens) == 1:
         pdres = homology.pd_class(alg, ids0[0], budgets)
         if pdres.status == "infinite":
-            return PhiResult(0, True, "indec_infinite_pd", trace,
-                             pdres.evidence.get("kind", ""))
+            return result(0, True, "indec_infinite_pd", pdres.evidence.get("kind", ""),
+                          pdres)
     seen = set(ids0)
     value = 0
     depth = 0
@@ -133,10 +148,11 @@ def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
         if depth >= limit:
             break
         depth += 1
+        used.update(i for g in cur for i in g)
         try:
             cur = [omega_bar(alg, g, budgets) for g in cur]
         except BudgetExceeded as exc:
-            return PhiResult(value, False, "budget", trace, str(exc))
+            return result(value, False, "budget", str(exc))
         r = lattice_rank_of(cur)
         if r > trace[-1]:
             raise AssertionError("rank trace increased")
@@ -144,7 +160,7 @@ def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
         if r < trace[-2]:
             value = depth
         if r == 0:
-            return PhiResult(value, True, "finite_pd", trace)
+            return result(value, True, "finite_pd")
         support = {i for g in cur for i in g}
         new = support - seen
         seen |= support
@@ -152,8 +168,8 @@ def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
             blk = homology.covering_selfinjective_block(
                 alg, _support_vertices(alg, support))
             if blk is not None:
-                return PhiResult(value, True, "theorem_selfinjective", trace,
-                                 f"block {'+'.join(sorted(blk))} from depth {depth}")
+                return result(value, True, "theorem_selfinjective",
+                              f"block {'+'.join(sorted(blk))} from depth {depth}")
             if not new:
                 closure_depth = depth
             elif r == 1:
@@ -162,14 +178,13 @@ def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
                 for eid in sorted(support):
                     pdres = homology.pd_class(alg, eid, budgets)
                     if pdres.status == "infinite":
-                        return PhiResult(value, True, "rank_one_persistent",
-                                         trace,
-                                         f"class {eid} has infinite pd "
-                                         f"({pdres.evidence.get('kind')})")
+                        return result(value, True, "rank_one_persistent",
+                                      f"class {eid} has infinite pd "
+                                      f"({pdres.evidence.get('kind')})", pdres)
         if closure_depth is not None and depth >= len(seen) + 1:
-            return PhiResult(value, True, "orbit_cycle", trace,
-                             f"{len(seen)} classes, closed at depth {closure_depth}")
-    return PhiResult(value, False, "depth_budget", trace)
+            return result(value, True, "orbit_cycle",
+                          f"{len(seen)} classes, closed at depth {closure_depth}")
+    return result(value, False, "depth_budget")
 
 
 def vanishing_index(alg: BoundAlgebra, vec: K0Vector,

@@ -1,72 +1,26 @@
-"""Projective covers, syzygies, projective dimension, omega-orbits.
+"""Syzygies, projective dimension, omega-orbits.
 
-pd returns an honest three-state result: Finite(n) when the syzygy class
-multiset empties, InfiniteCertified with evidence (class-graph cycle,
-selfinjective algebra or block, or a Cartan-lattice obstruction), and Unknown
-at budget.  Covers use a fixed earliest-pivot section of the top so kernels
-are reproducible bit for bit.
+The syzygy of a module is the kernel of its projective cover, read off the
+presentation repmod caches per module (the same one hom_basis solves on);
+`projective_cover` is repmod's, imported here.  pd returns an honest
+three-state result: Finite(n) when the syzygy class multiset empties,
+InfiniteCertified with evidence (class-graph cycle, selfinjective algebra or
+block, or a Cartan-lattice obstruction), and Unknown at budget.  A result
+resting on a probabilistic decomposition of a syzygy has certified=False.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import decomp, exactfield as ef, repmod
 from .budgets import DEFAULT, BudgetExceeded, Budgets
 from .pathalgebra import BoundAlgebra, Relation, build_algebra
-from .repmod import Rep, RepMap
+from .repmod import Rep, projective_cover
 
 
 # ---------------------------------------------------------------------------
 # covers and syzygies
-
-
-def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
-    """Minimal projective cover P(m) ->> m.
-
-    The cover is assembled per vertex from the earliest-pivot complement of
-    rad(m), which makes it minimal (its kernel lies in rad P).
-    """
-    alg = m.algebra
-    p = alg.p
-    if m.is_zero:
-        z = repmod.zero_rep(alg)
-        return z, RepMap(z, m, {})
-    copies: list[tuple[str, np.ndarray]] = []
-    for v in alg.quiver.vertices:
-        _, pivots, _ = ef.rref(
-            np.concatenate([m.mats[a.name] for a in alg.quiver.arrows_in(v)], axis=0)
-            if alg.quiver.arrows_in(v) else ef.zeros(0, m.dims[v]), p)
-        for c in range(m.dims[v]):
-            if c not in pivots:
-                gen = np.zeros(m.dims[v], dtype=np.int64)
-                gen[c] = 1
-                copies.append((v, gen))
-    if not copies:
-        raise ValueError("nonzero module equals its own radical")
-    parts = [alg.projective(v) for v, _ in copies]
-    cover = parts[0] if len(parts) == 1 else repmod.direct_sum(parts)[0]
-    blocks: dict[str, list[np.ndarray]] = {w: [] for w in alg.quiver.vertices}
-    for (v, gen), proj in zip(copies, parts):
-        basis_paths = alg.cache["projective_basis"][v]
-        per_vertex: dict[str, list[np.ndarray]] = {w: [] for w in alg.quiver.vertices}
-        for key in basis_paths:
-            w = alg.path_target(key)
-            per_vertex[w].append(ef.matmul(gen.reshape(1, -1),
-                                           repmod.path_action(m, key), p)[0])
-        for w in alg.quiver.vertices:
-            rows = (np.stack(per_vertex[w]) if per_vertex[w]
-                    else ef.zeros(0, m.dims[w]))
-            blocks[w].append(rows)
-    epi_mats = {w: (np.concatenate(blocks[w], axis=0) if blocks[w]
-                    else ef.zeros(0, m.dims[w])) for w in alg.quiver.vertices}
-    epi = RepMap(cover, m, epi_mats)
-    for w in alg.quiver.vertices:
-        if ef.rank_fp(epi.mats[w], p) != m.dims[w]:
-            raise AssertionError("projective cover is not surjective")
-    return cover, epi
 
 
 def syzygy(m: Rep) -> Rep:
@@ -76,14 +30,17 @@ def syzygy(m: Rep) -> Rep:
         return repmod.direct_sum(parts)[0] if parts else repmod.zero_rep(m.algebra)
     if m.is_zero:
         return repmod.zero_rep(m.algebra)
-    _, epi = projective_cover(m)
-    ker, _ = repmod.kernel(epi)
-    return ker
+    cover, _ = projective_cover(m)
+    return repmod.submodule(cover, repmod.presentation(m).omega)[0]
 
 
-def omega_power(m: Rep, n: int) -> Rep:
-    for _ in range(n):
+def omega_power(m: Rep, n: int, max_dim: int | None = None) -> Rep:
+    """Omega^n(m); BudgetExceeded once some Omega^k has dimension above max_dim."""
+    for k in range(1, n + 1):
         m = syzygy(m)
+        if max_dim is not None and m.total_dim > max_dim:
+            raise BudgetExceeded(
+                f"Omega^{k} has dimension {m.total_dim} > cap {max_dim}")
     return m
 
 
@@ -192,7 +149,8 @@ def syzygy_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> tup
     """decompose(syzygy(representative)) as ((class id, mult), ...), cached.
 
     Projective summands are retained (K0 consumers drop them; orbit analysis
-    keeps them as markers).
+    keeps them as markers).  Whether the decomposition was certified is kept
+    in the entry's syzygy_certified.
     """
     registry = alg.registry()
     entry = registry.entries[eid]
@@ -210,6 +168,7 @@ def syzygy_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> tup
                                    confidence=budgets.confidence,
                                    budgets=budgets, registry=registry)
             entry.syzygy = res.items
+            entry.syzygy_certified = res.certified
     return entry.syzygy
 
 
@@ -223,12 +182,14 @@ class PdResult:
     value: int | None = None
     evidence: dict | None = None
     depth_reached: int = 0
+    certified: bool = True  # False when it rests on a probabilistic syzygy decomposition
 
     def describe(self) -> str:
+        note = "" if self.certified else " (probabilistic)"
         if self.status == "finite":
-            return f"pd = {self.value}"
+            return f"pd = {self.value}{note}"
         if self.status == "infinite":
-            return f"pd = infinity ({self.evidence.get('kind')})"
+            return f"pd = infinity ({self.evidence.get('kind')}){note}"
         return f"pd unknown at depth {self.depth_reached}"
 
 
@@ -325,6 +286,7 @@ def pd_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> PdResul
         frontier = nxt
     if result is None:
         result = PdResult("unknown", None, {"kind": "depth"}, budgets.depth)
+    result.certified = all(registry.entries[i].syzygy_certified for i in edges)
     entry.pd = result
     return result
 
@@ -339,6 +301,7 @@ def pd(m: Rep, budgets: Budgets = DEFAULT) -> PdResult:
         return PdResult("finite", 0)
     best = 0
     worst_unknown = None
+    certified = True
     for eid, _ in nonproj:
         r = pd_class(m.algebra, eid, budgets)
         if r.status == "infinite":
@@ -347,9 +310,10 @@ def pd(m: Rep, budgets: Budgets = DEFAULT) -> PdResult:
             worst_unknown = r
         else:
             best = max(best, r.value)
+            certified = certified and r.certified
     if worst_unknown is not None:
         return worst_unknown
-    return PdResult("finite", best)
+    return PdResult("finite", best, certified=certified)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,11 @@ A Rep assigns a row-vector space F_p^d to each vertex and a (dim source x
 dim target) matrix to each arrow; vectors act on the right, so the matrix of
 a path is the left-to-right product of its arrow matrices.  All constructors
 return immutable numpy-backed values; every operation is pure.
+
+Hom spaces are solved on the first module's projective presentation
+0 -> omega -> P0 ->> m (see hom_basis), which is built once per module and
+cached on it, as are the matrices of its paths.  The projective cover and
+homology's syzygies read the same cached presentation.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ class Rep:
         summands: optional tuple of block summands recorded by direct_sum.
     """
 
-    __slots__ = ("algebra", "dims", "mats", "summands", "_end_dim", "_fp", "_decomp")
+    __slots__ = ("algebra", "dims", "mats", "summands", "_end_dim", "_fp", "_decomp",
+                 "_pres", "_paths")
 
     def __init__(self, algebra: BoundAlgebra, dims, mats, summands=None):
         self.algebra = algebra
@@ -55,6 +61,8 @@ class Rep:
         self._end_dim = None
         self._fp = None
         self._decomp = None
+        self._pres = None
+        self._paths = {}
 
     @property
     def total_dim(self) -> int:
@@ -280,12 +288,9 @@ def direct_sum(ms) -> tuple[Rep, list[RepMap], list[RepMap]]:
         inc, proj = {}, {}
         for v in alg.quiver.vertices:
             i = ef.zeros(x.dims[v], dims[v])
-            pmat = ef.zeros(dims[v], x.dims[v])
-            for j in range(x.dims[v]):
-                i[j, off[v] + j] = 1
-                pmat[off[v] + j, j] = 1
+            i[:, off[v]:off[v] + x.dims[v]] = ef.eye(x.dims[v])
             inc[v] = i
-            proj[v] = pmat
+            proj[v] = i.T
         incs.append(RepMap(x, total, inc))
         projs.append(RepMap(total, x, proj))
     return total, incs, projs
@@ -442,45 +447,213 @@ def dualize(m: Rep) -> Rep:
 
 
 # ---------------------------------------------------------------------------
-# hom spaces
+# projective presentations and hom spaces
+
+
+@dataclass
+class Presentation:
+    """The projective presentation 0 -> omega -> P0 ->> m of a module.
+
+    P0 is the minimal projective cover: one copy of P_v per generator, the
+    generators taken in vertex order (see presentation).  Vectors of P0_w are
+    rows over the basis of P0_w: the copies in order, each on the normal
+    paths from its vertex to w in the order of the basis of P_v at w.
+
+    Attributes:
+        gens: dict vertex v -> the columns of m_v that are generators, for
+            the vertices where top(m) is nonzero.
+        epi: dict vertex w -> the matrix of P0_w ->> m_w.
+        sections: dict vertex w -> (rows, inv): the earliest rows of epi_w
+            that form a basis of m_w, and the inverse of that block, so the
+            section S_w = inv @ (those rows of the identity) has
+            S_w @ epi_w = I.
+        omega: dict vertex w -> a basis of ker(epi_w), all of the syzygy
+            rather than only its generators.
+    """
+
+    gens: dict
+    epi: dict
+    sections: dict
+    omega: dict
+
+
+def _path_plan(alg: BoundAlgebra, v: str):
+    """(count, trivial, products, spans) for the normal paths from v, cached.
+
+    Paths are indexed as in the basis of P_v, `trivial` being the index of
+    e_v.  A product (i, j, a) makes path i from its prefix j and last arrow a,
+    prefixes first; the paths ending at w are the indices in spans[w].
+    """
+    plans = alg.cache.setdefault("path_plan", {})
+    if v not in plans:
+        alg.projective(v)
+        keys = alg.cache["projective_basis"][v]
+        index = {arrows: i for i, (_, arrows) in enumerate(keys)}
+        products = [(index[arrows], index[arrows[:-1]], arrows[-1])
+                    for _, arrows in sorted(keys, key=lambda k: len(k[1])) if arrows]
+        spans = {w: [] for w in alg.quiver.vertices}
+        for i, k in enumerate(keys):
+            spans[alg.path_target(k)].append(i)
+        plans[v] = (len(keys), index[()], products, spans)
+    return plans[v]
+
+
+def _path_stacks(m: Rep, v: str) -> dict[str, np.ndarray]:
+    """The matrices m(pi) of the normal paths pi from v, stacked per target.
+
+    Entry w has shape (#paths v -> w, dim m_v, dim m_w), in the order of the
+    basis of P_v at w: row c of its i-th matrix is the image in m_w of the
+    c-th basis vector of m_v under the i-th basis path of P_v at w.  Normal
+    paths are closed under prefixes, so each matrix is one product.  Cached
+    in m._paths.
+    """
+    got = m._paths.get(v)
+    if got is None:
+        alg = m.algebra
+        p = alg.p
+        count, trivial, products, spans = _path_plan(alg, v)
+        mats = [None] * count
+        mats[trivial] = ef.eye(m.dims[v])
+        for i, j, a in products:
+            mats[i] = ef.matmul(mats[j], m.mats[a], p)
+        got = m._paths[v] = {
+            w: (np.stack([mats[i] for i in idx]) if idx
+                else np.zeros((0, m.dims[v], m.dims[w]), dtype=np.int64))
+            for w, idx in spans.items()}
+    return got
+
+
+def presentation(m: Rep) -> Presentation:
+    """m's projective presentation, built once per module (cached in m._pres).
+
+    The generators at v are the columns of m_v that are not pivots of the
+    incoming arrow images (the earliest-pivot complement of rad(m)), so the
+    cover is minimal (its kernel lies in rad P0) and reproducible bit for bit.
+    """
+    if m._pres is not None:
+        return m._pres
+    alg = m.algebra
+    p = alg.p
+    gens: dict[str, list[int]] = {}
+    for v in alg.quiver.vertices:
+        incoming = alg.quiver.arrows_in(v)
+        _, pivots, _ = ef.rref(
+            np.concatenate([m.mats[a.name] for a in incoming], axis=0)
+            if incoming else ef.zeros(0, m.dims[v]), p)
+        cols = [c for c in range(m.dims[v]) if c not in pivots]
+        if cols:
+            gens[v] = cols
+    if not gens and not m.is_zero:
+        raise ValueError("nonzero module equals its own radical")
+    # the copy of P_v on column c sends its basis path pi to row c of m(pi)
+    stacks = {v: _path_stacks(m, v) for v in gens}
+    epi, sections, omega = {}, {}, {}
+    for w in alg.quiver.vertices:
+        d = m.dims[w]
+        blocks = [stacks[v][w][:, cols, :].transpose(1, 0, 2)
+                  .reshape(len(cols) * stacks[v][w].shape[0], d)
+                  for v, cols in gens.items()]
+        e = np.concatenate(blocks, axis=0) if blocks else ef.zeros(0, d)
+        r, rows, inv = ef.rref(e.T, p, augment=ef.eye(d))
+        if len(rows) != d:
+            raise AssertionError("projective cover is not surjective")
+        epi[w] = e
+        sections[w] = (np.array(rows, dtype=np.int64), inv.T)
+        omega[w] = ef.rref_kernel(r, rows, p)
+    m._pres = Presentation(gens, epi, sections, omega)
+    return m._pres
+
+
+def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
+    """Minimal projective cover P(m) ->> m, assembled from m's presentation."""
+    alg = m.algebra
+    pres = presentation(m)
+    parts = [alg.projective(v) for v, cols in pres.gens.items() for _ in cols]
+    if not parts:
+        cover = zero_rep(alg)
+    else:
+        cover = parts[0] if len(parts) == 1 else direct_sum(parts)[0]
+    return cover, RepMap(cover, m, pres.epi)
 
 
 def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
-    """Basis of Hom(m, n): the solution space of all commuting squares."""
+    """Basis of Hom(m, n), solved on m's projective presentation.
+
+    A hom f is fixed by the images y_j in n of the generators of m.  Any y
+    extends to Phi(y): P0 -> n, sending the basis path pi of copy j to
+    y_j n(pi); Phi(y) factors through m exactly when it kills omega, and then
+    f_w = S_w Phi_w(y).  So the unknowns are y (sum_j dim n at the vertex of
+    generator j) and the equations are omega_w Phi_w(y) = 0.  The basis
+    returned is the canonical one of Hom(m, n) in the entries of the
+    vertexwise matrices of f (vertex order, each matrix row-major): the RREF
+    of its span in reversed column order, flipped back.  That is the basis
+    kernel_basis gives of the commuting-square system on those entries.
+    """
     alg = m.algebra
     if n.algebra is not alg:
         raise ValueError("modules live over different algebras")
     p = alg.p
     verts = alg.quiver.vertices
-    sizes = [m.dims[v] * n.dims[v] for v in verts]
-    offsets = np.cumsum([0] + sizes)
-    nvars = int(offsets[-1])
-    if nvars == 0:
+    if not any(m.dims[v] and n.dims[v] for v in verts):
         return []
-    vidx = {v: i for i, v in enumerate(verts)}
-    blocks = []
-    for a in alg.quiver.arrows:
-        s, t = a.source, a.target
-        neq = m.dims[s] * n.dims[t]
-        if neq == 0:
-            continue
-        row = ef.zeros(neq, nvars)
-        # T^m_a f_t  contributes kron(T^m_a, I) on f_t's variables
-        if sizes[vidx[t]]:
-            row[:, offsets[vidx[t]]:offsets[vidx[t] + 1]] = np.kron(
-                m.mats[a.name], ef.eye(n.dims[t]))
-        # -f_s T^n_a contributes -kron(I, T^n_a^T) on f_s's variables
-        if sizes[vidx[s]]:
-            row[:, offsets[vidx[s]]:offsets[vidx[s] + 1]] -= np.kron(
-                ef.eye(m.dims[s]), n.mats[a.name].T)
-        blocks.append(row % p)
-    system = np.concatenate(blocks, axis=0) if blocks else ef.zeros(0, nvars)
-    basis = ef.kernel_basis(system, p)
+    pres = presentation(m)
+    nvars = sum(len(cols) * n.dims[v] for v, cols in pres.gens.items())
+    if not nvars:
+        return []
+    stacks = {v: _path_stacks(n, v) for v in pres.gens}
+
+    def blocks(w: str):
+        """(v, copies, first column, paths) per vertex v of generators, in P0_w."""
+        col = 0
+        for v, cols in pres.gens.items():
+            c = stacks[v][w].shape[0]
+            yield v, len(cols), col, c
+            col += len(cols) * c
+
+    def equations(w: str) -> np.ndarray:
+        """omega_w Phi_w(y) = 0 as rows over the unknowns y."""
+        om, dw = pres.omega[w], n.dims[w]
+        r = om.shape[0]
+        out = []
+        for v, k, col, c in blocks(w):
+            dv = n.dims[v]
+            part = om[:, col:col + k * c].reshape(r * k, c) @ stacks[v][w].reshape(c, dv * dw)
+            out.append(part.reshape(r, k, dv, dw).transpose(0, 3, 1, 2).reshape(r * dw, k * dv))
+        return np.concatenate(out, axis=1) % p
+
+    system = [equations(w) for w in verts if pres.omega[w].shape[0] and n.dims[w]]
+    ys = ef.kernel_basis(np.concatenate(system, axis=0) if system else ef.zeros(0, nvars), p)
+    nb = ys.shape[0]
+    if not nb:
+        return []
+    ycols, off = {}, 0
+    for v, cols in pres.gens.items():
+        ycols[v] = slice(off, off + len(cols) * n.dims[v])
+        off += len(cols) * n.dims[v]
+    flat = []
+    for w in (w for w in verts if m.dims[w] and n.dims[w]):
+        # Phi_w(y) on the section's rows only, then S_w's inverse block
+        rows, inv = pres.sections[w]
+        dw = n.dims[w]
+        picked = []
+        for v, k, col, c in blocks(w):
+            t = rows[(rows >= col) & (rows < col + k * c)] - col
+            if t.size:
+                yv = ys[:, ycols[v]].reshape(nb, k, n.dims[v])[:, t // c, :]
+                picked.append(np.matmul(yv.transpose(1, 0, 2), stacks[v][w][t % c]) % p)
+        phi = np.concatenate(picked, axis=0).reshape(m.dims[w], nb * dw)
+        fw = ef.matmul(inv, phi, p)
+        flat.append(fw.reshape(m.dims[w], nb, dw).transpose(1, 0, 2).reshape(nb, m.dims[w] * dw))
+    flat = np.concatenate(flat, axis=1)
+    # when Hom is all of the vertexwise maps, its canonical basis is the identity
+    basis = ef.eye(nb) if nb == flat.shape[1] else ef.rref(flat[:, ::-1], p)[0][::-1, ::-1]
     maps = []
     for row in basis:
-        mats = {}
-        for i, v in enumerate(verts):
-            mats[v] = row[offsets[i]:offsets[i + 1]].reshape(m.dims[v], n.dims[v])
+        mats, off = {}, 0
+        for v in verts:
+            size = m.dims[v] * n.dims[v]
+            mats[v] = row[off:off + size].reshape(m.dims[v], n.dims[v])
+            off += size
         maps.append(RepMap(m, n, mats))
     return maps
 

@@ -442,7 +442,7 @@ def _check_g_side(c, side: str, budgets: Budgets, details: list) -> bool:
             mism += 1
         # exactness on the cover sequence of m
         cover, epi = homology.projective_cover(m)
-        om, kinc = repmod.kernel(epi)
+        om, kinc = repmod.submodule(cover, repmod.presentation(m).omega)
         gk = gfun(c, om)
         gP = gfun(c, cover)
         gM = gm

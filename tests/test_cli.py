@@ -181,6 +181,23 @@ def test_cli_opposite_roundtrip(tmp_path, capsys):
     assert (arrow.source, arrow.target) == ("2", "1")
 
 
+def test_cli_opposite_unwritable_out_exits_3(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "op.alg")
+    assert _run(["opposite", "exA.alg", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and out in err
+
+
+def test_cli_syzygy_power_stops_at_the_dimension_cap(capsys):
+    # Omega^4(S0) over exA has dimension 49, above the default cap of 40;
+    # without the cap Omega^16 would run for many minutes
+    assert _run(["syzygy", "exA.alg", "--module", "S0", "--power", "16"]) == 2
+    assert "Omega^4 has dimension 49" in capsys.readouterr().err
+    assert _run(["--max-dim", "49", "syzygy", "exA.alg", "--module", "S0", "--power", "4"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert sum(data["syzygy"]["dims"].values()) == 49
+
+
 def test_cli_gluing_parse_errors():
     with pytest.raises(cli.InputError):
         cli.parse_gluing("glue g\nleft a.alg\nideal generated\n", "g.glue")

@@ -79,6 +79,31 @@ def test_iso_examples(exB):
         assert r.witness.is_invertible()
 
 
+def test_known_end_dimension_settles_no_before_the_random_rounds(monkeypatch):
+    # R_1 + R_2 against R_1 + R_3 over the Kronecker quiver: equal
+    # fingerprints, Hom of dimension 1, End of dimension 2
+    kron = cli.parse_algebra("algebra K field 5 truncate 5\nvertex 1 2\n"
+                             "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
+
+    def regular(*points):
+        d = len(points)
+        return repmod.Rep(kron, {"1": d, "2": d}, {"a": np.eye(d, dtype=np.int64),
+                                                   "b": np.diag(points)})
+
+    calls = []
+    combine = repmod.combine_maps
+    monkeypatch.setattr(repmod, "combine_maps", lambda *a: calls.append(a) or combine(*a))
+    m, n = regular(1, 2), regular(1, 3)
+    assert decomp.fingerprint(m) == decomp.fingerprint(n)
+    r = decomp.is_isomorphic(m, n)
+    assert (r.verdict, r.method) == ("no", "hom dimension mismatch")
+    assert len(calls) == 40 and m._end_dim == 2
+    calls.clear()
+    r = decomp.is_isomorphic(m, regular(1, 4))
+    assert (r.verdict, r.method) == ("no", "hom dimension mismatch")
+    assert calls == []
+
+
 def test_fingerprint_iso_invariance(exB):
     rng = np.random.default_rng(11)
     for seed in range(10):

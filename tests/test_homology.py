@@ -42,6 +42,19 @@ def test_syzygy_examples(exB, a2):
     assert homology.syzygy(om1).is_zero
 
 
+def test_syzygy_is_the_kernel_of_a_fresh_cover(exB, a2, nak_a3):
+    # the syzygy read off the cached presentation equals the kernel of the
+    # epi of a cover built on a fresh copy of the module
+    mods = [repmod.simple(exB, "1"), repmod.simple(a2, "1"), exB.projective("1"),
+            repmod.radical(exB.projective("1"))[0]]
+    mods += [repmod.random_module(alg, seed, 10) for alg in (exB, nak_a3)
+             for seed in range(10)]
+    for m in mods:
+        fresh = repmod.Rep(m.algebra, m.dims, m.mats)
+        _, epi = homology.projective_cover(fresh)
+        assert homology.syzygy(m).equals(repmod.kernel(epi)[0])
+
+
 def test_syzygy_blockwise_on_sums(exB):
     m = repmod.random_module(exB, 1, 8)
     n = repmod.random_module(exB, 2, 8)

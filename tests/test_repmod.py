@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from quivalg import decomp, exactfield as ef, repmod
+from hom_oracle import kron_hom_basis
+from quivalg import cli, decomp, exactfield as ef, repmod
 from quivalg.pathalgebra import Quiver, build_algebra, make_path
+
+FIXTURES = ("a2.alg", "exA.alg", "exB.alg", "exC.glue", "exCop.glue", "nakayama-a3.alg",
+            "nakayama-selfinj.alg", "point.alg", "rad-square-zero-pair.glue",
+            "remark54.glue", "rsz-a.alg", "rsz-b.alg")
 
 
 def test_validate_projectives_and_simples(exB):
@@ -27,6 +32,47 @@ def test_hom_dimensions(a2, exB):
     assert len(repmod.hom_basis(a2.projective("1"), s1)) == 1
     # End(P1) over the radical-square-zero algebra has dimension 2
     assert len(repmod.hom_basis(exB.projective("1"), exB.projective("1"))) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_hom_basis_matches_the_kron_oracle(p):
+    # bit for bit, on seeded pairs of simples, projectives, random modules,
+    # a sum of two of them and the zero module, over every bundled fixture
+    for name in FIXTURES:
+        alg = cli.underlying_algebra(cli.load_any(name, p))
+        verts = alg.quiver.vertices
+        rand = [repmod.random_module(alg, seed, 9) for seed in range(4)]
+        mods = ([repmod.simple(alg, v) for v in verts] + [alg.projective(v) for v in verts]
+                + rand + [repmod.direct_sum(rand[:2])[0], repmod.zero_rep(alg)])
+        rng = np.random.default_rng([p, len(name)])
+        for _ in range(16):
+            m, n = (mods[i] for i in rng.integers(len(mods), size=2))
+            got, want = repmod.hom_basis(m, n), kron_hom_basis(m, n)
+            assert len(got) == len(want), (name, m, n)
+            for f, g in zip(got, want):
+                assert f.is_valid()
+                for v in verts:
+                    assert np.array_equal(f.mats[v], g.mats[v]), (name, m, n)
+
+
+def test_presentation_is_a_presentation(exB, nak_a3):
+    for alg in (exB, nak_a3):
+        p = alg.p
+        for seed in range(8):
+            m = repmod.random_module(alg, seed, 10)
+            pres = repmod.presentation(m)
+            assert repmod.presentation(m) is pres
+            cover, epi = repmod.projective_cover(m)
+            assert epi.is_valid() and epi.is_surjective()
+            for w in alg.quiver.vertices:
+                rows, inv = pres.sections[w]
+                section = ef.zeros(m.dims[w], cover.dims[w])
+                section[:, rows] = inv
+                assert np.array_equal(ef.matmul(section, epi.mats[w], p), ef.eye(m.dims[w]))
+                omega = pres.omega[w]
+                assert omega.shape == (cover.dims[w] - m.dims[w], cover.dims[w])
+                assert not ef.matmul(omega, epi.mats[w], p).any()
+                assert ef.rank_fp(omega, p) == omega.shape[0]
 
 
 def test_direct_sum_dims_and_maps(exB):
@@ -119,12 +165,15 @@ def test_random_module_contract(exB, exA):
 
 
 def test_hom_additivity(exB):
+    # in each argument
     for seed in range(10):
         m = repmod.random_module(exB, seed, 8)
         n1 = repmod.random_module(exB, seed + 40, 8)
         n2 = repmod.random_module(exB, seed + 80, 8)
         lhs = len(repmod.hom_basis(m, repmod.direct_sum([n1, n2])[0]))
         assert lhs == len(repmod.hom_basis(m, n1)) + len(repmod.hom_basis(m, n2))
+        lhs = len(repmod.hom_basis(repmod.direct_sum([n1, n2])[0].strip(), m))
+        assert lhs == len(repmod.hom_basis(n1, m)) + len(repmod.hom_basis(n2, m))
 
 
 def test_top_hom_identity(exB):
