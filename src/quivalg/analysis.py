@@ -18,6 +18,8 @@ from .budgets import DEFAULT, BudgetExceeded, Budgets
 from .pathalgebra import BoundAlgebra
 from .repmod import Rep, RepMap
 
+PAIR_BUDGET = 80  # certified phi = 0 pairs phi_zero_probe tries, most promising first
+
 
 # ---------------------------------------------------------------------------
 # global dimension and the infinite locus Q^infinity
@@ -54,8 +56,7 @@ def _gldim_direct(alg: BoundAlgebra, budgets: Budgets) -> GldimResult:
     return GldimResult("finite", worst)
 
 
-def global_dimension(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
-                     try_opposite: bool = True) -> GldimResult:
+def global_dimension(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> GldimResult:
     """gldim via pd of the simples, falling back to the opposite algebra.
 
     Global dimension is left-right symmetric for these algebras (Tor measures
@@ -65,7 +66,7 @@ def global_dimension(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
     if key in alg.cache:
         return alg.cache[key]
     res = _gldim_direct(alg, budgets)
-    if res.status == "unknown" and try_opposite:
+    if res.status == "unknown":
         opres = _gldim_direct(alg.opposite(), budgets)
         if opres.status != "unknown":
             res = GldimResult(opres.status, opres.value, opres.witness, "opposite")
@@ -256,7 +257,7 @@ def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets, seed: in
 
 
 def phi_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
-                   seed: int = 0, pair_budget: int = 80) -> AdditivityVerdict:
+                   seed: int = 0) -> AdditivityVerdict:
     """Decide additivity of phi^{-1}(0) or search for a certified witness pair."""
     if is_selfinjective(alg):
         return AdditivityVerdict("additive_selfinjective")
@@ -292,7 +293,7 @@ def phi_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
                 grothendieck.lattice_rank_of([vi, vj])
             pairs.append((0 if drop_now else 1, i, j))
     pairs.sort()
-    for rank_hint, i, j in pairs[:pair_budget]:
+    for rank_hint, i, j in pairs[:PAIR_BUDGET]:
         mi, ri, _ = certified_zero[i]
         mj, rj, _ = certified_zero[j]
         both = repmod.direct_sum([mi, mj])[0]

@@ -1,17 +1,17 @@
 """Endomorphism algebras, Krull-Schmidt decomposition, iso tests, registry.
 
 Splitting strategy: factor minimal polynomials of endomorphisms; a coprime
-factorization induces a direct splitting by generalized kernels.  Every split
-is such a pair of generalized kernels of one endomorphism of M, including the
-lifts to End(M) of elements and idempotents of E/J(E).  The radical J(E) is
-the radical of the trace form tr_M(x y) of E = End(M) on M: one product of
-the flattened basis with its vertexwise transpose, exact for p > dim M and
-checked by a nilpotency flag on M below that (when the flag stalls, a local
-E can still be certified by the eigenvalues of its basis).  Locality of E is
-certified by exhibiting E/J(E) as a finite field (an element whose lift has a
-minimal polynomial with one irreducible factor, of degree dim E/J(E)), with
-an exhaustive idempotent search below |F|^dim <= 10^6 and an honest
-probabilistic flag otherwise.
+factorization induces a direct splitting by generalized kernels.  One loop,
+`_certify_or_split`, factors each candidate once: first E = End(M)'s basis;
+if none splits M, the radical J(E), as the radical of the trace form
+tr_M(x y) on M (one product of the flattened basis with its vertexwise
+transpose, exact for p > dim M and checked by a nilpotency flag on M below
+that); then `confidence` random elements of E; then an exhaustive idempotent
+search in E/J(E) below |F|^dim <= 10^6, and an honest probabilistic flag
+otherwise.  Locality of E is certified, at any step, by exhibiting E/J(E) as
+a finite field (a candidate whose minimal polynomial has one irreducible
+factor, of degree dim E/J(E)) or, when the flag stalls, by the eigenvalues of
+the basis.  A local End(M) thus costs no random draw in the common case.
 """
 
 from __future__ import annotations
@@ -117,29 +117,22 @@ def _poly_kernel_piece(m: Rep, mats: dict[str, np.ndarray], g: list[int]) -> Rep
     return sub
 
 
-def _coprime_split(factors, p: int) -> tuple[list[int], list[int]]:
-    """(q0^e0, product of the other prime powers) for a factor list of length >= 2."""
-    g, h = [1], [1]
-    for _ in range(factors[0][1]):
-        g = fppoly.mul(g, factors[0][0], p)
-    for q, e in factors[1:]:
-        for _ in range(e):
-            h = fppoly.mul(h, q, p)
-    return g, h
-
-
 def _split_by(m: Rep, f: dict[str, np.ndarray], rng):
     """(factors, pieces) for the endomorphism f of m, given vertexwise.
 
     factors is the factorization of the minimal polynomial of f; pieces is
-    [ker g(f), ker h(f)] for coprime g, h with g h that polynomial, or None
-    when it is a prime power.
+    [ker g(f), ker h(f)] for g the first prime power of that polynomial and h
+    its cofactor, or None when the polynomial is a prime power.
     """
     p = m.algebra.p
-    factors = fppoly.factor(_minpoly_of_mats(f, p), p, rng)
+    minpoly = _minpoly_of_mats(f, p)
+    factors = fppoly.factor(minpoly, p, rng)
     if len(factors) < 2:
         return factors, None
-    g, h = _coprime_split(factors, p)
+    g = [1]
+    for _ in range(factors[0][1]):
+        g = fppoly.mul(g, factors[0][0], p)
+    h = fppoly.divmod_poly(minpoly, g, p)[0]
     pieces = [_poly_kernel_piece(m, f, g), _poly_kernel_piece(m, f, h)]
     if pieces[0].total_dim + pieces[1].total_dim != m.total_dim:
         raise AssertionError("generalized kernels do not exhaust the module")
@@ -192,40 +185,61 @@ def _trace_radical(E: EndAlgebra):
     return pivots, pair
 
 
-def _local_by_eigenvalues(E: EndAlgebra) -> bool:
+def _local_by_eigenvalues(E: EndAlgebra, factors) -> bool:
     """Whether every basis element b_i of E has one eigenvalue lambda_i, in
     F_p, and the flag shows the b_i - lambda_i nilpotent.
 
-    Then they generate a nilpotent ideal N with E = F_p + N, so E is local.
-    This certifies a local E whose trace form vanishes, as it does when p
-    divides the length of M over E.
+    factors[i] is the factorization of the minimal polynomial of b_i.  Then
+    the b_i - lambda_i generate a nilpotent ideal N with E = F_p + N, so E is
+    local.  This certifies a local E whose trace form vanishes, as it does
+    when p divides the length of M over E.
     """
     shifted = []
-    for f in E.basis:
-        # a prime power makes no random draw; a local generator keeps the
-        # caller's stream out of it either way
-        factors = fppoly.factor(_minpoly_of_mats(f.mats, E.p), E.p, np.random.default_rng(0))
-        if len(factors) != 1 or fppoly.degree(factors[0][0]) != 1:
+    for f, fac in zip(E.basis, factors):
+        if len(fac) != 1 or fppoly.degree(fac[0][0]) != 1:
             return False
         # the factor is x + c, so b_i - lambda_i = b_i + c
-        shifted.append({v: x + factors[0][0][0] * ef.eye(len(x)) for v, x in f.mats.items()})
+        shifted.append({v: x + fac[0][0][0] * ef.eye(len(x)) for v, x in f.mats.items()})
     return _nilpotent_on(_stacks(E.module, shifted), E.p)
 
 
 def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
-    """Outcome for a module no random element managed to split.
+    """Split m by an endomorphism, or certify that E = End(m) is local.
 
-    Works in S = E/J(E), whose basis is E's basis elements off the pivot
-    columns of J(E); x in S lifts to E with those coordinates.  Returns
-    ("certified", None), ("probabilistic", None) or ("pieces", [Rep]).
+    Tries the candidates in the order of the module docstring.  S = E/J(E)
+    has as basis E's basis elements off the pivot columns of J(E); x in S
+    lifts to E with those coordinates.  Returns ("certified", None),
+    ("probabilistic", None) or ("pieces", [Rep]).
     """
     p = E.p
     if E.dim == 1:
         return ("certified", None)
+    basis_factors = []
+    for f in E.basis:
+        factors, pieces = _split_by(m, f.mats, rng)
+        if pieces is not None:
+            return ("pieces", pieces)
+        basis_factors.append(factors)
     pivots, pair = _trace_radical(E)
     free = [i for i in range(E.dim) if i not in pivots]
-    if len(free) == 1 or (pair is None and _local_by_eigenvalues(E)):
+
+    def spans_field(factors):
+        # J(E) is nilpotent, so the minimal polynomial of the image of x in S
+        # divides that of x, a power of one irreducible q: when deg q = dim S,
+        # the image generates S, which is then the field F_p[t]/(q)
+        return fppoly.degree(factors[0][0]) == len(free)
+
+    if any(map(spans_field, basis_factors)) or (
+            pair is None and _local_by_eigenvalues(E, basis_factors)):
         return ("certified", None)
+    for _ in range(confidence):
+        factors, pieces = _split_by(m, E.element(rng.integers(0, p, size=E.dim)), rng)
+        if pieces is not None:
+            return ("pieces", pieces)
+        if spans_field(factors):
+            return ("certified", None)
+    if p ** len(free) > EXHAUSTIVE_LIMIT:
+        return ("probabilistic", None)
 
     def lift(x):
         coords = np.zeros(E.dim, dtype=np.int64)
@@ -236,19 +250,6 @@ def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
         row = np.concatenate([y[v].reshape(-1) for v in m.algebra.quiver.vertices])
         return not (row.any() if pair is None else ef.matmul(row.reshape(1, -1), pair, p).any())
 
-    candidates = list(ef.eye(len(free)))
-    candidates += [rng.integers(0, p, size=len(free)) for _ in range(confidence)]
-    for x in candidates:
-        # J(E) is nilpotent, so the minimal polynomial of x in S divides that
-        # of its lift, which divides a power of it: a reducible one splits M,
-        # and an irreducible one of degree dim S makes S a field
-        factors, pieces = _split_by(m, lift(x), rng)
-        if pieces is not None:
-            return ("pieces", pieces)
-        if fppoly.degree(factors[0][0]) == len(free):
-            return ("certified", None)
-    if p ** len(free) > EXHAUSTIVE_LIMIT:
-        return ("probabilistic", None)
     # x is a nontrivial idempotent of S iff x != 0, lift^2 - lift lies in J(E)
     # and lift - 1 does not; then the minimal polynomial of the lift has the
     # factors x and x - 1, and the lift splits M
@@ -269,25 +270,11 @@ def _fp_vectors(p: int, n: int):
 
 def indecomposable_pieces(m: Rep, rng, confidence: int):
     """Split m into indecomposables; returns (pieces, all_certified)."""
-    p = m.algebra.p
     if m.is_zero:
         return [], True
-    E = end_algebra(m)
-    if E.dim == 1:
-        return [m], True
-    split = None
-    for rounds in range(E.dim + confidence):
-        if rounds < E.dim:
-            f = E.basis[rounds].mats
-        else:
-            f = E.element(rng.integers(0, p, size=E.dim))
-        split = _split_by(m, f, rng)[1]
-        if split is not None:
-            break
-    if split is None:
-        status, split = _certify_or_split(m, E, rng, confidence)
-        if status != "pieces":
-            return [m], status == "certified"
+    status, split = _certify_or_split(m, end_algebra(m), rng, confidence)
+    if status != "pieces":
+        return [m], status == "certified"
     out, ok = [], True
     for piece in split:
         sub_pieces, sub_ok = indecomposable_pieces(piece, rng, confidence)
@@ -384,9 +371,8 @@ class IsoRegistry:
     projectives by vertex order; discovered classes follow in first-seen order.
     """
 
-    def __init__(self, algebra, confidence: int = 40):
+    def __init__(self, algebra):
         self.algebra = algebra
-        self.confidence = confidence
         self.entries: list[RegistryEntry] = []
         self.buckets: dict[tuple, list[int]] = {}
         self.simple_ids: dict[str, int] = {}
@@ -403,8 +389,7 @@ class IsoRegistry:
             raise ValueError("cannot register the zero module")
         fp = fingerprint(m)
         for eid in self.buckets.get(fp, ()):
-            res = is_isomorphic(self.entries[eid].rep, m, seed=seed,
-                                confidence=self.confidence)
+            res = is_isomorphic(self.entries[eid].rep, m, seed=seed)
             if res.verdict == "yes":
                 return eid
             if res.verdict == "inconclusive":

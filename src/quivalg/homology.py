@@ -326,13 +326,15 @@ class OrbitResult:
     frontier: tuple
     closed: bool
     note: str = ""
+    certified: bool = True  # False when a decomposition it rests on is probabilistic
 
     def nonprojective(self, registry) -> tuple:
         return tuple(i for i in self.reached if not registry.is_projective(i))
 
 
 def omega_orbit(alg: BoundAlgebra, seeds, budgets: Budgets = DEFAULT) -> OrbitResult:
-    """BFS closure of syzygy classes from the given registered seed ids."""
+    """BFS closure of syzygy classes from the given registered seed ids; a
+    closed orbit is certified when every syzygy decomposition it visited is."""
     registry = alg.registry()
     seen = set(seeds)
     frontier = [i for i in sorted(seen) if not registry.is_projective(i)]
@@ -353,14 +355,16 @@ def omega_orbit(alg: BoundAlgebra, seeds, budgets: Budgets = DEFAULT) -> OrbitRe
                     if not registry.is_projective(j):
                         nxt.append(j)
         frontier = sorted(nxt)
-    return OrbitResult(tuple(sorted(seen)), (), True)
+    return OrbitResult(tuple(sorted(seen)), (), True,
+                       certified=all(registry.entries[i].syzygy_certified for i in seen))
 
 
 def syzygy_finite_probe(alg: BoundAlgebra, n_shift: int = 1,
                         budgets: Budgets = DEFAULT):
     """Closed(generating class set for K_{n_shift}) or Open.
 
-    Runs omega_orbit on the classes of Omega^{n_shift} of the sum of simples.
+    Runs omega_orbit on the classes of Omega^{n_shift} of the sum of simples;
+    the orbit is certified only if that decomposition is too.
     """
     simples = [repmod.simple(alg, v) for v in alg.quiver.vertices]
     m0 = repmod.direct_sum(simples)[0] if len(simples) > 1 else simples[0]
@@ -374,5 +378,6 @@ def syzygy_finite_probe(alg: BoundAlgebra, n_shift: int = 1,
                                budgets=budgets, registry=registry)
     except BudgetExceeded as exc:
         return OrbitResult((), (), False, str(exc))
-    seeds = [i for i, _ in res.items]
-    return omega_orbit(alg, seeds, budgets)
+    orbit = omega_orbit(alg, [i for i, _ in res.items], budgets)
+    orbit.certified &= res.certified
+    return orbit

@@ -375,7 +375,9 @@ def _side_orbit(side_alg: BoundAlgebra, seed_mod: Rep, budgets: Budgets):
                                registry=side_alg.registry())
     except BudgetExceeded as exc:
         return homology.OrbitResult((), (), False, str(exc))
-    return homology.omega_orbit(side_alg, [i for i, _ in res.items], budgets)
+    orbit = homology.omega_orbit(side_alg, [i for i, _ in res.items], budgets)
+    orbit.certified &= res.certified
+    return orbit
 
 
 def check_h4(c: GluedAlgebra, budgets: Budgets = DEFAULT,
@@ -405,7 +407,8 @@ def check_h4(c: GluedAlgebra, budgets: Budgets = DEFAULT,
         raise ValueError(f"unknown H4 variant {variant!r}")
     a_orbit = _side_orbit(c.left, seed_a, budgets)
     b_orbit = _side_orbit(c.right, seed_b, budgets)
-    status = "finitely_generated" if a_orbit.closed and b_orbit.closed else "inconclusive"
+    settled = all(o.closed and o.certified for o in (a_orbit, b_orbit))
+    status = "finitely_generated" if settled else "inconclusive"
     return H4Report(status, variant, a_orbit, b_orbit)
 
 
@@ -521,7 +524,7 @@ class ClassificationReport:
 def _machine_side_status(alg: BoundAlgebra, budgets: Budgets) -> SideStatus:
     probe = homology.syzygy_finite_probe(alg, 1, budgets)
     status = SideStatus()
-    if probe.closed:
+    if probe.closed and probe.certified:
         status.syzygy_finite = {"n": 1, "provenance": "machine",
                                 "classes": list(probe.reached)}
         status.it_level = {"n": 1, "provenance": "machine (syzygy-finite)"}
@@ -592,7 +595,7 @@ def classify_gluing(c: GluedAlgebra, a_status: SideStatus | None = None,
     # one-directional LIT gluing (alphas only)
     if c.flags["k_empty"] and a_status.it_level and b_status.lit_level:
         b_orbit = h4_full.b_orbit
-        if b_orbit is not None and b_orbit.closed:
+        if b_orbit is not None and b_orbit.closed and b_orbit.certified:
             n = max(a_status.it_level["n"], b_status.lit_level["n"])
             entries.append(ClassificationEntry(
                 "lit_one_directional",

@@ -369,11 +369,11 @@ def criterion_7(fx: Fixtures, budgets: Budgets) -> dict:
     probe_a = homology.syzygy_finite_probe(c.left, 1, budgets)
     probe_b = homology.syzygy_finite_probe(c.right, 1, budgets)
     details.append(f"side probes closed: {probe_a.closed}, {probe_b.closed}")
-    ok &= probe_a.closed and probe_b.closed
+    ok &= all(q.closed and q.certified for q in (probe_a, probe_b))
     probe_c = homology.syzygy_finite_probe(c.algebra, 2, budgets)
     details.append(f"glued probe (shift 2) closed: {probe_c.closed}, "
                    f"classes {list(probe_c.reached)}")
-    ok &= probe_c.closed
+    ok &= probe_c.closed and probe_c.certified
     h4 = morita.check_h4(c, budgets, "full")
     details.append(f"orbit subgroup: {h4.status}")
     ok &= h4.status == "finitely_generated"

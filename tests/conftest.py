@@ -46,3 +46,21 @@ def remark54():
 @pytest.fixture(scope="session")
 def rsz():
     return cli.load_glue_file("rad-square-zero-pair.glue")
+
+
+@pytest.fixture
+def probabilistic_registry_decompositions(monkeypatch):
+    """Report every decomposition into a registry (syzygy classes, orbit
+    seeds) as probabilistic; other decompositions are left alone."""
+    from quivalg import decomp
+
+    decompose = decomp.decompose
+
+    def probabilistic(m, *args, **kwargs):
+        res = decompose(m, *args, **kwargs)
+        if kwargs.get("registry") is None:
+            return res
+        return decomp.DecomposeResult(res.items, False, res.confidence)
+
+    monkeypatch.setattr(decomp, "decompose", probabilistic)
+    return monkeypatch

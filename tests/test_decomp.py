@@ -177,6 +177,12 @@ def test_trace_radical_codimension(exB, a2):
         assert pair is not None and E.dim - len(pivots) == dim_s
 
 
+def _basis_factors(E):
+    """The factorized minimal polynomial of each basis element of E."""
+    return [fppoly.factor(decomp._minpoly_of_mats(f.mats, E.p), E.p, np.random.default_rng(0))
+            for f in E.basis]
+
+
 def _truncated_polynomial_ring(n, p):
     """k[x]/(x^n) over F_p and its one indecomposable projective."""
     alg = cli.parse_algebra(f"algebra L field {p} truncate 10\nvertex v\narrow x: v -> v\n"
@@ -201,7 +207,7 @@ def test_trace_radical_stalls_when_p_divides_the_length():
     m = _truncated_polynomial_ring(2, 2)
     E = decomp.end_algebra(m)
     assert decomp._trace_radical(E) == ([], None)
-    assert decomp._local_by_eigenvalues(E)
+    assert decomp._local_by_eigenvalues(E, _basis_factors(E))
     assert decomp._certify_or_split(m, E, np.random.default_rng(0), 0) == ("certified", None)
 
 
@@ -216,7 +222,7 @@ def test_stalled_form_radical_is_not_trusted():
     m = repmod.direct_sum([alg.projective("1"), repmod.simple(alg, "3")])[0].strip()
     E = decomp.end_algebra(m)
     assert E.dim == 2 and decomp._trace_radical(E) == ([], None)
-    assert not decomp._local_by_eigenvalues(E)
+    assert not decomp._local_by_eigenvalues(E, _basis_factors(E))
     status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)
     assert status == "pieces"
     assert sorted(piece.total_dim for piece in pieces) == [1, 2]
@@ -244,7 +250,7 @@ def test_eigenvalue_certificate_needs_the_flag():
     E = decomp.end_algebra(m)
     E.basis = [repmod.RepMap(m, m, {"v": mat}) for mat in
                ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [2, 0]])]
-    assert not decomp._local_by_eigenvalues(E)
+    assert not decomp._local_by_eigenvalues(E, _basis_factors(E))
 
 
 @pytest.mark.parametrize("name", ["exB.alg", "a2.alg", "nakayama-a3.alg", "exA.alg"])
@@ -281,6 +287,34 @@ def _kronecker_f9():
     kron = cli.parse_algebra("algebra K field 3 truncate 5\nvertex 1 2\n"
                              "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
     return repmod.Rep(kron, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 1], [2, 0]]})
+
+
+@pytest.mark.parametrize("module", [
+    lambda: cli.load_algebra_file("exB.alg").projective("1"),  # E/J(E) = F_p
+    lambda: cli.load_algebra_file("exA.alg").projective("0"),  # E/J(E) = F_p
+    _kronecker_f9,  # E/J(E) = E = F_9
+    lambda: _truncated_polynomial_ring(2, 2),  # the form vanishes: eigenvalues
+], ids=["exB-P1", "exA-P0", "kronecker-F9", "k[x]/(x^2)-p2"])
+def test_local_end_is_certified_from_its_basis(module, monkeypatch):
+    # each basis element of E is factored once, J(E) certifies E as local,
+    # and no random element is drawn
+    m = module()
+    E = decomp.end_algebra(m)
+    assert E.dim > 1
+    calls = []
+    split_by = decomp._split_by
+
+    def counted(*args):
+        calls.append(args[1])
+        return split_by(*args)
+
+    monkeypatch.setattr(decomp, "_split_by", counted)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    pieces, certified = decomp.indecomposable_pieces(m, rng, 40)
+    assert certified and len(pieces) == 1 and pieces[0] is m
+    assert len(calls) == E.dim
+    assert rng.bit_generator.state == state
 
 
 def test_certify_or_split_lifts_a_candidate(exB):
@@ -322,7 +356,7 @@ def test_exhaustive_idempotent_search_certifies_a_local_end():
     m = repmod.Rep(kron, {"1": 4, "2": 4}, {"a": np.eye(4, dtype=np.int64), "b": comp})
     E = decomp.end_algebra(m)
     assert E.dim == 4 and decomp._trace_radical(E) == ([], None)
-    assert not decomp._local_by_eigenvalues(E)
+    assert not decomp._local_by_eigenvalues(E, _basis_factors(E))
     assert decomp._certify_or_split(m, E, np.random.default_rng(0), 0) == ("certified", None)
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from quivalg import decomp, exactfield as ef, homology, repmod
+from quivalg import cli, decomp, exactfield as ef, homology, repmod
 
 
 def test_cover_examples(exB, a2):
@@ -115,6 +115,26 @@ def test_syzygy_finite_probe(exB, exA, a2):
     d0 = homology.syzygy(s0).total_dim
     d1 = homology.syzygy(homology.syzygy(s0)).total_dim
     assert 1 < d0 < d1
+
+
+def test_probabilistic_syzygy_decompositions_leave_orbits_uncertified(
+        probabilistic_registry_decompositions):
+    # fresh algebras, so no syzygy class is cached from a certified run
+    exB, a2 = cli.load_algebra_file("exB.alg"), cli.load_algebra_file("a2.alg")
+    regB = exB.registry()
+    seeds = [regB.simple_ids["1"], regB.simple_ids["2"]]
+    # the orbit visits the syzygy classes of S1 and S2
+    orbit = homology.omega_orbit(exB, seeds)
+    assert orbit.closed and not orbit.certified
+    # Omega(S1 + S2) = P2 over A2: the orbit visits nothing, and only the
+    # decomposition of the seed is probabilistic
+    probe = homology.syzygy_finite_probe(a2, 1)
+    assert probe.closed and probe.reached == (a2.registry().projective_ids["2"],)
+    assert not probe.certified
+    probabilistic_registry_decompositions.undo()
+    exB, a2 = cli.load_algebra_file("exB.alg"), cli.load_algebra_file("a2.alg")
+    assert homology.omega_orbit(exB, seeds).certified
+    assert homology.syzygy_finite_probe(a2, 1).certified
 
 
 def test_semisimple_probe_closed():

@@ -1,6 +1,6 @@
 import pytest
 
-from quivalg import decomp, grothendieck as gk, homology, morita, repmod
+from quivalg import cli, decomp, grothendieck as gk, homology, morita, repmod
 from quivalg.budgets import DEFAULT
 from quivalg.pathalgebra import Quiver, build_algebra
 
@@ -119,6 +119,24 @@ def test_check_h4_variants(exC, remark54):
     # Pi_A(Omega_C(B0)) is the projective P0 of A: orbit closed immediately
     regA = remark54.left.registry()
     assert set(r54.a_orbit.reached) <= {regA.projective_ids["0"]}
+
+
+def test_probabilistic_orbits_are_not_finitely_generated(probabilistic_registry_decompositions):
+    # exC's boundary variant closes both orbits and rsz's sides are syzygy
+    # finite (the tests above and below); with the decompositions under them
+    # probabilistic, neither is claimed
+    exC = cli.load_glue_file("exC.glue")
+    rsz = cli.load_glue_file("rad-square-zero-pair.glue")
+    rb = morita.check_h4(exC, DEFAULT, "boundary")
+    assert rb.b_orbit.closed and not rb.b_orbit.certified
+    assert rb.status == "inconclusive"
+    side = morita._machine_side_status(rsz.left, DEFAULT)
+    assert side.syzygy_finite is None and side.it_level is None
+    probabilistic_registry_decompositions.undo()
+    exC = cli.load_glue_file("exC.glue")
+    rsz = cli.load_glue_file("rad-square-zero-pair.glue")
+    assert morita.check_h4(exC, DEFAULT, "boundary").status == "finitely_generated"
+    assert morita._machine_side_status(rsz.left, DEFAULT).syzygy_finite["n"] == 1
 
 
 def test_cross_parts_projective_on_disjoint_generated(rsz):
