@@ -43,24 +43,26 @@ def fingerprint(m: Rep) -> tuple:
     preserves all of them).  Hom-space dimensions are deliberately left out:
     they cost a quadratic solve and the remaining invariants discriminate
     well enough that the certified iso test settles collisions.
+
+    Both series come from repmod.radical_layers, as row spans inside m with no
+    submodule or quotient built.  The radical series is rad^1(m), ...,
+    rad^L(m) = 0, and top = dim m - dim rad(m).  The socle series holds the
+    layers soc^k(m)/soc^{k-1}(m), k = 1..L, read off the radical layers of
+    the dual: soc^k(m) = rad^k(Dm)^perp (Auslander, Reiten and Smalø,
+    Representation Theory of Artin Algebras), so each layer is
+    dim rad^{k-1}(Dm) - dim rad^k(Dm), and the socle is the first.
     """
     if m._fp is not None:
         return m._fp
     p = m.algebra.p
     dims = m.dim_vector()
-    tops = repmod.top(m)[0].dim_vector()
-    socs = repmod.socle(m)[0].dim_vector()
-    rad_series = []
-    cur = m
-    while not cur.is_zero:
-        cur = repmod.radical(cur)[0]
-        rad_series.append(cur.dim_vector())
-    soc_series = []
-    cur = m
-    while not cur.is_zero:
-        soc, inc = repmod.socle(cur)
-        soc_series.append(soc.dim_vector())
-        cur = repmod.quotient(cur, inc)[0]
+    rad_series = repmod.radical_layers(m)
+    dual_series = repmod.radical_layers(m, dual=True)
+    soc_series = [tuple(a - b for a, b in zip(above, below))
+                  for above, below in zip([dims] + dual_series, dual_series)]
+    # the zero module's dim vector is its own (zero) top and socle
+    tops = tuple(d - r for d, r in zip(dims, rad_series[0])) if rad_series else dims
+    socs = soc_series[0] if soc_series else dims
     arrow_ranks = tuple(ef.rank_fp(m.mats[a.name], p)
                         for a in m.algebra.quiver.arrows)
     fp = (dims, tops, socs, tuple(rad_series), tuple(soc_series), arrow_ranks)

@@ -454,8 +454,8 @@ def f_map(c: GluedAlgebra, eid: int, budgets: Budgets = DEFAULT) -> FTriple:
         v0 = next(v for v, d in rep.dims.items() if d)
         if v0 in c.t_vertices_op:
             return FTriple({}, {}, {v0: 1})
-    topm, _ = repmod.top(rep)
-    tsupp = topm.support()
+    tops = reg.entries[eid].fp[1]
+    tsupp = frozenset(v for v, d in zip(cop.quiver.vertices, tops) if d)
     if tsupp <= c.a_vertices:
         part = repmod.restrict_rep(c.left.opposite(), rep)
         return FTriple(grothendieck.class_vector(part, budgets), {}, {})

@@ -429,14 +429,49 @@ def top(m: Rep) -> tuple[Rep, RepMap]:
     return quotient(m, inc)
 
 
+def radical_layers(m: Rep, dual: bool = False) -> list[tuple[int, ...]]:
+    """Dim vectors of rad^1(m), rad^2(m), ..., down to the first zero one.
+
+    Each rad^k is kept as vertexwise row spans inside m: rad^{k+1}(m)_v is the
+    row span of rad^k(m)_s m(a) over the arrows a: s -> v, one row_basis per
+    vertex per layer, with no submodule built.  With dual=True the same loop
+    runs on the transposed matrices along the reversed arrows, which is
+    rad^k(Dm) with no opposite algebra built.  Its annihilator in m is
+    soc^k(m), so dim soc^k(m)_v = dim m_v - dim rad^k(Dm)_v.  The zero module
+    gives [].  Raises ValueError when a nonzero layer does not shrink (m is
+    not a module over a bound algebra).
+    """
+    alg = m.algebra
+    p = alg.p
+    verts = alg.quiver.vertices
+    if dual:
+        into = {v: [(a.target, m.mats[a.name].T) for a in alg.quiver.arrows_out(v)]
+                for v in verts}
+    else:
+        into = {v: [(a.source, m.mats[a.name]) for a in alg.quiver.arrows_in(v)]
+                for v in verts}
+    layer = None  # rad^0(m) = m, on the identity basis
+    dims = m.dim_vector()
+    out = []
+    while any(dims):
+        nxt = {}
+        for v in verts:
+            moved = [mat if layer is None else ef.matmul(layer[s], mat, p)
+                     for s, mat in into[v]]
+            nxt[v] = ef.row_basis(np.concatenate(moved, axis=0) if moved
+                                  else ef.zeros(0, m.dims[v]), p)
+        layer = nxt
+        shrunk = tuple(layer[v].shape[0] for v in verts)
+        if shrunk == dims:
+            raise ValueError("nonzero module equals its own radical")
+        dims = shrunk
+        out.append(dims)
+    return out
+
+
 def loewy_length(m: Rep) -> int:
     """Least n with rad^n = 0; zero module has length 0."""
-    n = 0
-    cur = m
-    while not cur.is_zero:
-        cur = radical(cur)[0]
-        n += 1
-    return n
+    return len(radical_layers(m))
 
 
 def dualize(m: Rep) -> Rep:

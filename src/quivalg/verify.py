@@ -88,8 +88,8 @@ def criterion_1(fx: Fixtures, budgets: Budgets) -> dict:
     quotients.append(repmod.quotient(p0, soc_inc)[0])
     rad1, rad1_inc = repmod.radical(p0)
     quotients.append(repmod.quotient(p0, rad1_inc)[0])
-    rad2, _ = repmod.radical(rad1)
-    rows2 = {v: ef.matmul(repmod.radical(rad1)[1].mats[v], rad1_inc.mats[v], A.p)
+    _, rad2_inc = repmod.radical(rad1)
+    rows2 = {v: ef.matmul(rad2_inc.mats[v], rad1_inc.mats[v], A.p)
              for v in A.quiver.vertices}
     sub2, inc2 = repmod.submodule(p0, rows2)
     quotients.append(repmod.quotient(p0, inc2)[0])

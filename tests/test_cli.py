@@ -71,7 +71,7 @@ BROKEN = {"algebra": "exB", "dims": {"1": 1, "2": 0}, "maps": {"bb1": [[1]]}}
 
 
 @pytest.mark.parametrize("command,payload,says", [
-    # bb1 * bb1 = 0 fails: the radical series of the fingerprint never ends
+    # bb1 * bb1 = 0 fails: the module equals its own radical
     ("phi", BROKEN, "bb1*bb1"),
     ("pd", BROKEN, "bb1*bb1"),
     ("decompose", BROKEN, "bb1*bb1"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fingerprint_oracle import quotient_fingerprint
 from hom_oracle import kron_hom_basis
 from quivalg import cli, decomp, exactfield as ef, repmod
 from quivalg.pathalgebra import Quiver, build_algebra, make_path
@@ -34,16 +35,22 @@ def test_hom_dimensions(a2, exB):
     assert len(repmod.hom_basis(exB.projective("1"), exB.projective("1"))) == 2
 
 
+def _fixture_modules(name, p):
+    """Simples, projectives, seeded random modules, a sum of two of them and 0."""
+    alg = cli.underlying_algebra(cli.load_any(name, p))
+    verts = alg.quiver.vertices
+    rand = [repmod.random_module(alg, seed, 9) for seed in range(4)]
+    return alg, ([repmod.simple(alg, v) for v in verts] + [alg.projective(v) for v in verts]
+                 + rand + [repmod.direct_sum(rand[:2])[0], repmod.zero_rep(alg)])
+
+
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_hom_basis_matches_the_kron_oracle(p):
     # bit for bit, on seeded pairs of simples, projectives, random modules,
     # a sum of two of them and the zero module, over every bundled fixture
     for name in FIXTURES:
-        alg = cli.underlying_algebra(cli.load_any(name, p))
+        alg, mods = _fixture_modules(name, p)
         verts = alg.quiver.vertices
-        rand = [repmod.random_module(alg, seed, 9) for seed in range(4)]
-        mods = ([repmod.simple(alg, v) for v in verts] + [alg.projective(v) for v in verts]
-                + rand + [repmod.direct_sum(rand[:2])[0], repmod.zero_rep(alg)])
         rng = np.random.default_rng([p, len(name)])
         for _ in range(16):
             m, n = (mods[i] for i in rng.integers(len(mods), size=2))
@@ -53,6 +60,26 @@ def test_hom_basis_matches_the_kron_oracle(p):
                 assert f.is_valid()
                 for v in verts:
                     assert np.array_equal(f.mats[v], g.mats[v]), (name, m, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_fingerprint_matches_the_quotient_oracle(p):
+    # the same tuple, entry types and repr included, on the modules of the
+    # hom oracle test over every bundled fixture; loewy_length agrees too
+    for name in FIXTURES:
+        for m in _fixture_modules(name, p)[1]:
+            want = quotient_fingerprint(m)
+            got = decomp.fingerprint(m)
+            assert got == want and repr(got) == repr(want), (name, m)
+            assert repmod.loewy_length(m) == len(want[3]), (name, m)
+
+
+def test_series_of_a_module_that_is_its_own_radical_raise(exB):
+    # bb1 * bb1 = 0 fails, so this module equals its own radical
+    m = repmod.Rep(exB, {"1": 1}, {"bb1": [[1]]})
+    for series in (decomp.fingerprint, repmod.loewy_length):
+        with pytest.raises(ValueError, match="equals its own radical"):
+            series(m)
 
 
 def test_presentation_is_a_presentation(exB, nak_a3):
