@@ -172,10 +172,8 @@ def quotient_by_socle_part(alg: BoundAlgebra, v: str, verts) -> Rep | None:
         if soc.dims[w] == 0:
             return None
         rows[w] = soc_inc.mats[w][0:1]
-    sub, inc = repmod.submodule(proj, rows)
-    if sub.is_zero:
-        return None
-    return repmod.quotient(proj, inc)[0]
+    q = repmod.quotient(proj, rows)
+    return None if q.total_dim == proj.total_dim else q
 
 
 def _embed_and_quotient(pool: list, alg: BoundAlgebra, base: Rep,
@@ -204,12 +202,12 @@ def _embed_and_quotient(pool: list, alg: BoundAlgebra, base: Rep,
             for v in alg.quiver.vertices}
         expected = sum(pieces[i].total_dim for i in chosen)
         try:
-            sub, inc = repmod.submodule(cover, rows)
+            q = repmod.quotient(cover, rows)
         except repmod.NotASubmodule:
             continue
-        if sub.total_dim != expected or sub.total_dim == cover.total_dim:
+        if cover.total_dim - q.total_dim != expected or q.is_zero:
             continue
-        pool.append(repmod.quotient(cover, inc)[0])
+        pool.append(q)
 
 
 def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets, seed: int):

@@ -340,7 +340,7 @@ def parse_module_expr(alg: BoundAlgebra, expr: str) -> Rep:
                 raise InputError(f"{path}: {exc}") from exc
     terms = _split_top_level(expr, "+")
     mods = [_parse_module_term(alg, t.strip()) for t in terms]
-    return repmod.direct_sum(mods)[0] if len(mods) > 1 else mods[0]
+    return repmod.direct_sum(mods)[0]
 
 
 def _split_top_level(expr: str, sep: str) -> list[str]:
@@ -383,8 +383,8 @@ def _parse_module_term(alg: BoundAlgebra, term: str) -> Rep:
         _require_vertex(alg, v)
         if tail == "socle":
             proj = alg.projective(v)
-            _, inc = repmod.socle(proj)
-            base = repmod.quotient(proj, inc)[0]
+            _, soc_inc = repmod.socle(proj)
+            base = repmod.quotient(proj, soc_inc.mats)
         elif tail.startswith("(") and tail.endswith(")"):
             simple_terms = [t.strip() for t in tail[1:-1].split("+")]
             verts = []
@@ -406,7 +406,7 @@ def _parse_module_term(alg: BoundAlgebra, term: str) -> Rep:
         base = alg.projective(term[1:])
     else:
         raise InputError(f"cannot parse module literal {term!r}")
-    return repmod.power(base, power) if power > 1 else base
+    return repmod.power(base, power)
 
 
 def _require_vertex(alg: BoundAlgebra, v: str):

@@ -450,13 +450,13 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
 
     The dimension cap applies per direct-sum block (the unit of hom-solve
     cost), so recorded sums of small modules decompose even when the total is
-    large.
+    large.  The rng is built at the first block not already decomposed, so
+    cache hits and recorded sums of them never build it.
     """
     registry = registry or m.algebra.registry()
     if m.is_zero:
         return DecomposeResult((), True, confidence)
-    rng = np.random.default_rng([int(seed) % (2 ** 31),
-                                 m.algebra.structural_digest() % (2 ** 31), 23])
+    rng = None
     counter: Counter = Counter()
     certified = True
     stack = [m]
@@ -475,6 +475,9 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
         if cur.total_dim > budgets.max_dim:
             raise BudgetExceeded(
                 f"module dimension {cur.total_dim} exceeds the cap {budgets.max_dim}")
+        if rng is None:
+            rng = np.random.default_rng([int(seed) % (2 ** 31),
+                                         m.algebra.structural_digest() % (2 ** 31), 23])
         got, ok = indecomposable_pieces(cur, rng, confidence)
         got.sort(key=_piece_sort_key)
         local: Counter = Counter()

@@ -3,7 +3,8 @@
 The matrix contract: an F_p matrix is a 2-d numpy int64 array with entries
 in [0, p).  `as_matrix` is the one coerce-and-reduce step; it runs where
 data enters the package (the Rep/RepMap constructors, which also serve JSON
-input, and the row arguments of submodule construction).  Every other
+input, and the subspace rows that repmod's submodule, generated_submodule
+and quotient take, in repmod._span_rows).  Every other
 function here takes and returns matrices that already meet the contract and
 does not re-coerce or re-reduce them.  Row vectors act on the right of arrow
 matrices throughout the package.

@@ -367,7 +367,7 @@ def syzygy_finite_probe(alg: BoundAlgebra, n_shift: int = 1,
     the orbit is certified only if that decomposition is too.
     """
     simples = [repmod.simple(alg, v) for v in alg.quiver.vertices]
-    m0 = repmod.direct_sum(simples)[0] if len(simples) > 1 else simples[0]
+    m0 = repmod.direct_sum(simples)[0]
     shifted = omega_power(m0, n_shift)
     if shifted.is_zero:
         return OrbitResult((), (), True, "semisimple shift")

@@ -332,8 +332,7 @@ def verify_syzygy_split(c: GluedAlgebra, m: Rep, budgets: Budgets = DEFAULT) -> 
     top_clause = "skipped"
     support = m.support()
     if support and (support <= c.a_vertices or support <= c.b_vertices):
-        topm, _ = repmod.top(m)
-        om_top = homology.syzygy(topm)
+        om_top = homology.syzygy(repmod.top(m))
         tparts = one_sided_parts(c, om_top)
         if tparts is None:
             top_clause = "mismatch (top syzygy does not split)"
@@ -392,15 +391,13 @@ def check_h4(c: GluedAlgebra, budgets: Budgets = DEFAULT,
     if variant == "boundary":
         b0 = [repmod.simple(alg, v) for v in alg.quiver.vertices if v in c.b_vertices]
         a0 = [repmod.simple(alg, v) for v in alg.quiver.vertices if v in c.a_vertices]
-        om_b0 = homology.syzygy(repmod.direct_sum(b0)[0] if len(b0) > 1 else b0[0]) \
-            if b0 else repmod.zero_rep(alg)
-        om_a0 = homology.syzygy(repmod.direct_sum(a0)[0] if len(a0) > 1 else a0[0]) \
-            if a0 else repmod.zero_rep(alg)
+        om_b0 = homology.syzygy(repmod.direct_sum(b0)[0]) if b0 else repmod.zero_rep(alg)
+        om_a0 = homology.syzygy(repmod.direct_sum(a0)[0]) if a0 else repmod.zero_rep(alg)
         seed_a = pi_a(c, om_b0)
         seed_b = pi_b(c, om_a0)
     elif variant == "full":
         c0 = [repmod.simple(alg, v) for v in alg.quiver.vertices]
-        om = homology.syzygy(repmod.direct_sum(c0)[0] if len(c0) > 1 else c0[0])
+        om = homology.syzygy(repmod.direct_sum(c0)[0])
         seed_a = pi_a(c, om)
         seed_b = pi_b(c, om)
     else:
@@ -631,9 +628,7 @@ def classify_gluing(c: GluedAlgebra, a_status: SideStatus | None = None,
         n = max(a_status.it_level["n"], b_status.it_level["n"])
         cop = c.algebra.opposite()
         v3 = []
-        cur = repmod.direct_sum([repmod.simple(cop, v)
-                                 for v in cop.quiver.vertices])[0] \
-            if len(cop.quiver.vertices) > 1 else repmod.simple(cop, cop.quiver.vertices[0])
+        cur = repmod.direct_sum([repmod.simple(cop, v) for v in cop.quiver.vertices])[0]
         for i in range(n):
             cur = homology.syzygy(cur)
             v3.append({v: d for v, d in cur.dims.items()})

@@ -9,6 +9,12 @@ Hom spaces are solved on the first module's projective presentation
 0 -> omega -> P0 ->> m (see hom_basis), which is built once per module and
 cached on it, as are the matrices of its paths.  The projective cover and
 homology's syzygies read the same cached presentation.
+
+A subspace of m is a dict vertex -> rows spanning it inside m_v (a missing
+vertex spans 0).  submodule, generated_submodule and quotient take one and
+coerce it once, with ef.as_matrix and a width check; quotient builds the
+cokernel from the rows alone, with no submodule or maps.  direct_sum builds
+the block-diagonal sum and reports each summand's offsets, with no maps.
 """
 
 from __future__ import annotations
@@ -259,51 +265,62 @@ def validate(m: Rep) -> Violation | None:
     return None
 
 
-def direct_sum(ms) -> tuple[Rep, list[RepMap], list[RepMap]]:
-    """Block-diagonal sum with inclusion and projection maps."""
+def direct_sum(ms) -> tuple[Rep, list[dict[str, int]]]:
+    """Block-diagonal sum, and the offset of each summand's block per vertex.
+
+    Summand i fills rows and columns offsets[i][v] .. offsets[i][v] + dim at
+    vertex v.  The sum records its summands (see Rep.summands); a single
+    summand is returned as itself.
+    """
     ms = list(ms)
     if not ms:
         raise ValueError("empty direct sum")
     alg = ms[0].algebra
     if any(x.algebra is not alg for x in ms):
         raise ValueError("summands live over different algebras")
-    dims = {v: sum(x.dims[v] for x in ms) for v in alg.quiver.vertices}
     offs: list[dict[str, int]] = []
     run = {v: 0 for v in alg.quiver.vertices}
     for x in ms:
         offs.append(dict(run))
         for v in alg.quiver.vertices:
             run[v] += x.dims[v]
+    if len(ms) == 1:
+        return ms[0], offs
     mats = {}
     for a in alg.quiver.arrows:
-        m = ef.zeros(dims[a.source], dims[a.target])
+        m = ef.zeros(run[a.source], run[a.target])
         for x, off in zip(ms, offs):
             rs, cs = off[a.source], off[a.target]
             blk = x.mats[a.name]
             m[rs:rs + blk.shape[0], cs:cs + blk.shape[1]] = blk
         mats[a.name] = m
-    total = Rep(alg, dims, mats, summands=ms)
-    incs, projs = [], []
-    for x, off in zip(ms, offs):
-        inc, proj = {}, {}
-        for v in alg.quiver.vertices:
-            i = ef.zeros(x.dims[v], dims[v])
-            i[:, off[v]:off[v] + x.dims[v]] = ef.eye(x.dims[v])
-            inc[v] = i
-            proj[v] = i.T
-        incs.append(RepMap(x, total, inc))
-        projs.append(RepMap(total, x, proj))
-    return total, incs, projs
+    return Rep(alg, run, mats, summands=ms), offs
 
 
 def power(m: Rep, k: int) -> Rep:
     if k < 1:
         raise ValueError("power must be >= 1")
-    return direct_sum([m] * k)[0] if k > 1 else m
+    return direct_sum([m] * k)[0]
 
 
 # ---------------------------------------------------------------------------
 # submodules and quotients
+
+
+def _span_rows(m: Rep, rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The row blocks of a vertexwise span in m, coerced; a missing vertex spans 0.
+
+    Raises ValueError, naming the vertex, on a block whose width is not dim m_v.
+    """
+    p = m.algebra.p
+    out = {}
+    for v in m.algebra.quiver.vertices:
+        r, d = rows.get(v), m.dims[v]
+        r = ef.zeros(0, d) if r is None else ef.as_matrix(r, p, cols=d)
+        if r.shape[1] != d:
+            raise ValueError(f"vertex {v}: rows of width {r.shape[1]}, not dim {d}")
+        out[v] = r
+    return out
 
 
 def submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMap]:
@@ -314,11 +331,7 @@ def submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMap]:
     """
     alg = m.algebra
     p = alg.p
-    bases = {}
-    for v in alg.quiver.vertices:
-        r = rows.get(v)
-        r = ef.zeros(0, m.dims[v]) if r is None else ef.as_matrix(r, p, cols=m.dims[v])
-        bases[v] = ef.row_basis(r, p)
+    bases = {v: ef.row_basis(r, p) for v, r in _span_rows(m, rows).items()}
     dims = {v: bases[v].shape[0] for v in alg.quiver.vertices}
     mats = {}
     for a in alg.quiver.arrows:
@@ -336,11 +349,7 @@ def generated_submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMa
     """Smallest submodule containing the given row spans (arrow-action closure)."""
     alg = m.algebra
     p = alg.p
-    spans = {}
-    for v in alg.quiver.vertices:
-        r = rows.get(v)
-        r = ef.zeros(0, m.dims[v]) if r is None else ef.as_matrix(r, p, cols=m.dims[v])
-        spans[v] = ef.row_basis(r, p)
+    spans = {v: ef.row_basis(r, p) for v, r in _span_rows(m, rows).items()}
     changed = True
     while changed:
         changed = False
@@ -362,51 +371,48 @@ def kernel(f: RepMap) -> tuple[Rep, RepMap]:
     return submodule(f.source, rows)
 
 
-def quotient(m: Rep, sub: RepMap) -> tuple[Rep, RepMap]:
-    """Quotient of m by the image of an injective inclusion map.
+def quotient(m: Rep, rows: dict[str, np.ndarray]) -> Rep:
+    """m modulo the submodule spanned vertexwise by the given rows.
 
-    The complement basis is chosen by pivoting on the lexicographically
-    earliest independent columns, so quotients are reproducible.
+    Takes the rows `submodule` takes, and builds no submodule: one rref per
+    vertex gives the span's RREF basis B_v.  The basis of the quotient at v is
+    the classes of the unit vectors on the non-pivot columns of B_v, the
+    lexicographically earliest complement, so quotients are reproducible.  A
+    vector maps to its residue modulo B_v read on those columns; that matrix
+    is the transpose of the canonical kernel basis of B_v (ef.rref_kernel).
+    Raises NotASubmodule when the span is not arrow-stable.
     """
     alg = m.algebra
     p = alg.p
-    if sub.target is not m:
-        raise ValueError("sub must include into m")
-    if not sub.is_injective():
-        raise ValueError("sub is not injective vertexwise")
-    red, pivots, frees, sections, projs = {}, {}, {}, {}, {}
-    for v in alg.quiver.vertices:
-        b, piv, _ = ef.rref(sub.mats[v], p)
-        red[v], pivots[v] = b, piv
+    red, frees, projs = {}, {}, {}
+    for v, r in _span_rows(m, rows).items():
+        b, piv, _ = ef.rref(r, p)
+        red[v] = b, piv
         frees[v] = [c for c in range(m.dims[v]) if c not in piv]
-        sec = ef.zeros(len(frees[v]), m.dims[v])
-        for i, c in enumerate(frees[v]):
-            sec[i, c] = 1
-        sections[v] = sec
-        residues = ef.reduce_rows(b, piv, ef.eye(m.dims[v]), p)
-        projs[v] = residues[:, frees[v]]
-    dims = {v: len(frees[v]) for v in alg.quiver.vertices}
+        projs[v] = ef.rref_kernel(b, piv, p).T
     mats = {}
     for a in alg.quiver.arrows:
-        moved = ef.matmul(red[a.source], m.mats[a.name], p)
-        if ef.reduce_rows(red[a.target], pivots[a.target], moved, p).any():
-            raise NotASubmodule(f"image not stable under arrow {a.name}")
-        mats[a.name] = ef.matmul(ef.matmul(sections[a.source], m.mats[a.name], p),
-                                 projs[a.target], p)
-    q = Rep(alg, dims, mats)
-    proj = RepMap(m, q, projs)
-    return q, proj
+        moved = ef.matmul(red[a.source][0], m.mats[a.name], p)
+        if ef.reduce_rows(*red[a.target], moved, p).any():
+            raise NotASubmodule(f"span is not stable under arrow {a.name}")
+        mats[a.name] = ef.matmul(m.mats[a.name][frees[a.source]], projs[a.target], p)
+    return Rep(alg, {v: len(frees[v]) for v in frees}, mats)
 
 
-def radical(m: Rep) -> tuple[Rep, RepMap]:
-    """rad(m): vertexwise sum of the images of all incoming arrows."""
+def _radical_rows(m: Rep) -> dict[str, np.ndarray]:
+    """Vertexwise rows spanning rad(m): the images of all incoming arrows."""
     alg = m.algebra
     rows = {}
     for v in alg.quiver.vertices:
         incoming = [m.mats[a.name] for a in alg.quiver.arrows_in(v)]
         rows[v] = (np.concatenate(incoming, axis=0) if incoming
                    else ef.zeros(0, m.dims[v]))
-    return submodule(m, rows)
+    return rows
+
+
+def radical(m: Rep) -> tuple[Rep, RepMap]:
+    """rad(m): vertexwise sum of the images of all incoming arrows."""
+    return submodule(m, _radical_rows(m))
 
 
 def socle(m: Rep) -> tuple[Rep, RepMap]:
@@ -423,10 +429,9 @@ def socle(m: Rep) -> tuple[Rep, RepMap]:
     return submodule(m, rows)
 
 
-def top(m: Rep) -> tuple[Rep, RepMap]:
-    """m / rad(m) with the projection."""
-    _, inc = radical(m)
-    return quotient(m, inc)
+def top(m: Rep) -> Rep:
+    """m / rad(m), from rad(m)'s spanning rows with no submodule built."""
+    return quotient(m, _radical_rows(m))
 
 
 def radical_layers(m: Rep, dual: bool = False) -> list[tuple[int, ...]]:
@@ -604,10 +609,7 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
     alg = m.algebra
     pres = presentation(m)
     parts = [alg.projective(v) for v, cols in pres.gens.items() for _ in cols]
-    if not parts:
-        cover = zero_rep(alg)
-    else:
-        cover = parts[0] if len(parts) == 1 else direct_sum(parts)[0]
+    cover = direct_sum(parts)[0] if parts else zero_rep(alg)
     return cover, RepMap(cover, m, pres.epi)
 
 
@@ -738,8 +740,12 @@ def restrict_rep(small: BoundAlgebra, m: Rep) -> Rep:
 def random_module(algebra: BoundAlgebra, seed, size_bound: int = 12) -> Rep:
     """Seeded random module: cokernel of a random map between projective sums.
 
-    Deterministic per (seed, algebra presentation); always bound by the ideal
-    because quotients of projectives are.
+    Each attempt draws sums q and src of indecomposable projectives and a
+    random f: src -> rad(q); the module is q modulo the rows of f's image,
+    passed straight to `quotient`.  Deterministic per (seed, algebra
+    presentation); always bound by the ideal because quotients of projectives
+    are.  After 64 attempts that are zero or above size_bound it returns the
+    simple at the first vertex.
     """
     if isinstance(seed, np.random.Generator):
         rng = seed
@@ -752,12 +758,10 @@ def random_module(algebra: BoundAlgebra, seed, size_bound: int = 12) -> Rep:
     for _ in range(64):
         n_tgt = int(rng.integers(1, max_copies + 1))
         targets = [verts[int(rng.integers(len(verts)))] for _ in range(n_tgt)]
-        parts = [algebra.projective(v) for v in targets]
-        q = (parts[0] if len(parts) == 1 else direct_sum(parts)[0]).strip()
+        q = direct_sum([algebra.projective(v) for v in targets])[0].strip()
         n_src = int(rng.integers(1, n_tgt + 2))
         sources = [verts[int(rng.integers(len(verts)))] for _ in range(n_src)]
-        sparts = [algebra.projective(v) for v in sources]
-        src = (sparts[0] if len(sparts) == 1 else direct_sum(sparts)[0]).strip()
+        src = direct_sum([algebra.projective(v) for v in sources])[0].strip()
         # map into the radical: the presentation stays minimal, so the
         # cokernel is nonzero and rarely projective
         rad, rad_inc = radical(q)
@@ -767,9 +771,7 @@ def random_module(algebra: BoundAlgebra, seed, size_bound: int = 12) -> Rep:
                 return q
             continue
         f = combine_maps(homs, rng.integers(0, p, size=len(homs)))
-        img_rows = {v: ef.matmul(f.mats[v], rad_inc.mats[v], p) for v in f.mats}
-        sub, inc = submodule(q, img_rows)
-        m, _ = quotient(q, inc)
+        m = quotient(q, {v: ef.matmul(f.mats[v], rad_inc.mats[v], p) for v in f.mats})
         if m.total_dim > size_bound or m.is_zero:
             continue
         return m

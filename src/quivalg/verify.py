@@ -85,14 +85,12 @@ def criterion_1(fx: Fixtures, budgets: Budgets) -> dict:
     p0 = A.projective("0")
     quotients = []
     _, soc_inc = repmod.socle(p0)
-    quotients.append(repmod.quotient(p0, soc_inc)[0])
+    quotients.append(repmod.quotient(p0, soc_inc.mats))
     rad1, rad1_inc = repmod.radical(p0)
-    quotients.append(repmod.quotient(p0, rad1_inc)[0])
+    quotients.append(repmod.quotient(p0, rad1_inc.mats))
     _, rad2_inc = repmod.radical(rad1)
-    rows2 = {v: ef.matmul(rad2_inc.mats[v], rad1_inc.mats[v], A.p)
-             for v in A.quiver.vertices}
-    sub2, inc2 = repmod.submodule(p0, rows2)
-    quotients.append(repmod.quotient(p0, inc2)[0])
+    quotients.append(repmod.quotient(p0, {v: ef.matmul(rad2_inc.mats[v], rad1_inc.mats[v], A.p)
+                                          for v in A.quiver.vertices}))
     rng = np.random.default_rng([budgets.seed, 911])
     for _ in range(5):
         picks = rng.integers(0, 2, size=rad1.dims["0"])
@@ -101,7 +99,7 @@ def criterion_1(fx: Fixtures, budgets: Budgets) -> dict:
             rad1_inc.mats["0"], A.p)}
         sub, inc = repmod.generated_submodule(p0, rows)
         if 0 < sub.total_dim < p0.total_dim:
-            quotients.append(repmod.quotient(p0, inc)[0])
+            quotients.append(repmod.quotient(p0, inc.mats))
     bad = 0
     for q in quotients:
         r = grothendieck.phi(q, budgets)
@@ -310,8 +308,7 @@ def _phi_zero_pairs_close(alg, budgets: Budgets, n_pairs: int = 100) -> tuple:
             verts = alg.quiver.vertices
             picks = [verts[int(rng.integers(len(verts)))]
                      for _ in range(1 + int(rng.integers(2)))]
-            m = repmod.direct_sum([alg.projective(v) for v in picks])[0] \
-                if len(picks) > 1 else alg.projective(picks[0])
+            m = repmod.direct_sum([alg.projective(v) for v in picks])[0]
         draw += 1
         try:
             r = grothendieck.phi(m, budgets)

@@ -12,7 +12,7 @@ from quivalg import exactfield as ef, repmod
 def quotient_fingerprint(m) -> tuple:
     p = m.algebra.p
     dims = m.dim_vector()
-    tops = repmod.top(m)[0].dim_vector()
+    tops = repmod.top(m).dim_vector()
     socs = repmod.socle(m)[0].dim_vector()
     rad_series = []
     cur = m
@@ -24,6 +24,6 @@ def quotient_fingerprint(m) -> tuple:
     while not cur.is_zero:
         soc, inc = repmod.socle(cur)
         soc_series.append(soc.dim_vector())
-        cur = repmod.quotient(cur, inc)[0]
+        cur = repmod.quotient(cur, inc.mats)
     arrow_ranks = tuple(ef.rank_fp(m.mats[a.name], p) for a in m.algebra.quiver.arrows)
     return (dims, tops, socs, tuple(rad_series), tuple(soc_series), arrow_ranks)

@@ -51,6 +51,29 @@ def test_krull_schmidt_union(exB):
         assert cm + cn == cb
 
 
+def test_decompose_builds_one_rng_at_its_first_fresh_block(exB, monkeypatch):
+    m, n = (repmod.random_module(exB, seed, 9).strip() for seed in (41, 42))
+    reg = decomp.IsoRegistry(exB)
+    seen = []
+    pieces = decomp.indecomposable_pieces
+
+    def spy(cur, rng, confidence):
+        seen.append((rng, rng.bit_generator.state))
+        return pieces(cur, rng, confidence)
+
+    monkeypatch.setattr(decomp, "indecomposable_pieces", spy)
+    decomp.decompose(repmod.direct_sum([m, n])[0], registry=reg)
+    # both fresh blocks draw from one stream, seeded as before
+    assert len(seen) >= 2 and all(rng is seen[0][0] for rng, _ in seen)
+    fresh = np.random.default_rng([0, exB.structural_digest() % (2 ** 31), 23])
+    assert seen[0][1] == fresh.bit_generator.state
+    # a recorded sum of cached blocks builds no rng and takes no digest
+    seen.clear()
+    monkeypatch.setattr(exB, "structural_digest", lambda: pytest.fail("digest taken"))
+    decomp.decompose(repmod.direct_sum([m, n])[0], registry=reg)
+    assert not seen
+
+
 def _base_change(m, rng):
     p = m.algebra.p
     U = {}

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -103,12 +106,25 @@ def test_presentation_is_a_presentation(exB, nak_a3):
 
 
 def test_direct_sum_dims_and_maps(exB):
-    s1, s2 = repmod.simple(exB, "1"), repmod.simple(exB, "2")
-    total, incs, projs = repmod.direct_sum([s1, s2])
-    assert total.dims == {"1": 1, "2": 1}
-    for inc, proj in zip(incs, projs):
-        assert inc.is_valid() and proj.is_valid()
-        assert inc.compose(proj).is_injective()  # identity on the summand
+    s1, s2, p1 = repmod.simple(exB, "1"), repmod.simple(exB, "2"), exB.projective("1")
+    parts = [s1, p1, s2, p1]
+    total, offs = repmod.direct_sum(parts)
+    assert total.dims == {v: sum(x.dims[v] for x in parts) for v in exB.quiver.vertices}
+    assert total.summands == tuple(parts)
+    for v in exB.quiver.vertices:
+        assert [off[v] for off in offs] == list(np.cumsum([0] + [x.dims[v] for x in parts[:-1]]))
+    # each summand's block sits at its offsets, with zeros elsewhere
+    for a in exB.quiver.arrows:
+        rest = total.mats[a.name].copy()
+        for x, off in zip(parts, offs):
+            block = (slice(off[a.source], off[a.source] + x.dims[a.source]),
+                     slice(off[a.target], off[a.target] + x.dims[a.target]))
+            assert np.array_equal(rest[block], x.mats[a.name])
+            rest[block] = 0
+        assert not rest.any()
+    # one summand is the sum itself
+    assert repmod.direct_sum([p1]) == (p1, [{v: 0 for v in exB.quiver.vertices}])
+    assert repmod.power(p1, 1) is p1
 
 
 def test_kernel_examples(a2):
@@ -126,20 +142,25 @@ def test_kernel_examples(a2):
 
 def test_quotient_examples(exB):
     p1 = exB.projective("1")
-    zero_sub = repmod.submodule(p1, {})[0:2]
-    q, _ = repmod.quotient(p1, repmod.submodule(p1, {})[1])
+    q = repmod.quotient(p1, {})
     assert q.total_dim == p1.total_dim
-    full, inc = repmod.submodule(p1, {v: ef.eye(p1.dims[v]) for v in p1.dims})
-    assert repmod.quotient(p1, inc)[0].is_zero
+    assert q.equals(p1)  # the identity basis is the earliest complement of 0
+    assert repmod.quotient(p1, {v: ef.eye(p1.dims[v]) for v in p1.dims}).is_zero
 
 
 def test_quotient_rejects_non_submodule(a2):
     p1 = a2.projective("1")
     # the vertex-1 line alone is not arrow-stable (a sends it onto vertex 2)
-    sub = repmod.Rep(a2, {"1": 1}, {})
-    inc = repmod.RepMap(sub, p1, {"1": [[1]]})
     with pytest.raises(repmod.NotASubmodule):
-        repmod.quotient(p1, inc)
+        repmod.quotient(p1, {"1": [[1]]})
+
+
+def test_span_rows_of_the_wrong_width_are_rejected(exB):
+    p1 = exB.projective("1")
+    assert p1.dims["2"] != 3
+    for build in (repmod.submodule, repmod.generated_submodule, repmod.quotient):
+        with pytest.raises(ValueError, match="vertex 2: rows of width 3"):
+            build(p1, {"2": [[1, 0, 0]]})
 
 
 def test_radical_socle_top_loewy(exA, exB, a2):
@@ -153,7 +174,7 @@ def test_radical_socle_top_loewy(exA, exB, a2):
     assert repmod.loewy_length(repmod.simple(exB, "1")) == 1
     assert repmod.loewy_length(exB.projective("1")) == 2
     assert repmod.loewy_length(repmod.zero_rep(a2)) == 0
-    top, _ = repmod.top(exB.projective("1"))
+    top = repmod.top(exB.projective("1"))
     assert top.dims == {"1": 1, "2": 0}
 
 
@@ -177,7 +198,7 @@ def test_socle_dual_of_top(exB):
     for seed in range(10):
         m = repmod.random_module(exB, seed, 9)
         lhs = repmod.socle(repmod.dualize(m))[0].dim_vector()
-        rhs = repmod.top(m)[0].dim_vector()
+        rhs = repmod.top(m).dim_vector()
         assert lhs == rhs
 
 
@@ -189,6 +210,25 @@ def test_random_module_contract(exB, exA):
             assert m.equals(again)
             assert repmod.validate(m) is None
             assert m.total_dim <= 11
+
+
+# SHA-256 of the random_module outputs below, recorded before quotient took
+# rows and direct_sum stopped building maps
+RANDOM_MODULE_DIGEST = "62311b7cef56972d4131287bd67c62fe9dd0fdfca0f95dd2f4b00ce4d5a3aa08"
+
+
+def test_random_module_outputs_are_unchanged():
+    # every bundled fixture and its opposite at p = 2, 3 and 101, seeds 0-2
+    # at size bounds 8, 10 and 12
+    h = hashlib.sha256()
+    for name in FIXTURES:
+        for p in (2, 3, 101):
+            alg = cli.underlying_algebra(cli.load_any(name, p))
+            for a in (alg, alg.opposite()):
+                for seed, bound in enumerate((8, 10, 12)):
+                    m = repmod.random_module(a, seed, bound)
+                    h.update(json.dumps(m.to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == RANDOM_MODULE_DIGEST
 
 
 def test_hom_additivity(exB):
@@ -207,7 +247,7 @@ def test_top_hom_identity(exB):
     # dim top(m) at v equals dim Hom(m, S_v)
     for seed in range(15):
         m = repmod.random_module(exB, seed, 9)
-        top = repmod.top(m)[0]
+        top = repmod.top(m)
         for v in exB.quiver.vertices:
             assert top.dims[v] == len(repmod.hom_basis(m, repmod.simple(exB, v)))
 
@@ -215,7 +255,7 @@ def test_top_hom_identity(exB):
 def test_operations_stay_bound(exB):
     for seed in range(10):
         m = repmod.random_module(exB, seed, 10)
-        for n, _ in (repmod.radical(m), repmod.socle(m), repmod.top(m)):
+        for n in (repmod.radical(m)[0], repmod.socle(m)[0], repmod.top(m)):
             assert repmod.validate(n) is None
 
 
