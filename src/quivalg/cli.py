@@ -812,7 +812,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    for opt in ("depth_budget", "class_budget", "confidence", "max_dim"):
+    for opt in ("depth_budget", "class_budget", "confidence", "max_dim", "seed"):
         if getattr(args, opt) < 0:
             print(f"input error: --{opt.replace('_', '-')} must be >= 0, "
                   f"not {getattr(args, opt)}", file=sys.stderr)

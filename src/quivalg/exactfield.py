@@ -2,11 +2,11 @@
 
 The matrix contract: an F_p matrix is a 2-d numpy int64 array with entries
 in [0, p).  `as_matrix` is the one coerce-and-reduce step; it runs where
-data enters the package (the Rep/RepMap constructors, which also serve JSON
-input, and the subspace rows that repmod's submodule, generated_submodule
-and quotient take, in repmod._span_rows).  Every other
-function here takes and returns matrices that already meet the contract and
-does not re-coerce or re-reduce them.  Row vectors act on the right of arrow
+data enters the package (the Rep constructor, which also serves JSON input,
+and the subspace rows that repmod's submodule, generated_submodule and
+quotient take, in repmod._span_rows).  Every other function here, and the
+RepMap constructor, takes matrices that already meet the contract and does
+not re-coerce or re-reduce them.  Row vectors act on the right of arrow
 matrices throughout the package.
 
 p must be a prime below MAX_PRIME (see `check_prime`), so that no int64

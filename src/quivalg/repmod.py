@@ -15,6 +15,13 @@ vertex spans 0).  submodule, generated_submodule and quotient take one and
 coerce it once, with ef.as_matrix and a width check; quotient builds the
 cokernel from the rows alone, with no submodule or maps.  direct_sum builds
 the block-diagonal sum and reports each summand's offsets, with no maps.
+Rep's constructor coerces its matrices (it also reads JSON); RepMap's takes
+matrices that already meet ef's contract and checks only their shapes.
+
+random_module draws cokernels of random maps between sums of projectives.
+The per-vertex data it reads, rad P_t and the canonical bases of
+Hom(P_s, rad P_t), are built once per algebra and cached in algebra.cache;
+each attempt only assembles them and takes one quotient.
 """
 
 from __future__ import annotations
@@ -135,7 +142,13 @@ class Rep:
 
 
 class RepMap:
-    """A morphism of representations: one matrix per vertex, rows act left."""
+    """A morphism of representations: one matrix per vertex, rows act left.
+
+    The matrices meet ef's matrix contract (int64, reduced mod p) and are
+    taken as given, not coerced again; a missing vertex maps by 0.  Each is
+    made read-only; no caller writes into one, or its base, after handing it
+    over.
+    """
 
     __slots__ = ("source", "target", "mats")
 
@@ -143,16 +156,13 @@ class RepMap:
         self.source = source
         self.target = target
         self.mats = {}
-        p = source.algebra.p
         for v in source.algebra.quiver.vertices:
             ds, dt = source.dims[v], target.dims[v]
             m = mats.get(v) if mats else None
             if m is None:
                 m = ef.zeros(ds, dt)
-            else:
-                m = ef.as_matrix(m, p, ds, dt)
-                if m.shape != (ds, dt):
-                    raise ValueError(f"vertex {v}: map shape {m.shape} != ({ds}, {dt})")
+            elif m.shape != (ds, dt):
+                raise ValueError(f"vertex {v}: map shape {m.shape} != ({ds}, {dt})")
             m.setflags(write=False)
             self.mats[v] = m
         if check and not self.is_valid():
@@ -286,15 +296,20 @@ def direct_sum(ms) -> tuple[Rep, list[dict[str, int]]]:
             run[v] += x.dims[v]
     if len(ms) == 1:
         return ms[0], offs
+    return Rep(alg, run, _block_diagonal(alg, ms, offs, run), summands=ms), offs
+
+
+def _block_diagonal(alg: BoundAlgebra, ms, offs, dims) -> dict[str, np.ndarray]:
+    """The arrow matrices of the sum of ms, summand i at offsets offs[i]."""
     mats = {}
     for a in alg.quiver.arrows:
-        m = ef.zeros(run[a.source], run[a.target])
+        m = ef.zeros(dims[a.source], dims[a.target])
         for x, off in zip(ms, offs):
             rs, cs = off[a.source], off[a.target]
             blk = x.mats[a.name]
             m[rs:rs + blk.shape[0], cs:cs + blk.shape[1]] = blk
         mats[a.name] = m
-    return Rep(alg, run, mats, summands=ms), offs
+    return mats
 
 
 def power(m: Rep, k: int) -> Rep:
@@ -701,14 +716,13 @@ def combine_maps(maps: list[RepMap], coeffs) -> RepMap:
         raise ValueError("no maps to combine")
     src, tgt = maps[0].source, maps[0].target
     p = src.algebra.p
-    # reduced coefficients keep each sum below len(maps) * p**2 (see ef.MAX_PRIME);
-    # the RepMap constructor reduces the sums
+    # reduced coefficients keep each sum below len(maps) * p**2 (see ef.MAX_PRIME)
     c = np.asarray(coeffs, dtype=np.int64) % p
     mats = {}
     for v in src.algebra.quiver.vertices:
         ds, dt = src.dims[v], tgt.dims[v]
         stack = np.array([f.mats[v] for f in maps]).reshape(len(maps), ds * dt)
-        mats[v] = (c @ stack).reshape(ds, dt)
+        mats[v] = (c @ stack).reshape(ds, dt) % p
     return RepMap(src, tgt, mats)
 
 
@@ -737,15 +751,85 @@ def restrict_rep(small: BoundAlgebra, m: Rep) -> Rep:
 # random modules
 
 
+def _random_blocks(algebra: BoundAlgebra):
+    """(projective dims, radical dims, Hom blocks) per vertex, built once.
+
+    The dims are (#vertices, #vertices) arrays, row t the dim vector of P_t
+    or of rad P_t.  blocks[s][t] reads the canonical basis of
+    Hom(P_s, rad P_t) from one hom_basis call as (last, images, spans), or is
+    None when that space is 0:
+    - last: (k, 3), the position (vertex index, row, column) of each
+      element's last nonzero entry in its vertexwise matrices;
+    - images: (k, W), each element composed with rad P_t -> P_t, its
+      matrices (P_s)_v x (P_t)_v flattened row-major in vertex order;
+    - spans: (vertex index, start, stop, rows, columns) of each nonempty
+      vertex matrix within a row of images.
+    Cached in algebra.cache, so an algebra, its opposite and the same
+    presentation loaded at another p each build their own.
+    """
+    got = algebra.cache.get("random_blocks")
+    if got is not None:
+        return got
+    verts = algebra.quiver.vertices
+    p = algebra.p
+    projs = [algebra.projective(v) for v in verts]
+    rads = [radical(x) for x in projs]
+    blocks = []
+    for ps in projs:
+        row = []
+        for pt, (rad, inc) in zip(projs, rads):
+            last, images = [], []
+            for f in hom_basis(ps, rad):
+                vi = max(i for i, v in enumerate(verts) if f.mats[v].any())
+                mat = f.mats[verts[vi]]
+                last.append((vi, *divmod(int(np.flatnonzero(mat)[-1]), mat.shape[1])))
+                images.append(np.concatenate(
+                    [ef.matmul(f.mats[v], inc.mats[v], p).ravel() for v in verts]))
+            spans, start = [], 0
+            for vi, v in enumerate(verts):
+                size = ps.dims[v] * pt.dims[v]
+                if size:
+                    spans.append((vi, start, start + size, ps.dims[v], pt.dims[v]))
+                start += size
+            row.append((np.array(last, dtype=np.int64), np.array(images, dtype=np.int64), spans)
+                       if last else None)
+        blocks.append(row)
+    got = algebra.cache["random_blocks"] = (
+        np.array([x.dim_vector() for x in projs], dtype=np.int64).reshape(len(verts), -1),
+        np.array([rad.dim_vector() for rad, _ in rads], dtype=np.int64).reshape(len(verts), -1),
+        blocks)
+    return got
+
+
+def _offsets(dims: np.ndarray) -> np.ndarray:
+    """Row i: where summand i starts at each vertex, given the summands' dims."""
+    return np.cumsum(dims, axis=0) - dims
+
+
 def random_module(algebra: BoundAlgebra, seed, size_bound: int = 12) -> Rep:
     """Seeded random module: cokernel of a random map between projective sums.
 
-    Each attempt draws sums q and src of indecomposable projectives and a
-    random f: src -> rad(q); the module is q modulo the rows of f's image,
-    passed straight to `quotient`.  Deterministic per (seed, algebra
-    presentation); always bound by the ideal because quotients of projectives
-    are.  After 64 attempts that are zero or above size_bound it returns the
-    simple at the first vertex.
+    Each attempt draws sums q = ⊕_i P_{t_i} and src = ⊕_j P_{s_j} of
+    indecomposable projectives and a random f: src -> rad(q); the module is
+    q modulo the rows of f's image, passed straight to `quotient`.
+    Deterministic per (seed, algebra presentation); always bound by the ideal
+    because quotients of projectives are.  After 64 attempts that are zero or
+    above size_bound it returns the simple at the first vertex.
+
+    f is a random combination of the canonical basis of Hom(src, rad q) that
+    hom_basis(src, radical(q)[0]) would return, but each attempt only
+    assembles blocks cached per algebra (_random_blocks): for each vertex t
+    the dims of rad P_t, and for each pair (s, t) the basis of
+    Hom(P_s, rad P_t) ≅ (rad P_t)_s (Yoneda), each element composed with the
+    inclusion into P_t and with the position of its last nonzero entry.
+    rad(q)'s RREF basis is block-diagonal with rad P_{t_i} in its blocks
+    (each block's pivots lie in its own columns), and the block of Hom for
+    the pair (j, i) sits on entries of its own.  So the RREF of the span of
+    Hom(src, rad q) is the union of the per-block ones, and hom_basis's
+    order, by the position of each element's last nonzero entry in the
+    vertexwise matrices (vertex, row, column), is the order of the cached
+    positions shifted by the offsets of the src and rad q blocks.  The
+    coefficients are drawn in that order.
     """
     if isinstance(seed, np.random.Generator):
         rng = seed
@@ -753,25 +837,51 @@ def random_module(algebra: BoundAlgebra, seed, size_bound: int = 12) -> Rep:
         rng = np.random.default_rng([int(seed), algebra.structural_digest() % (2 ** 31)])
     verts = algebra.quiver.vertices
     p = algebra.p
-    min_proj = min(algebra.projective(v).total_dim for v in verts)
+    pdims, rdims, blocks = _random_blocks(algebra)
+    min_proj = int(pdims.sum(axis=1).min())
     max_copies = max(2, size_bound // max(min_proj, 1) + 1)
     for _ in range(64):
         n_tgt = int(rng.integers(1, max_copies + 1))
-        targets = [verts[int(rng.integers(len(verts)))] for _ in range(n_tgt)]
-        q = direct_sum([algebra.projective(v) for v in targets])[0].strip()
+        targets = [int(rng.integers(len(verts))) for _ in range(n_tgt)]
         n_src = int(rng.integers(1, n_tgt + 2))
-        sources = [verts[int(rng.integers(len(verts)))] for _ in range(n_src)]
-        src = direct_sum([algebra.projective(v) for v in sources])[0].strip()
+        sources = [int(rng.integers(len(verts))) for _ in range(n_src)]
+        qoffs, soffs = _offsets(pdims[targets]), _offsets(pdims[sources])
+        roffs = _offsets(rdims[targets])
+        qdims, sdims = pdims[targets].sum(axis=0), pdims[sources].sum(axis=0)
+        rwidth = rdims[targets].sum(axis=0)
         # map into the radical: the presentation stays minimal, so the
-        # cokernel is nonzero and rarely projective
-        rad, rad_inc = radical(q)
-        homs = hom_basis(src, rad)
-        if not homs:
-            if q.total_dim <= size_bound:
-                return q
+        # cokernel is nonzero and rarely projective.  where: the position of
+        # each element's last nonzero entry in a hom src -> rad q, flattened
+        start = _offsets(sdims * rwidth)
+        pairs, where = [], []
+        for j, s in enumerate(sources):
+            for i, t in enumerate(targets):
+                blk = blocks[s][t]
+                if blk is not None:
+                    vi, r, c = blk[0].T
+                    pairs.append((j, i, *blk))
+                    where.append(start[vi] + (r + soffs[j, vi]) * rwidth[vi] + c + roffs[i, vi])
+        if not pairs and qdims.sum() > size_bound:
             continue
-        f = combine_maps(homs, rng.integers(0, p, size=len(homs)))
-        m = quotient(q, {v: ef.matmul(f.mats[v], rad_inc.mats[v], p) for v in f.mats})
+        qd = dict(zip(verts, qdims.tolist()))
+        q = Rep(algebra, qd, _block_diagonal(
+            algebra, [algebra.projective(verts[t]) for t in targets],
+            [dict(zip(verts, o)) for o in qoffs.tolist()], qd))
+        if not pairs:
+            return q
+        where = np.concatenate(where)
+        coeffs = np.empty_like(where)
+        coeffs[np.argsort(where)] = rng.integers(0, p, size=where.size)
+        # each entry is a sum of products below p**2; quotient reduces the rows
+        rows = [ef.zeros(ds, dq) for ds, dq in zip(sdims.tolist(), qdims.tolist())]
+        used = 0
+        for j, i, last, images, spans in pairs:
+            image = coeffs[used:used + len(last)] @ images
+            used += len(last)
+            for vi, a, b, ds, dt in spans:
+                r0, c0 = int(soffs[j, vi]), int(qoffs[i, vi])
+                rows[vi][r0:r0 + ds, c0:c0 + dt] = image[a:b].reshape(ds, dt)
+        m = quotient(q, dict(zip(verts, rows)))
         if m.total_dim > size_bound or m.is_zero:
             continue
         return m

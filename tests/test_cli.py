@@ -254,6 +254,13 @@ def test_negative_budget_options_exit_3(capsys, option):
     assert "input error" in err and option in err
 
 
+@pytest.mark.parametrize("args", [["verify-paper"], ["split-check", "exC.glue"]])
+def test_negative_seed_exits_3(capsys, args):
+    assert _run(["--seed", "-1"] + args) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "--seed" in err
+
+
 @pytest.mark.parametrize("block", ["nope", ""])
 def test_zero_it_check_unknown_block_vertex_exits_3(capsys, block):
     assert _run(["zero-it-check", "exA.alg", "--generators", "S0", "--block", block]) == 3

@@ -271,7 +271,7 @@ def test_eigenvalue_certificate_needs_the_flag():
     s = repmod.simple(point, "v")
     m = repmod.direct_sum([s, s])[0].strip()
     E = decomp.end_algebra(m)
-    E.basis = [repmod.RepMap(m, m, {"v": mat}) for mat in
+    E.basis = [repmod.RepMap(m, m, {"v": np.array(mat, dtype=np.int64)}) for mat in
                ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [2, 0]])]
     assert not decomp._local_by_eigenvalues(E, _basis_factors(E))
 
@@ -359,7 +359,7 @@ def test_certify_or_split_lifts_the_exhaustive_idempotent():
     s = repmod.simple(point, "v")
     m = repmod.direct_sum([s, s])[0].strip()
     E = decomp.end_algebra(m)
-    E.basis = [repmod.RepMap(m, m, {"v": mat}) for mat in
+    E.basis = [repmod.RepMap(m, m, {"v": np.array(mat, dtype=np.int64)}) for mat in
                ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 1]])]
     assert decomp._trace_radical(E)[0] == []  # E/J(E) = E, of dimension 4
     status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)

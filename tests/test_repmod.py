@@ -6,6 +6,7 @@ import pytest
 
 from fingerprint_oracle import quotient_fingerprint
 from hom_oracle import kron_hom_basis
+from random_module_oracle import oracle_random_module
 from quivalg import cli, decomp, exactfield as ef, repmod
 from quivalg.pathalgebra import Quiver, build_algebra, make_path
 
@@ -231,6 +232,74 @@ def test_random_module_outputs_are_unchanged():
     assert h.hexdigest() == RANDOM_MODULE_DIGEST
 
 
+def _same_random_module(alg, seed, bound, generator=False):
+    """random_module and the oracle agree on the module and, with a Generator
+    built from seed, on the rng state they leave behind."""
+    mine, theirs = ((np.random.default_rng(seed), np.random.default_rng(seed)) if generator
+                    else (seed, seed))
+    got, want = repmod.random_module(alg, mine, bound), oracle_random_module(alg, theirs, bound)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json()), (alg.name, seed, bound)
+    if generator:
+        assert mine.bit_generator.state == theirs.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_random_module_matches_the_oracle(p):
+    # seeds 3-5, disjoint from test_random_module_outputs_are_unchanged, and
+    # one Generator per algebra, on every bundled fixture and its opposite
+    for name in FIXTURES:
+        alg = cli.underlying_algebra(cli.load_any(name, p))
+        for a in (alg, alg.opposite()):
+            for seed, bound in zip((3, 4, 5), (8, 10, 12)):
+                _same_random_module(a, seed, bound)
+            _same_random_module(a, [p, len(name)], 9, generator=True)
+
+
+def test_random_module_fallback_and_projective_paths_match_the_oracle(monkeypatch):
+    # size bound 0 rejects all 64 attempts: the rng must be drawn as often
+    for name in ("exB.alg", "nakayama-selfinj.alg"):
+        alg = cli.load_algebra_file(name, 3)
+        got = _same_random_module(alg, 7, 0, generator=True)
+        assert got.equals(repmod.simple(alg, alg.quiver.vertices[0]))
+    # over a2 (1 -> 2) only Hom(P2, rad P1) is nonzero, so some attempts
+    # return the projective sum q with no quotient taken
+    a2 = cli.load_algebra_file("a2.alg", 2)
+    quotients = []
+    quotient = repmod.quotient
+    monkeypatch.setattr(repmod, "quotient", lambda *a: quotients.append(1) or quotient(*a))
+    paths = set()
+    for seed in range(12):
+        before = len(quotients)
+        got = repmod.random_module(a2, seed, 6)
+        paths.add(len(quotients) > before)
+        assert got.equals(oracle_random_module(a2, seed, 6))
+    assert paths == {True, False}
+
+
+def test_random_module_reads_cached_blocks(monkeypatch):
+    calls = []
+    for name in ("hom_basis", "submodule", "presentation", "radical", "direct_sum",
+                 "combine_maps"):
+        f = getattr(repmod, name)
+        monkeypatch.setattr(repmod, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    strip = repmod.Rep.strip
+    monkeypatch.setattr(repmod.Rep, "strip", lambda m: calls.append("strip") or strip(m))
+    alg = cli.load_any("exC.glue").algebra
+    repmod.random_module(alg, 0, 12)
+    # the first call builds one Hom(P_s, rad P_t) per pair of vertices
+    assert calls.count("hom_basis") == len(alg.quiver.vertices) ** 2
+    calls.clear()
+    for seed in range(1, 20):
+        repmod.random_module(alg, seed, 12)
+    assert calls == []
+    # the opposite and the same presentation at another p build their own
+    for other in (alg.opposite(), cli.load_any("exC.glue", 3).algebra):
+        repmod.random_module(other, 0, 12)
+        assert calls.count("hom_basis") == len(other.quiver.vertices) ** 2
+        calls.clear()
+
+
 def test_hom_additivity(exB):
     # in each argument
     for seed in range(10):
@@ -265,6 +334,16 @@ def test_module_json_roundtrip(exB):
     assert back.equals(m)
     with pytest.raises(ValueError):
         repmod.Rep.from_json(exB, {"algebra": "somewhere-else", "dims": {}, "maps": {}})
+
+
+def test_repmap_takes_contract_matrices_as_given(a2):
+    p1, s1 = a2.projective("1"), repmod.simple(a2, "1")
+    mat = ef.eye(1)
+    f = repmod.RepMap(p1, s1, {"1": mat}, check=True)
+    assert f.mats["1"] is mat and not mat.flags.writeable
+    assert f.mats["2"].shape == (1, 0)
+    with pytest.raises(ValueError, match="map shape"):
+        repmod.RepMap(p1, s1, {"1": ef.zeros(1, 2)})
 
 
 def test_combine_maps_is_the_linear_combination(exB, a2):
