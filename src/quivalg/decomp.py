@@ -12,6 +12,11 @@ otherwise.  Locality of E is certified, at any step, by exhibiting E/J(E) as
 a finite field (a candidate whose minimal polynomial has one irreducible
 factor, of degree dim E/J(E)) or, when the flag stalls, by the eigenvalues of
 the basis.  A local End(M) thus costs no random draw in the common case.
+
+Krull-Schmidt makes a module's class multiset a function of the module; here
+it is also a function of the computation that produced it.  Each registry
+therefore remembers finished decompositions by module content, seed,
+confidence and rng state, and `decompose` splits each distinct block once.
 """
 
 from __future__ import annotations
@@ -371,10 +376,20 @@ class IsoRegistry:
 
     Seeded in canonical order: simples by vertex order, then indecomposable
     projectives by vertex order; discovered classes follow in first-seen order.
+
+    `memo` holds the decompositions `decompose` finished against this
+    registry, keyed by everything `indecomposable_pieces` reads: (seed,
+    confidence, rng state before the block or None while decompose has built
+    no rng, dim vector, arrow matrix bytes in quiver arrow order).  The value
+    is (items, certified, rng state after the pieces), stored only once every
+    piece is registered.  Entries are never removed, and every iso verdict
+    they rest on is certified, so re-registering equal pieces would return the
+    stored ids.
     """
 
     def __init__(self, algebra):
         self.algebra = algebra
+        self.memo: dict[tuple, tuple] = {}
         self.entries: list[RegistryEntry] = []
         self.buckets: dict[tuple, list[int]] = {}
         self.simple_ids: dict[str, int] = {}
@@ -438,6 +453,12 @@ class DecomposeResult:
         return "certified" if self.certified else f"probabilistic(2^-{self.confidence})"
 
 
+def _rng_key(rng) -> tuple:
+    """The state of decompose's PCG64 stream, hashable."""
+    s = rng.bit_generator.state
+    return (s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"])
+
+
 def _piece_sort_key(piece: Rep):
     return (piece.total_dim, piece.dim_vector(),
             tuple(piece.mats[a].tobytes() for a in sorted(piece.mats)))
@@ -452,6 +473,14 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
     cost), so recorded sums of small modules decompose even when the total is
     large.  The rng is built at the first block not already decomposed, so
     cache hits and recorded sums of them never build it.
+
+    A block with no `_decomp` of its own is looked up in `registry.memo`
+    (see IsoRegistry), so a module equal entry for entry to one decomposed
+    before, with the same seed, confidence and rng state, costs no End(M),
+    split or registration.  The hit is exact: indecomposable_pieces reads only
+    the matrices, the rng and `confidence`, so it would return the same pieces
+    and leave the rng in the stored after-state, which the hit restores for
+    the blocks that follow.
     """
     registry = registry or m.algebra.registry()
     if m.is_zero:
@@ -475,16 +504,24 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
         if cur.total_dim > budgets.max_dim:
             raise BudgetExceeded(
                 f"module dimension {cur.total_dim} exceeds the cap {budgets.max_dim}")
+        key = (seed, confidence, None if rng is None else _rng_key(rng), cur.dim_vector(),
+               tuple(cur.mats[a.name].tobytes() for a in m.algebra.quiver.arrows))
+        hit = registry.memo.get(key)
         if rng is None:
             rng = np.random.default_rng([int(seed) % (2 ** 31),
                                          m.algebra.structural_digest() % (2 ** 31), 23])
-        got, ok = indecomposable_pieces(cur, rng, confidence)
-        got.sort(key=_piece_sort_key)
-        local: Counter = Counter()
-        for piece in got:
-            local[registry.register(piece, seed=seed)] += 1
-        cur._decomp = ((seed, confidence), tuple(sorted(local.items())), ok)
-        counter.update(local)
+        if hit is None:
+            got, ok = indecomposable_pieces(cur, rng, confidence)
+            after = rng.bit_generator.state
+            got.sort(key=_piece_sort_key)
+            local = Counter(registry.register(piece, seed=seed) for piece in got)
+            items = tuple(sorted(local.items()))
+            registry.memo[key] = (items, ok, after)
+        else:
+            items, ok, after = hit
+            rng.bit_generator.state = after
+        cur._decomp = ((seed, confidence), items, ok)
+        counter.update(dict(items))
         certified = certified and ok
     items = tuple(sorted(counter.items()))
     return DecomposeResult(items, certified, confidence)

@@ -269,15 +269,6 @@ def solve(a, b, p: int) -> np.ndarray | None:
     return x
 
 
-def solve_left(x_rows, target_rows, p: int) -> np.ndarray | None:
-    """Solve Y @ x_rows = target_rows over F_p (row-vector convention).
-
-    Used to express rows of `target_rows` in terms of the rows of `x_rows`.
-    """
-    y = solve(x_rows.T, target_rows.T, p)
-    return None if y is None else y.T
-
-
 def is_invertible(m: np.ndarray, p: int) -> bool:
     return m.shape[0] == m.shape[1] and rank_fp(m, p) == m.shape[0]
 

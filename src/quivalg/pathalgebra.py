@@ -464,13 +464,18 @@ class BoundAlgebra:
         return self._registry
 
     def structural_digest(self) -> int:
-        """Stable digest of the presentation; seeds per-algebra rng streams."""
-        h = hashlib.sha256()
-        h.update(repr((self.quiver.vertices,
-                       tuple((a.name, a.source, a.target) for a in self.quiver.arrows),
-                       tuple(tuple(r.terms) for r in self.relations),
-                       self.p)).encode())
-        return int.from_bytes(h.digest()[:8], "big")
+        """Stable digest of the presentation; seeds per-algebra rng streams.
+
+        Computed once and kept in self.cache: the presentation never changes.
+        """
+        if "digest" not in self.cache:
+            h = hashlib.sha256()
+            h.update(repr((self.quiver.vertices,
+                           tuple((a.name, a.source, a.target) for a in self.quiver.arrows),
+                           tuple(tuple(r.terms) for r in self.relations),
+                           self.p)).encode())
+            self.cache["digest"] = int.from_bytes(h.digest()[:8], "big")
+        return self.cache["digest"]
 
     def __repr__(self) -> str:
         return (f"BoundAlgebra({self.name}: |Q0|={len(self.quiver.vertices)}, "

@@ -342,21 +342,24 @@ def submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMap]:
     """Submodule spanned vertexwise by the given rows.
 
     The basis is the canonical RREF of the spans; raises NotASubmodule when the
-    span is not arrow-stable.
+    span is not arrow-stable.  The RREF basis B_t is the identity on its pivot
+    columns, so the arrow matrix X with X B_t = B_s m_a is read off those
+    columns of B_s m_a, and the span is stable iff X B_t equals B_s m_a.
     """
     alg = m.algebra
     p = alg.p
-    bases = {v: ef.row_basis(r, p) for v, r in _span_rows(m, rows).items()}
-    dims = {v: bases[v].shape[0] for v in alg.quiver.vertices}
+    red = {v: ef.rref(r, p)[:2] for v, r in _span_rows(m, rows).items()}
+    dims = {v: red[v][0].shape[0] for v in alg.quiver.vertices}
     mats = {}
     for a in alg.quiver.arrows:
-        moved = ef.matmul(bases[a.source], m.mats[a.name], p)
-        x = ef.solve_left(bases[a.target], moved, p)
-        if x is None:
+        moved = ef.matmul(red[a.source][0], m.mats[a.name], p)
+        basis, piv = red[a.target]
+        x = moved[:, piv]
+        if not np.array_equal(ef.matmul(x, basis, p), moved):
             raise NotASubmodule(f"span is not stable under arrow {a.name}")
         mats[a.name] = x
     sub = Rep(alg, dims, mats)
-    inc = RepMap(sub, m, {v: bases[v] for v in bases})
+    inc = RepMap(sub, m, {v: red[v][0] for v in red})
     return sub, inc
 
 

@@ -2,9 +2,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivalg import cli, decomp, exactfield as ef, fppoly, repmod
-from quivalg.budgets import DEFAULT, BudgetExceeded
+from quivalg.budgets import DEFAULT, BudgetExceeded, RegistryAmbiguity
 
 
 def test_end_algebra_dims(exA, exB):
@@ -72,6 +74,147 @@ def test_decompose_builds_one_rng_at_its_first_fresh_block(exB, monkeypatch):
     monkeypatch.setattr(exB, "structural_digest", lambda: pytest.fail("digest taken"))
     decomp.decompose(repmod.direct_sum([m, n])[0], registry=reg)
     assert not seen
+
+
+# ---------------------------------------------------------------------------
+# the registry's memo of finished decompositions
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or orig(*a, **k))
+    return calls
+
+
+def test_decompose_reads_the_memo_for_equal_content(exB, monkeypatch):
+    reg = decomp.IsoRegistry(exB)
+    m = repmod.random_module(exB, 5, 9).strip()
+    first = decomp.decompose(m, registry=reg)
+    pieces = _count_calls(monkeypatch, decomp, "indecomposable_pieces")
+    homs = _count_calls(monkeypatch, repmod, "hom_basis")
+    registers = _count_calls(monkeypatch, decomp.IsoRegistry, "register")
+    again = m.strip()
+    second = decomp.decompose(again, registry=reg)
+    assert (second.items, second.status()) == (first.items, first.status())
+    assert again._decomp == m._decomp
+    assert not pieces and not homs and not registers
+
+
+def test_memo_hit_leaves_the_rng_where_the_block_would(monkeypatch):
+    # A's content is in the memo and B is fresh; B must meet the rng in the
+    # state that decomposing A would have left, with or without the memo
+    entered = []
+    pieces = decomp.indecomposable_pieces
+
+    def spy(cur, rng, confidence):
+        state = rng.bit_generator.state
+        got = pieces(cur, rng, confidence)
+        entered.append((cur, state, [x.to_json() for x in got[0]]))
+        return got
+
+    monkeypatch.setattr(decomp, "indecomposable_pieces", spy)
+
+    def run(clear):
+        alg = cli.load_algebra_file("exB.alg")
+        reg = decomp.IsoRegistry(alg)
+        a, b = (repmod.random_module(alg, seed, 9) for seed in (5, 6))
+        decomp.decompose(a.strip(), registry=reg)
+        if clear:
+            reg.memo.clear()
+        entered.clear()
+        a, b = a.strip(), b.strip()
+        # the last summand is decomposed first, so A's block comes before B's
+        res = decomp.decompose(repmod.direct_sum([b, a])[0], registry=reg)
+        assert any(cur is a for cur, _, _ in entered) == clear
+        into_b = [(state, got) for cur, state, got in entered if cur is b]
+        fresh = np.random.default_rng([0, alg.structural_digest() % (2 ** 31), 23])
+        assert into_b[0][0] != fresh.bit_generator.state
+        return res.items, res.status(), b._decomp, into_b, reg.dump()
+
+    assert run(clear=False) == run(clear=True)
+
+
+def test_memo_misses_on_any_key_difference(exB, a2, monkeypatch):
+    reg = decomp.IsoRegistry(exB)
+    m = repmod.random_module(exB, 5, 9).strip()
+    decomp.decompose(m, registry=reg)
+    pieces = _count_calls(monkeypatch, decomp, "indecomposable_pieces")
+    for kwargs in ({"seed": 1}, {"confidence": 39}):
+        pieces.clear()
+        decomp.decompose(m.strip(), registry=reg, **kwargs)
+        assert pieces
+    # after a fresh block (the last summand goes first) the rng is built
+    pieces.clear()
+    again, fresh = m.strip(), repmod.random_module(exB, 6, 9).strip()
+    decomp.decompose(repmod.direct_sum([again, fresh])[0], registry=reg)
+    assert any(args[0] is again for args in pieces)
+    # a registry passed as registry= has its own memo
+    pieces.clear()
+    other = decomp.IsoRegistry(exB)
+    decomp.decompose(m.strip(), registry=other)
+    assert pieces and len(other.memo) == 1
+    # S1 and S2 over 1 -> 2 have the same (empty) arrow bytes
+    reg_a2 = decomp.IsoRegistry(a2)
+    s1, s2 = repmod.simple(a2, "1"), repmod.simple(a2, "2")
+    assert s1.mats["a"].tobytes() == s2.mats["a"].tobytes()
+    decomp.decompose(s1.strip(), registry=reg_a2)
+    pieces.clear()
+    decomp.decompose(s2.strip(), registry=reg_a2)
+    assert pieces
+    # one entry apart, and isomorphic
+    p1, p1_scaled = (repmod.Rep(a2, {"1": 1, "2": 1}, {"a": np.array([[c]], dtype=np.int64)})
+                     for c in (1, 2))
+    first = decomp.decompose(p1, registry=reg_a2)
+    pieces.clear()
+    assert decomp.decompose(p1_scaled, registry=reg_a2).items == first.items
+    assert pieces
+
+
+def test_registry_ambiguity_leaves_no_memo_entry(exB, monkeypatch):
+    reg = decomp.IsoRegistry(exB)
+    s1 = repmod.simple(exB, "1")
+    m = repmod.direct_sum([s1, s1])[0].strip()
+    monkeypatch.setattr(decomp, "is_isomorphic",
+                        lambda *a, **k: decomp.IsoResult("inconclusive", None, "forced"))
+    with pytest.raises(RegistryAmbiguity):
+        decomp.decompose(m, registry=reg)
+    assert reg.memo == {} and m._decomp is None
+    monkeypatch.undo()
+    assert dict(decomp.decompose(m, registry=reg).items) == {reg.simple_ids["1"]: 2}
+    assert len(reg.memo) == 1
+
+
+def _fixture_algebra(name):
+    if name.endswith(".glue"):
+        return cli.load_glue_file(name).algebra
+    return cli.load_algebra_file(name)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["a2.alg", "exB.alg", "nakayama-a3.alg", "nakayama-selfinj.alg",
+                        "exA.alg", "remark54.glue", "rad-square-zero-pair.glue"]),
+       st.lists(st.integers(0, 999), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_memo_agrees_with_decomposing_afresh(name, seeds, order_rng):
+    # each module twice, in shuffled order: with the memo, and with the memo
+    # emptied before every call
+    alg = _fixture_algebra(name)
+    modules = [repmod.random_module(alg, seed, 8) for seed in seeds]
+    order = list(range(len(modules))) * 2
+    order_rng.shuffle(order)
+
+    def run(clear):
+        reg = decomp.IsoRegistry(alg)
+        results = []
+        for i in order:
+            if clear:
+                reg.memo.clear()
+            res = decomp.decompose(modules[i].strip(), registry=reg)
+            results.append((res.items, res.certified))
+        return results, reg.dump()
+
+    assert run(clear=False) == run(clear=True)
 
 
 def _base_change(m, rng):

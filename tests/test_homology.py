@@ -28,7 +28,7 @@ def test_cover_minimality_asserted(exB):
         _, rad_inc = repmod.radical(cover)
         for v, mat in epi.mats.items():
             rows = ef.kernel_basis(mat.T, p)
-            assert not rows.size or ef.solve_left(rad_inc.mats[v], rows, p) is not None
+            assert not rows.size or ef.solve(rad_inc.mats[v].T, rows.T, p) is not None
 
 
 def test_syzygy_examples(exB, a2):

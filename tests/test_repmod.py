@@ -152,8 +152,23 @@ def test_quotient_examples(exB):
 def test_quotient_rejects_non_submodule(a2):
     p1 = a2.projective("1")
     # the vertex-1 line alone is not arrow-stable (a sends it onto vertex 2)
-    with pytest.raises(repmod.NotASubmodule):
-        repmod.quotient(p1, {"1": [[1]]})
+    for build in (repmod.quotient, repmod.submodule):
+        with pytest.raises(repmod.NotASubmodule):
+            build(p1, {"1": [[1]]})
+
+
+def test_submodule_arrows_solve_the_inclusion(exB, nak_a3):
+    # X with X B_t = B_s m_a is unique (B_t has full row rank): the one a
+    # general solver finds, and the inclusion is a module map
+    for alg in (exB, nak_a3):
+        for seed in range(6):
+            m = repmod.random_module(alg, seed, 9)
+            for sub, inc in (repmod.radical(m), repmod.socle(m)):
+                assert inc.is_valid()
+                for a in alg.quiver.arrows:
+                    moved = ef.matmul(inc.mats[a.source], m.mats[a.name], alg.p)
+                    want = ef.solve(inc.mats[a.target].T, moved.T, alg.p).T
+                    assert np.array_equal(sub.mats[a.name], want)
 
 
 def test_span_rows_of_the_wrong_width_are_rejected(exB):
