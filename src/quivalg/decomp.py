@@ -17,6 +17,14 @@ Krull-Schmidt makes a module's class multiset a function of the module; here
 it is also a function of the computation that produced it.  Each registry
 therefore remembers finished decompositions by module content, seed,
 confidence and rng state, and `decompose` splits each distinct block once.
+
+No Hom space is solved for an answer already known, and each shortcut gives
+the same pieces, class ids and payloads: the End of a one-dimensional module
+is its identity (EndAlgebra); a split's pieces ker g(f) and ker h(f) are the
+images of h(f) and g(f), already evaluated (_split_by); the iso test reads
+dim Hom off repmod.hom_solve and builds a basis only for its random rounds
+(is_isomorphic); and a module equal entry for entry to a class
+representative is that class (IsoRegistry.content).
 """
 
 from __future__ import annotations
@@ -80,12 +88,20 @@ def fingerprint(m: Rep) -> tuple:
 
 
 class EndAlgebra:
-    """End(M) as a basis of vertexwise endomorphisms."""
+    """End(M) as a basis of vertexwise endomorphisms.
+
+    The End of a one-dimensional module is spanned by its identity, which is
+    the basis hom_basis would return (Hom is then all of the vertexwise maps,
+    whose canonical basis is the identity), so that case solves nothing.
+    """
 
     def __init__(self, module: Rep):
         self.module = module
         self.p = module.algebra.p
-        self.basis = repmod.hom_basis(module, module)
+        if module.total_dim == 1:
+            self.basis = [RepMap(module, module, {v: ef.eye(d) for v, d in module.dims.items()})]
+        else:
+            self.basis = repmod.hom_basis(module, module)
         self.dim = len(self.basis)
         module._end_dim = self.dim
 
@@ -113,23 +129,19 @@ def _minpoly_of_mats(mats: dict[str, np.ndarray], p: int) -> list[int]:
     return fppoly.min_poly_matrix(diag, p)
 
 
-def _poly_kernel_piece(m: Rep, mats: dict[str, np.ndarray], g: list[int]) -> Rep:
-    """The submodule ker g(f) for an endomorphism f given vertexwise."""
-    p = m.algebra.p
-    rows = {}
-    for v in m.algebra.quiver.vertices:
-        gv = fppoly.eval_matrix(g, mats[v], p) if m.dims[v] else ef.zeros(0, 0)
-        rows[v] = ef.kernel_basis(gv.T, p)
-    sub, _ = repmod.submodule(m, rows)
-    return sub
-
-
 def _split_by(m: Rep, f: dict[str, np.ndarray], rng):
     """(factors, pieces) for the endomorphism f of m, given vertexwise.
 
     factors is the factorization of the minimal polynomial of f; pieces is
     [ker g(f), ker h(f)] for g the first prime power of that polynomial and h
     its cofactor, or None when the polynomial is a prime power.
+
+    The pieces are read off the images, with no kernel solved: g h kills
+    every f_v and gcd(g, h) = 1, so m_v = ker g(f_v) + ker h(f_v) is direct,
+    im h(f_v) lies in ker g(f_v) and has dimension
+    dim m_v - dim ker h(f_v) = dim ker g(f_v).  Hence ker g(f) = im h(f) and
+    ker h(f) = im g(f), spanned by the rows of h(f_v) and g(f_v); submodule
+    takes the RREF of those spans, so the pieces are the kernels' bit for bit.
     """
     p = m.algebra.p
     minpoly = _minpoly_of_mats(f, p)
@@ -140,7 +152,12 @@ def _split_by(m: Rep, f: dict[str, np.ndarray], rng):
     for _ in range(factors[0][1]):
         g = fppoly.mul(g, factors[0][0], p)
     h = fppoly.divmod_poly(minpoly, g, p)[0]
-    pieces = [_poly_kernel_piece(m, f, g), _poly_kernel_piece(m, f, h)]
+    at_g, at_h = {}, {}
+    for v in m.algebra.quiver.vertices:
+        if m.dims[v]:
+            at_g[v] = fppoly.eval_matrix(g, f[v], p)
+            at_h[v] = fppoly.eval_matrix(h, f[v], p)
+    pieces = [repmod.submodule(m, at_h)[0], repmod.submodule(m, at_g)[0]]
     if pieces[0].total_dim + pieces[1].total_dim != m.total_dim:
         raise AssertionError("generalized kernels do not exhaust the module")
     return factors, pieces
@@ -310,6 +327,12 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
 
     Falls back to exhaustive search of Hom(m, n) when |F|^dim <= 10^6, and
     reports "inconclusive" rather than guessing beyond that.
+
+    dim Hom(m, n) is read off one hom_solve before any basis is assembled:
+    "hom space is zero" and a mismatch with a known End dimension need only
+    that number.  The basis is assembled from the same solve when random
+    combinations must be tried, and End dimensions filled in afterwards come
+    from solves alone.
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
@@ -323,22 +346,23 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
         return IsoResult("yes", ident, "structural equality")
     if fingerprint(m) != fingerprint(n):
         return IsoResult("no", None, "fingerprints differ")
-    homs = repmod.hom_basis(m, n)
-    if not homs:
+    solve = repmod.hom_solve(m, n)
+    if not solve.dim:
         return IsoResult("no", None, "hom space is zero")
     # an isomorphism M ~ N identifies Hom(M,N) with both endomorphism spaces;
     # a known End dimension settles "no" before the random rounds
-    if any(x._end_dim is not None and x._end_dim != len(homs) for x in (m, n)):
+    if any(x._end_dim is not None and x._end_dim != solve.dim for x in (m, n)):
         return IsoResult("no", None, "hom dimension mismatch")
+    homs = solve.basis()
     rng = np.random.default_rng([int(seed) % (2 ** 31), m.algebra.structural_digest() % (2 ** 31), 17])
     for _ in range(confidence):
         f = repmod.combine_maps(homs, rng.integers(0, p, size=len(homs)))
         if f.is_invertible():
             return IsoResult("yes", f, "random invertible hom")
     if m._end_dim is None:
-        m._end_dim = len(repmod.hom_basis(m, m))
+        m._end_dim = repmod.hom_solve(m, m).dim
     if n._end_dim is None:
-        n._end_dim = len(repmod.hom_basis(n, n))
+        n._end_dim = repmod.hom_solve(n, n).dim
     if m._end_dim != len(homs) or n._end_dim != len(homs):
         return IsoResult("no", None, "hom dimension mismatch")
     if p ** len(homs) <= EXHAUSTIVE_LIMIT:
@@ -356,6 +380,12 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
 
 # ---------------------------------------------------------------------------
 # registry
+
+
+def _content(m: Rep) -> tuple:
+    """m's dim vector and arrow matrix bytes in quiver arrow order: equal
+    tuples mean modules equal entry for entry."""
+    return m.dim_vector(), tuple(m.mats[a.name].tobytes() for a in m.algebra.quiver.arrows)
 
 
 class RegistryEntry:
@@ -377,19 +407,28 @@ class IsoRegistry:
     Seeded in canonical order: simples by vertex order, then indecomposable
     projectives by vertex order; discovered classes follow in first-seen order.
 
+    `content` maps each class representative's content (its dim vector and
+    arrow matrix bytes in quiver arrow order) to its id, and `register`
+    looks a module up there before it computes a fingerprint.  The classes
+    are pairwise non-isomorphic, so a module equal entry for entry to a
+    representative is isomorphic to that class alone: the bucket scan would
+    return the same id, as its first "yes" (a structural equality).  The one
+    difference is that an earlier entry whose iso test would be inconclusive
+    raises no RegistryAmbiguity once the content has certified the class.
+
     `memo` holds the decompositions `decompose` finished against this
     registry, keyed by everything `indecomposable_pieces` reads: (seed,
     confidence, rng state before the block or None while decompose has built
-    no rng, dim vector, arrow matrix bytes in quiver arrow order).  The value
-    is (items, certified, rng state after the pieces), stored only once every
-    piece is registered.  Entries are never removed, and every iso verdict
-    they rest on is certified, so re-registering equal pieces would return the
-    stored ids.
+    no rng, content).  The value is (items, certified, rng state after the
+    pieces), stored only once every piece is registered.  Entries are never
+    removed, and every iso verdict they rest on is certified, so
+    re-registering equal pieces would return the stored ids.
     """
 
     def __init__(self, algebra):
         self.algebra = algebra
         self.memo: dict[tuple, tuple] = {}
+        self.content: dict[tuple, int] = {}
         self.entries: list[RegistryEntry] = []
         self.buckets: dict[tuple, list[int]] = {}
         self.simple_ids: dict[str, int] = {}
@@ -404,6 +443,10 @@ class IsoRegistry:
     def register(self, m: Rep, seed: int = 0) -> int:
         if m.is_zero:
             raise ValueError("cannot register the zero module")
+        key = _content(m)
+        eid = self.content.get(key)
+        if eid is not None:
+            return eid
         fp = fingerprint(m)
         for eid in self.buckets.get(fp, ()):
             res = is_isomorphic(self.entries[eid].rep, m, seed=seed)
@@ -415,6 +458,7 @@ class IsoRegistry:
         eid = len(self.entries)
         self.entries.append(RegistryEntry(eid, m, fp, False))
         self.buckets.setdefault(fp, []).append(eid)
+        self.content[key] = eid
         return eid
 
     def rep(self, eid: int) -> Rep:
@@ -472,7 +516,9 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
     The dimension cap applies per direct-sum block (the unit of hom-solve
     cost), so recorded sums of small modules decompose even when the total is
     large.  The rng is built at the first block not already decomposed, so
-    cache hits and recorded sums of them never build it.
+    cache hits and recorded sums of them never build it.  A block's own
+    `_decomp` is read only against the registry it was decomposed with
+    (compared by identity): class ids belong to one registry.
 
     A block with no `_decomp` of its own is looked up in `registry.memo`
     (see IsoRegistry), so a module equal entry for entry to one decomposed
@@ -497,15 +543,15 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
         if cur.is_zero:
             continue
         cache = cur._decomp
-        if cache is not None and cache[0] == (seed, confidence):
+        if (cache is not None and cur._decomp_registry is registry
+                and cache[0] == (seed, confidence)):
             counter.update(dict(cache[1]))
             certified = certified and cache[2]
             continue
         if cur.total_dim > budgets.max_dim:
             raise BudgetExceeded(
                 f"module dimension {cur.total_dim} exceeds the cap {budgets.max_dim}")
-        key = (seed, confidence, None if rng is None else _rng_key(rng), cur.dim_vector(),
-               tuple(cur.mats[a.name].tobytes() for a in m.algebra.quiver.arrows))
+        key = (seed, confidence, None if rng is None else _rng_key(rng), _content(cur))
         hit = registry.memo.get(key)
         if rng is None:
             rng = np.random.default_rng([int(seed) % (2 ** 31),
@@ -521,6 +567,7 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
             items, ok, after = hit
             rng.bit_generator.state = after
         cur._decomp = ((seed, confidence), items, ok)
+        cur._decomp_registry = registry
         counter.update(dict(items))
         certified = certified and ok
     items = tuple(sorted(counter.items()))

@@ -6,9 +6,10 @@ a path is the left-to-right product of its arrow matrices.  All constructors
 return immutable numpy-backed values; every operation is pure.
 
 Hom spaces are solved on the first module's projective presentation
-0 -> omega -> P0 ->> m (see hom_basis), which is built once per module and
-cached on it, as are the matrices of its paths.  The projective cover and
-homology's syzygies read the same cached presentation.
+0 -> omega -> P0 ->> m (see hom_solve), which is built once per module and
+cached on it, as are the matrices of its paths.  The solve alone gives
+dim Hom; hom_basis assembles the canonical basis from it.  The projective
+cover and homology's syzygies read the same cached presentation.
 
 A subspace of m is a dict vertex -> rows spanning it inside m_v (a missing
 vertex spans 0).  submodule, generated_submodule and quotient take one and
@@ -49,7 +50,7 @@ class Rep:
     """
 
     __slots__ = ("algebra", "dims", "mats", "summands", "_end_dim", "_fp", "_decomp",
-                 "_pres", "_paths")
+                 "_decomp_registry", "_pres", "_paths")
 
     def __init__(self, algebra: BoundAlgebra, dims, mats, summands=None):
         self.algebra = algebra
@@ -74,6 +75,7 @@ class Rep:
         self._end_dim = None
         self._fp = None
         self._decomp = None
+        self._decomp_registry = None
         self._pres = None
         self._paths = {}
 
@@ -631,18 +633,87 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
     return cover, RepMap(cover, m, pres.epi)
 
 
-def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
-    """Basis of Hom(m, n), solved on m's projective presentation.
+def _generator_blocks(pres: Presentation, stacks: dict, w: str):
+    """(v, copies, first column, paths) per vertex v of generators, in P0_w."""
+    col = 0
+    for v, cols in pres.gens.items():
+        c = stacks[v][w].shape[0]
+        yield v, len(cols), col, c
+        col += len(cols) * c
+
+
+@dataclass
+class HomSolve:
+    """The solved system of Hom(m, n) on m's presentation (see hom_solve).
+
+    ys holds a basis of the solutions y, one per row.  A hom is fixed by the
+    images y of m's generators, so dim Hom(m, n) = len(ys) = dim, read with
+    no basis built.  pres and stacks (m's presentation, n's path stacks from
+    the generator vertices) are what basis() reads; both are None when Hom
+    is 0 for lack of shared support or of unknowns.
+    """
+
+    m: Rep
+    n: Rep
+    ys: np.ndarray
+    pres: Presentation | None = None
+    stacks: dict | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.ys.shape[0]
+
+    def basis(self) -> list[RepMap]:
+        """The canonical basis of Hom(m, n) that hom_basis returns."""
+        m, n, ys, pres, stacks = self.m, self.n, self.ys, self.pres, self.stacks
+        nb = self.dim
+        if not nb:
+            return []
+        p = m.algebra.p
+        verts = m.algebra.quiver.vertices
+        ycols, off = {}, 0
+        for v, cols in pres.gens.items():
+            ycols[v] = slice(off, off + len(cols) * n.dims[v])
+            off += len(cols) * n.dims[v]
+        flat = []
+        for w in (w for w in verts if m.dims[w] and n.dims[w]):
+            # Phi_w(y) on the section's rows only, then S_w's inverse block
+            rows, inv = pres.sections[w]
+            dw = n.dims[w]
+            picked = []
+            for v, k, col, c in _generator_blocks(pres, stacks, w):
+                t = rows[(rows >= col) & (rows < col + k * c)] - col
+                if t.size:
+                    yv = ys[:, ycols[v]].reshape(nb, k, n.dims[v])[:, t // c, :]
+                    picked.append(np.matmul(yv.transpose(1, 0, 2), stacks[v][w][t % c]) % p)
+            phi = np.concatenate(picked, axis=0).reshape(m.dims[w], nb * dw)
+            fw = ef.matmul(inv, phi, p)
+            flat.append(fw.reshape(m.dims[w], nb, dw).transpose(1, 0, 2)
+                        .reshape(nb, m.dims[w] * dw))
+        flat = np.concatenate(flat, axis=1)
+        # when Hom is all of the vertexwise maps, its canonical basis is the identity
+        basis = ef.eye(nb) if nb == flat.shape[1] else ef.rref(flat[:, ::-1], p)[0][::-1, ::-1]
+        maps = []
+        for row in basis:
+            mats, off = {}, 0
+            for v in verts:
+                size = m.dims[v] * n.dims[v]
+                mats[v] = row[off:off + size].reshape(m.dims[v], n.dims[v])
+                off += size
+            maps.append(RepMap(m, n, mats))
+        return maps
+
+
+def hom_solve(m: Rep, n: Rep) -> HomSolve:
+    """Solve for Hom(m, n) on m's projective presentation, with no basis built.
 
     A hom f is fixed by the images y_j in n of the generators of m.  Any y
     extends to Phi(y): P0 -> n, sending the basis path pi of copy j to
     y_j n(pi); Phi(y) factors through m exactly when it kills omega, and then
     f_w = S_w Phi_w(y).  So the unknowns are y (sum_j dim n at the vertex of
-    generator j) and the equations are omega_w Phi_w(y) = 0.  The basis
-    returned is the canonical one of Hom(m, n) in the entries of the
-    vertexwise matrices of f (vertex order, each matrix row-major): the RREF
-    of its span in reversed column order, flipped back.  That is the basis
-    kernel_basis gives of the commuting-square system on those entries.
+    generator j) and the equations are omega_w Phi_w(y) = 0; the kernel of
+    that system is the HomSolve's ys.  Callers that need only dim Hom(m, n)
+    stop here; HomSolve.basis assembles the maps from the same solve.
     """
     alg = m.algebra
     if n.algebra is not alg:
@@ -650,27 +721,19 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
     p = alg.p
     verts = alg.quiver.vertices
     if not any(m.dims[v] and n.dims[v] for v in verts):
-        return []
+        return HomSolve(m, n, ef.zeros(0, 0))
     pres = presentation(m)
     nvars = sum(len(cols) * n.dims[v] for v, cols in pres.gens.items())
     if not nvars:
-        return []
+        return HomSolve(m, n, ef.zeros(0, 0))
     stacks = {v: _path_stacks(n, v) for v in pres.gens}
-
-    def blocks(w: str):
-        """(v, copies, first column, paths) per vertex v of generators, in P0_w."""
-        col = 0
-        for v, cols in pres.gens.items():
-            c = stacks[v][w].shape[0]
-            yield v, len(cols), col, c
-            col += len(cols) * c
 
     def equations(w: str) -> np.ndarray:
         """omega_w Phi_w(y) = 0 as rows over the unknowns y."""
         om, dw = pres.omega[w], n.dims[w]
         r = om.shape[0]
         out = []
-        for v, k, col, c in blocks(w):
+        for v, k, col, c in _generator_blocks(pres, stacks, w):
             dv = n.dims[v]
             part = om[:, col:col + k * c].reshape(r * k, c) @ stacks[v][w].reshape(c, dv * dw)
             out.append(part.reshape(r, k, dv, dw).transpose(0, 3, 1, 2).reshape(r * dw, k * dv))
@@ -678,39 +741,18 @@ def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
 
     system = [equations(w) for w in verts if pres.omega[w].shape[0] and n.dims[w]]
     ys = ef.kernel_basis(np.concatenate(system, axis=0) if system else ef.zeros(0, nvars), p)
-    nb = ys.shape[0]
-    if not nb:
-        return []
-    ycols, off = {}, 0
-    for v, cols in pres.gens.items():
-        ycols[v] = slice(off, off + len(cols) * n.dims[v])
-        off += len(cols) * n.dims[v]
-    flat = []
-    for w in (w for w in verts if m.dims[w] and n.dims[w]):
-        # Phi_w(y) on the section's rows only, then S_w's inverse block
-        rows, inv = pres.sections[w]
-        dw = n.dims[w]
-        picked = []
-        for v, k, col, c in blocks(w):
-            t = rows[(rows >= col) & (rows < col + k * c)] - col
-            if t.size:
-                yv = ys[:, ycols[v]].reshape(nb, k, n.dims[v])[:, t // c, :]
-                picked.append(np.matmul(yv.transpose(1, 0, 2), stacks[v][w][t % c]) % p)
-        phi = np.concatenate(picked, axis=0).reshape(m.dims[w], nb * dw)
-        fw = ef.matmul(inv, phi, p)
-        flat.append(fw.reshape(m.dims[w], nb, dw).transpose(1, 0, 2).reshape(nb, m.dims[w] * dw))
-    flat = np.concatenate(flat, axis=1)
-    # when Hom is all of the vertexwise maps, its canonical basis is the identity
-    basis = ef.eye(nb) if nb == flat.shape[1] else ef.rref(flat[:, ::-1], p)[0][::-1, ::-1]
-    maps = []
-    for row in basis:
-        mats, off = {}, 0
-        for v in verts:
-            size = m.dims[v] * n.dims[v]
-            mats[v] = row[off:off + size].reshape(m.dims[v], n.dims[v])
-            off += size
-        maps.append(RepMap(m, n, mats))
-    return maps
+    return HomSolve(m, n, ys, pres, stacks)
+
+
+def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
+    """Basis of Hom(m, n): hom_solve's system, then HomSolve.basis.
+
+    The basis is the canonical one of Hom(m, n) in the entries of the
+    vertexwise matrices of f (vertex order, each matrix row-major): the RREF
+    of its span in reversed column order, flipped back.  That is the basis
+    kernel_basis gives of the commuting-square system on those entries.
+    """
+    return hom_solve(m, n).basis()
 
 
 def combine_maps(maps: list[RepMap], coeffs) -> RepMap:

@@ -1,10 +1,15 @@
+import hashlib
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iso_oracle import basis_first_is_isomorphic
+from split_oracle import kernel_pieces
+from test_repmod import FIXTURES
 from quivalg import cli, decomp, exactfield as ef, fppoly, repmod
 from quivalg.budgets import DEFAULT, BudgetExceeded, RegistryAmbiguity
 
@@ -15,6 +20,25 @@ def test_end_algebra_dims(exA, exB):
     assert decomp.end_algebra(two).dim == 2
     # End(P1) over exB: evaluation at the vertex-1 component
     assert decomp.end_algebra(exB.projective("1")).dim == exB.projective("1").dims["1"]
+
+
+def test_end_of_a_one_dimensional_module_is_its_identity(monkeypatch):
+    # the simples (every one-dimensional module over these algebras) of every
+    # fixture at p = 2, 3 and 101: hom_basis's basis, with no presentation
+    for name in FIXTURES:
+        for p in (2, 3, 101):
+            alg = cli.underlying_algebra(cli.load_any(name, p))
+            for v in alg.quiver.vertices:
+                t = repmod.simple(alg, v)
+                want = repmod.hom_basis(t, t)
+                calls = _count_calls(monkeypatch, repmod, "presentation")
+                s = repmod.simple(alg, v)
+                E = decomp.end_algebra(s)
+                monkeypatch.undo()
+                assert not calls and E.dim == s._end_dim == 1 and s._pres is None
+                for w in alg.quiver.vertices:
+                    got, ref = E.basis[0].mats[w], want[0].mats[w]
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), (name, p, v)
 
 
 def test_decompose_examples(exA, exB):
@@ -173,16 +197,29 @@ def test_memo_misses_on_any_key_difference(exB, a2, monkeypatch):
 
 def test_registry_ambiguity_leaves_no_memo_entry(exB, monkeypatch):
     reg = decomp.IsoRegistry(exB)
-    s1 = repmod.simple(exB, "1")
-    m = repmod.direct_sum([s1, s1])[0].strip()
+    # P1 with a basis vector rescaled: no class representative equals it
+    # entry for entry, so only an iso test can place it
+    m = repmod.Rep(exB, {"1": 2, "2": 1}, {"bb1": [[0, 2], [0, 0]], "b1": [[1], [0]]})
     monkeypatch.setattr(decomp, "is_isomorphic",
                         lambda *a, **k: decomp.IsoResult("inconclusive", None, "forced"))
     with pytest.raises(RegistryAmbiguity):
         decomp.decompose(m, registry=reg)
     assert reg.memo == {} and m._decomp is None
     monkeypatch.undo()
-    assert dict(decomp.decompose(m, registry=reg).items) == {reg.simple_ids["1"]: 2}
+    assert dict(decomp.decompose(m, registry=reg).items) == {reg.projective_ids["1"]: 1}
     assert len(reg.memo) == 1
+
+
+def test_decomp_cache_is_read_only_against_its_own_registry(exB):
+    m = repmod.random_module(exB, 5, 9)
+    first = decomp.decompose(m, registry=decomp.IsoRegistry(exB))
+    other = decomp.IsoRegistry(exB)
+    decomp.decompose(repmod.random_module(exB, 6, 9), registry=other)
+    got = decomp.decompose(m, registry=other)
+    want = decomp.decompose(m.strip(), registry=other)
+    assert first.items == ((4, 1), (5, 1))
+    assert got.items == want.items == ((6, 1), (7, 1))
+    assert m._decomp_registry is other
 
 
 def _fixture_algebra(name):
@@ -270,6 +307,67 @@ def test_known_end_dimension_settles_no_before_the_random_rounds(monkeypatch):
     assert calls == []
 
 
+
+def _iso_outcome(res):
+    witness = None if res.witness is None else {v: x.tolist() for v, x in res.witness.mats.items()}
+    return res.verdict, res.method, witness
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FIXTURES + ("kronecker",)), st.sampled_from([2, 3, 101]),
+       st.lists(st.integers(0, 999), min_size=1, max_size=3), st.booleans(),
+       st.sampled_from([0, 40]))
+@example("kronecker", 101, [0], False, 40)
+@example("kronecker", 101, [1], True, 0)
+def test_iso_reads_the_hom_dimension_as_the_basis_first_oracle(name, p, seeds, know_end,
+                                                               confidence):
+    # pairs of indecomposable pieces of random modules and changes of basis
+    # of them, with End dimensions known or not and with or without random
+    # rounds: hom_solve's dimension is len(hom_basis), and the verdict,
+    # method and witness are the oracle's.  Over the Kronecker quiver the
+    # regular modules R_1, R_2 share fingerprints and have Hom zero, and
+    # R_1 + R_2, R_1 + R_3 have Hom of dimension 1 and End of dimension 2.
+    if name == "kronecker":
+        alg = cli.parse_algebra(f"algebra K field {p} truncate 5\nvertex 1 2\n"
+                                "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
+        pieces = [repmod.Rep(alg, {"1": len(pts), "2": len(pts)},
+                             {"a": np.eye(len(pts), dtype=np.int64), "b": np.diag(pts)})
+                  for pts in ((1,), (2,), (1, 2), (1, 3))]
+    else:
+        alg = cli.underlying_algebra(cli.load_any(name, p))
+        pieces = []
+    rng = np.random.default_rng(seeds)
+    for seed in seeds:
+        m = repmod.random_module(alg, seed, 8).strip()
+        pieces += decomp.indecomposable_pieces(m, np.random.default_rng(seed), 40)[0]
+    pieces += [_base_change(x, rng) for x in pieces[:2]]
+
+    def fresh(x):
+        y = x.strip()
+        if know_end:
+            y._end_dim = len(repmod.hom_basis(x, x))
+        return y
+
+    for m in pieces:
+        for n in pieces:
+            assert repmod.hom_solve(m, n).dim == len(repmod.hom_basis(m, n))
+            got = decomp.is_isomorphic(fresh(m), fresh(n), confidence=confidence)
+            want = basis_first_is_isomorphic(fresh(m), fresh(n), confidence=confidence)
+            assert _iso_outcome(got) == _iso_outcome(want), (m, n)
+
+
+def test_a_yes_iso_test_solves_hom_once(monkeypatch):
+    # the basis comes from the solve that gave the dimension
+    alg = cli.load_algebra_file("exB.alg")
+    m = repmod.random_module(alg, 3, 9)
+    n = _base_change(m, np.random.default_rng(3))
+    solves = _count_calls(monkeypatch, repmod, "hom_solve")
+    bases = _count_calls(monkeypatch, repmod, "hom_basis")
+    r = decomp.is_isomorphic(m, n)
+    assert (r.verdict, r.method) == ("yes", "random invertible hom")
+    assert len(solves) == 1 and not bases
+
+
 def test_fingerprint_iso_invariance(exB):
     rng = np.random.default_rng(11)
     for seed in range(10):
@@ -293,6 +391,56 @@ def test_registry_canonical_order_and_dedup(exB, a2):
     rega = a2.registry()
     assert rega.projective_ids["2"] == rega.simple_ids["2"]
     assert rega.is_projective(rega.simple_ids["2"])
+
+
+
+def test_register_finds_a_representative_by_content(exB, monkeypatch):
+    reg = decomp.IsoRegistry(exB)
+    for seed in range(4):
+        decomp.decompose(repmod.random_module(exB, seed, 9).strip(), registry=reg)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("no fingerprint or iso test on a content hit")
+
+    monkeypatch.setattr(decomp, "fingerprint", fail)
+    monkeypatch.setattr(decomp, "is_isomorphic", fail)
+    for e in reg.entries:
+        assert reg.register(repmod.Rep(exB, e.rep.dims, e.rep.mats)) == e.id
+    # the pieces of S1 + S1 equal S1 entry for entry: no iso test is run,
+    # so none could come back inconclusive
+    s1 = repmod.simple(exB, "1")
+    m = repmod.direct_sum([s1, s1])[0].strip()
+    assert dict(decomp.decompose(m, registry=reg).items) == {reg.simple_ids["1"]: 2}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["a2.alg", "exB.alg", "nakayama-a3.alg", "nakayama-selfinj.alg",
+                        "exA.alg", "remark54.glue", "rad-square-zero-pair.glue"]),
+       st.lists(st.integers(0, 999), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_content_lookup_agrees_with_the_bucket_scan(name, seeds, order_rng):
+    # indecomposable pieces, equal copies and changes of basis of them, in
+    # shuffled order: the same ids and dump with the content map and with
+    # it emptied before every registration
+    alg = _fixture_algebra(name)
+    rng = np.random.default_rng(seeds)
+    pieces = []
+    for seed in seeds:
+        m = repmod.random_module(alg, seed, 8).strip()
+        pieces += decomp.indecomposable_pieces(m, np.random.default_rng(seed), 40)[0]
+    pieces += [x.strip() for x in pieces] + [_base_change(x, rng) for x in pieces]
+    order_rng.shuffle(pieces)
+
+    def run(clear):
+        reg = decomp.IsoRegistry(alg)
+        ids = []
+        for x in pieces:
+            if clear:
+                reg.content.clear()
+            ids.append(reg.register(x))
+        return ids, reg.dump()
+
+    assert run(clear=False) == run(clear=True)
 
 
 def test_decompose_budget(exB):
@@ -579,6 +727,52 @@ def test_minpoly_of_mats_is_the_lcm_over_vertices():
             assert np.array_equal(decomp._minpoly_of_mats(mats, p), want)
 
 
+
+def _kronecker_f2():
+    # the module of test_exhaustive_idempotent_search_certifies_a_local_end
+    kron = cli.parse_algebra("algebra K field 2 truncate 5\nvertex 1 2\n"
+                             "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
+    comp = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0]]
+    return repmod.Rep(kron, {"1": 4, "2": 4}, {"a": np.eye(4, dtype=np.int64), "b": comp})
+
+
+def _split_pieces_match_the_oracle(m, seed):
+    """Split m by each basis element of End(m); returns how many split it."""
+    split = 0
+    for f in decomp.end_algebra(m).basis:
+        factors, pieces = decomp._split_by(m, f.mats, np.random.default_rng(seed))
+        if pieces is None:
+            continue
+        split += 1
+        for got, want in zip(pieces, kernel_pieces(m, f.mats, factors)):
+            assert got.dims == want.dims
+            for a in m.algebra.quiver.arrows:
+                x, y = got.mats[a.name], want.mats[a.name]
+                assert x.dtype == y.dtype and np.array_equal(x, y), (m, a.name)
+    return split
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_split_pieces_match_the_kernel_oracle(p):
+    # every basis element of End(M) for seeded random modules and a sum of
+    # two, over every fixture and its opposite
+    split = 0
+    for name in FIXTURES:
+        alg = cli.underlying_algebra(cli.load_any(name, p))
+        for a in (alg, alg.opposite()):
+            mods = [repmod.random_module(a, seed, 9) for seed in range(3)]
+            for seed, m in enumerate(mods + [repmod.direct_sum(mods[:2])[0].strip()]):
+                split += _split_pieces_match_the_oracle(m, seed)
+    assert split >= 100
+
+
+def test_split_pieces_of_the_f2_kronecker_module_match_the_kernel_oracle():
+    # End(M) is local, so no basis element splits M; End(M + M) = M_2(End M)
+    m = _kronecker_f2()
+    assert _split_pieces_match_the_oracle(m, 0) == 0
+    assert _split_pieces_match_the_oracle(repmod.direct_sum([m, m])[0].strip(), 0) > 0
+
+
 # witnesses of the exhaustive iso sweep, recorded at the commit that still had
 # its own odometer: the first invertible combination in projective order, first
 # coordinate fastest.  Sweeping with the last coordinate fastest finds another
@@ -599,3 +793,25 @@ def test_iso_exhaustive_search_witness_pinned(name, p, seed, size, witness):
     r = decomp.is_isomorphic(m, n, confidence=0)
     assert (r.verdict, r.method) == ("yes", "exhaustive search")
     assert {v: x.tolist() for v, x in r.witness.mats.items()} == witness
+
+
+# recorded before the iso test read dim Hom off hom_solve, the split pieces
+# came from images and the registry looked classes up by content
+DECOMPOSE_DIGEST = "bd794a030b6beab8b82f33cf2bc69c4b99d6e90273fc91e42e6b6d9dd9ce637f"
+
+
+def test_decompositions_are_unchanged():
+    # every bundled fixture and its opposite at p = 2, 3 and 101, one fresh
+    # registry each: seeded random modules and a sum of two, then the dump
+    h = hashlib.sha256()
+    for name in FIXTURES:
+        for p in (2, 3, 101):
+            alg = cli.underlying_algebra(cli.load_any(name, p))
+            for a in (alg, alg.opposite()):
+                reg = decomp.IsoRegistry(a)
+                mods = [repmod.random_module(a, seed, (8, 10, 12)[seed % 3]) for seed in range(6)]
+                for seed, m in enumerate(mods + [repmod.direct_sum(mods[:2])[0]]):
+                    res = decomp.decompose(m.strip(), seed=seed, registry=reg)
+                    h.update(json.dumps([res.items, res.certified]).encode())
+                h.update(json.dumps(reg.dump(), sort_keys=True).encode())
+    assert h.hexdigest() == DECOMPOSE_DIGEST
