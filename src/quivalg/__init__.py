@@ -14,8 +14,8 @@ from .pathalgebra import (Arrow, BoundAlgebra, MalformedRelation, NotAdmissible,
 from .repmod import (NotASubmodule, Rep, RepMap, direct_sum, dualize, hom_basis,
                      kernel, loewy_length, quotient, radical, random_module,
                      simple, socle, submodule, top, validate)
-from .decomp import (DecomposeResult, IsoRegistry, IsoResult, decompose,
-                     end_algebra, fingerprint, is_isomorphic)
+from .decomp import (DecomposeResult, EndAlgebra, IsoRegistry, IsoResult, decompose,
+                     fingerprint, is_isomorphic)
 from .homology import (OrbitResult, PdResult, omega_orbit, omega_power, pd,
                        projective_cover, syzygy, syzygy_class,
                        syzygy_finite_probe)

@@ -835,8 +835,7 @@ def main(argv=None) -> int:
             rep.inputs[path] = file_digest(path)
             obj = load_any(path, args.field)
             COMMANDS[args.cmd](obj, args, budgets, rep)
-            if args.cmd not in ("verify-paper",):
-                _print_human(rep)
+            _print_human(rep)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3

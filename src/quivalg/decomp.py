@@ -109,10 +109,6 @@ class EndAlgebra:
         return repmod.combine_maps(self.basis, coords).mats
 
 
-def end_algebra(m: Rep) -> EndAlgebra:
-    return EndAlgebra(m)
-
-
 # ---------------------------------------------------------------------------
 # splitting
 
@@ -296,7 +292,7 @@ def indecomposable_pieces(m: Rep, rng, confidence: int):
     """Split m into indecomposables; returns (pieces, all_certified)."""
     if m.is_zero:
         return [], True
-    status, split = _certify_or_split(m, end_algebra(m), rng, confidence)
+    status, split = _certify_or_split(m, EndAlgebra(m), rng, confidence)
     if status != "pieces":
         return [m], status == "certified"
     out, ok = [], True

@@ -1,12 +1,12 @@
 """Exact linear algebra over a prime field F_p and over the integers.
 
 The matrix contract: an F_p matrix is a 2-d numpy int64 array with entries
-in [0, p).  `as_matrix` is the one coerce-and-reduce step; it runs where
-data enters the package (the Rep constructor, which also serves JSON input,
-and the subspace rows that repmod's submodule, generated_submodule and
-quotient take, in repmod._span_rows).  Every other function here, and the
-RepMap constructor, takes matrices that already meet the contract and does
-not re-coerce or re-reduce them.  Row vectors act on the right of arrow
+in [0, p).  `as_matrix` is the one coerce-and-reduce step, and it runs only
+where outside data enters the package: repmod.Rep.from_json, which reads the
+CLI's module files.  Every other function here takes matrices that already
+meet the contract, as do the Rep and RepMap constructors and repmod's
+submodule, generated_submodule and quotient for their subspace rows; none
+re-coerces or re-reduces them.  Row vectors act on the right of arrow
 matrices throughout the package.
 
 p must be a prime below MAX_PRIME (see `check_prime`), so that no int64
@@ -280,21 +280,6 @@ def invert(m: np.ndarray, p: int) -> np.ndarray | None:
     if x is None:
         return None
     return x if np.array_equal(matmul(m, x, p), eye(m.shape[0])) else None
-
-
-def reduce_rows(basis: np.ndarray, pivots: list[int], vecs: np.ndarray, p: int) -> np.ndarray:
-    """Residue of each row of vecs modulo the row space of an RREF basis.
-
-    The residue is zero on every pivot column, and vecs minus the residue
-    lies in the row space of basis.
-    """
-    out = vecs.copy()
-    for j, pc in enumerate(pivots):
-        factors = out[:, pc].copy()
-        hit = np.nonzero(factors)[0]
-        if hit.size:
-            out[hit] = (out[hit] - np.outer(factors[hit], basis[j])) % p
-    return out
 
 
 # ---------------------------------------------------------------------------

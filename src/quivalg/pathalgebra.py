@@ -417,7 +417,6 @@ class BoundAlgebra:
             layer = nxt
         basis.sort(key=self._order_key)
         self.basis = tuple(basis)
-        self.basis_index = {k: i for i, k in enumerate(self.basis)}
         self.dim = len(basis)
 
     # -- public helpers -------------------------------------------------------

@@ -11,13 +11,14 @@ cached on it, as are the matrices of its paths.  The solve alone gives
 dim Hom; hom_basis assembles the canonical basis from it.  The projective
 cover and homology's syzygies read the same cached presentation.
 
-A subspace of m is a dict vertex -> rows spanning it inside m_v (a missing
-vertex spans 0).  submodule, generated_submodule and quotient take one and
-coerce it once, with ef.as_matrix and a width check; quotient builds the
-cokernel from the rows alone, with no submodule or maps.  direct_sum builds
-the block-diagonal sum and reports each summand's offsets, with no maps.
-Rep's constructor coerces its matrices (it also reads JSON); RepMap's takes
-matrices that already meet ef's contract and checks only their shapes.
+Every matrix here meets ef's contract.  Rep.from_json, where outside
+matrices enter, is the only caller of ef.as_matrix; the Rep and RepMap
+constructors take contract matrices as given and check only their shapes.
+A subspace of m is a dict vertex -> contract rows spanning it inside m_v (a
+missing vertex spans 0).  submodule and quotient share one rref per vertex
+and one arrow-stability check (_stable_span); quotient then builds only the
+complement basis and the projection.  direct_sum builds the block-diagonal
+sum and reports each summand's offsets, with no maps.
 
 random_module draws cokernels of random maps between sums of projectives.
 The per-vertex data it reads, rad P_t and the canonical bases of
@@ -42,6 +43,10 @@ class NotASubmodule(ValueError):
 class Rep:
     """A representation of a bound quiver algebra.
 
+    The dims and the arrow matrices, which meet ef's contract, are taken as
+    given (from_json checks and coerces outside input); a missing arrow acts
+    by 0.  Each matrix is made read-only.
+
     Attributes:
         algebra: owning BoundAlgebra.
         dims: dict vertex -> dimension.
@@ -55,20 +60,14 @@ class Rep:
     def __init__(self, algebra: BoundAlgebra, dims, mats, summands=None):
         self.algebra = algebra
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
-        for v, d in self.dims.items():
-            if d < 0:
-                raise ValueError(f"negative dimension at vertex {v}")
         self.mats = {}
         for a in algebra.quiver.arrows:
             ds, dt = self.dims[a.source], self.dims[a.target]
             m = mats.get(a.name) if mats else None
             if m is None:
                 m = ef.zeros(ds, dt)
-            else:
-                m = ef.as_matrix(m, algebra.p, ds, dt)
-                if m.shape != (ds, dt):
-                    raise ValueError(
-                        f"arrow {a.name}: matrix shape {m.shape} != ({ds}, {dt})")
+            elif m.shape != (ds, dt):
+                raise ValueError(f"arrow {a.name}: matrix shape {m.shape} != ({ds}, {dt})")
             m.setflags(write=False)
             self.mats[a.name] = m
         self.summands = tuple(summands) if summands else None
@@ -111,7 +110,10 @@ class Rep:
 
     @classmethod
     def from_json(cls, algebra: BoundAlgebra, data) -> "Rep":
-        """The module `to_json` wrote; ValueError unless data is one over `algebra`."""
+        """The module `to_json` wrote; ValueError unless data is one over `algebra`.
+
+        Entries may be any integers, reduced mod p here; [] is an empty block.
+        """
         if not isinstance(data, dict):
             raise ValueError("a module is a JSON object")
         extra = set(data) - {"algebra", "dims", "maps"}
@@ -128,11 +130,17 @@ class Rep:
             extra = set(keys) - set(known)
             if extra:
                 raise ValueError(f"unknown {what} {sorted(extra)}")
-        if any(type(d) is not int for d in dims.values()):
-            raise ValueError("dimensions are integers")
+        for v, d in dims.items():
+            if type(d) is not int:
+                raise ValueError("dimensions are integers")
+            if d < 0:
+                raise ValueError(f"negative dimension at vertex {v}")
         if any(np.asarray(mat).size and np.asarray(mat).dtype.kind != "i" for mat in maps.values()):
             raise ValueError("matrix entries are integers")
-        m = cls(algebra, dims, maps)
+        arrows = algebra.quiver.arrow_map
+        m = cls(algebra, dims, {a: ef.as_matrix(mat, algebra.p, dims.get(arrows[a].source, 0),
+                                                dims.get(arrows[a].target, 0))
+                                for a, mat in maps.items()})
         bad = validate(m)
         if bad is not None:
             raise ValueError(f"the relation {bad.relation} does not hold")
@@ -154,7 +162,7 @@ class RepMap:
 
     __slots__ = ("source", "target", "mats")
 
-    def __init__(self, source: Rep, target: Rep, mats, check: bool = False):
+    def __init__(self, source: Rep, target: Rep, mats):
         self.source = source
         self.target = target
         self.mats = {}
@@ -167,8 +175,6 @@ class RepMap:
                 raise ValueError(f"vertex {v}: map shape {m.shape} != ({ds}, {dt})")
             m.setflags(write=False)
             self.mats[v] = m
-        if check and not self.is_valid():
-            raise ValueError("matrices do not commute with the arrow action")
 
     def is_valid(self) -> bool:
         p = self.source.algebra.p
@@ -325,44 +331,54 @@ def power(m: Rep, k: int) -> Rep:
 
 
 def _span_rows(m: Rep, rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The row blocks of a vertexwise span in m, coerced; a missing vertex spans 0.
+    """The row blocks of a vertexwise span in m; a missing vertex spans 0.
 
     Raises ValueError, naming the vertex, on a block whose width is not dim m_v.
     """
-    p = m.algebra.p
     out = {}
     for v in m.algebra.quiver.vertices:
         r, d = rows.get(v), m.dims[v]
-        r = ef.zeros(0, d) if r is None else ef.as_matrix(r, p, cols=d)
-        if r.shape[1] != d:
+        if r is None:
+            r = ef.zeros(0, d)
+        elif r.shape[1] != d:
             raise ValueError(f"vertex {v}: rows of width {r.shape[1]}, not dim {d}")
         out[v] = r
     return out
 
 
-def submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMap]:
-    """Submodule spanned vertexwise by the given rows.
+def _stable_span(m: Rep, rows: dict[str, np.ndarray]):
+    """The RREF basis of a vertexwise span in m, and the arrow action on it.
 
-    The basis is the canonical RREF of the spans; raises NotASubmodule when the
-    span is not arrow-stable.  The RREF basis B_t is the identity on its pivot
-    columns, so the arrow matrix X with X B_t = B_s m_a is read off those
-    columns of B_s m_a, and the span is stable iff X B_t equals B_s m_a.
+    Returns (red, xs): red[v] is (B_v, pivots), the RREF basis of the span at
+    v, and xs[a] is the matrix X with X B_t = B_s m_a for each arrow
+    a: s -> t.  B_t is the identity on its pivot columns, so X is read off
+    those columns of B_s m_a, and the span is stable iff X B_t equals
+    B_s m_a; raises NotASubmodule when it is not.
     """
     alg = m.algebra
     p = alg.p
     red = {v: ef.rref(r, p)[:2] for v, r in _span_rows(m, rows).items()}
-    dims = {v: red[v][0].shape[0] for v in alg.quiver.vertices}
-    mats = {}
+    xs = {}
     for a in alg.quiver.arrows:
         moved = ef.matmul(red[a.source][0], m.mats[a.name], p)
         basis, piv = red[a.target]
         x = moved[:, piv]
         if not np.array_equal(ef.matmul(x, basis, p), moved):
             raise NotASubmodule(f"span is not stable under arrow {a.name}")
-        mats[a.name] = x
-    sub = Rep(alg, dims, mats)
-    inc = RepMap(sub, m, {v: red[v][0] for v in red})
-    return sub, inc
+        xs[a.name] = x
+    return red, xs
+
+
+def submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMap]:
+    """Submodule spanned vertexwise by the given rows, with its inclusion.
+
+    The basis is the canonical RREF of the spans and the arrow matrices are
+    the action on it (_stable_span); raises NotASubmodule when the span is
+    not arrow-stable.
+    """
+    red, xs = _stable_span(m, rows)
+    sub = Rep(m.algebra, {v: b.shape[0] for v, (b, _) in red.items()}, xs)
+    return sub, RepMap(sub, m, {v: b for v, (b, _) in red.items()})
 
 
 def generated_submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMap]:
@@ -394,28 +410,23 @@ def kernel(f: RepMap) -> tuple[Rep, RepMap]:
 def quotient(m: Rep, rows: dict[str, np.ndarray]) -> Rep:
     """m modulo the submodule spanned vertexwise by the given rows.
 
-    Takes the rows `submodule` takes, and builds no submodule: one rref per
-    vertex gives the span's RREF basis B_v.  The basis of the quotient at v is
-    the classes of the unit vectors on the non-pivot columns of B_v, the
-    lexicographically earliest complement, so quotients are reproducible.  A
-    vector maps to its residue modulo B_v read on those columns; that matrix
-    is the transpose of the canonical kernel basis of B_v (ef.rref_kernel).
-    Raises NotASubmodule when the span is not arrow-stable.
+    Shares submodule's span reduction and stability check (_stable_span),
+    which raises NotASubmodule, but builds no submodule.  The basis of the
+    quotient at v is the classes of the unit vectors on the non-pivot columns
+    of the RREF basis B_v, the lexicographically earliest complement, so
+    quotients are reproducible.  A vector maps to its residue modulo B_v read
+    on those columns; that matrix is the transpose of the canonical kernel
+    basis of B_v (ef.rref_kernel).
     """
     alg = m.algebra
     p = alg.p
-    red, frees, projs = {}, {}, {}
-    for v, r in _span_rows(m, rows).items():
-        b, piv, _ = ef.rref(r, p)
-        red[v] = b, piv
+    red, _ = _stable_span(m, rows)
+    frees, projs = {}, {}
+    for v, (b, piv) in red.items():
         frees[v] = [c for c in range(m.dims[v]) if c not in piv]
         projs[v] = ef.rref_kernel(b, piv, p).T
-    mats = {}
-    for a in alg.quiver.arrows:
-        moved = ef.matmul(red[a.source][0], m.mats[a.name], p)
-        if ef.reduce_rows(*red[a.target], moved, p).any():
-            raise NotASubmodule(f"span is not stable under arrow {a.name}")
-        mats[a.name] = ef.matmul(m.mats[a.name][frees[a.source]], projs[a.target], p)
+    mats = {a.name: ef.matmul(m.mats[a.name][frees[a.source]], projs[a.target], p)
+            for a in alg.quiver.arrows}
     return Rep(alg, {v: len(frees[v]) for v in frees}, mats)
 
 
@@ -917,11 +928,11 @@ def random_module(algebra: BoundAlgebra, seed, size_bound: int = 12) -> Rep:
         where = np.concatenate(where)
         coeffs = np.empty_like(where)
         coeffs[np.argsort(where)] = rng.integers(0, p, size=where.size)
-        # each entry is a sum of products below p**2; quotient reduces the rows
         rows = [ef.zeros(ds, dq) for ds, dq in zip(sdims.tolist(), qdims.tolist())]
         used = 0
         for j, i, last, images, spans in pairs:
-            image = coeffs[used:used + len(last)] @ images
+            # each entry is a sum of products below p**2, reduced here
+            image = coeffs[used:used + len(last)] @ images % p
             used += len(last)
             for vi, a, b, ds, dt in spans:
                 r0, c0 = int(soffs[j, vi]), int(qoffs[i, vi])

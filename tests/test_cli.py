@@ -85,6 +85,10 @@ BROKEN = {"algebra": "exB", "dims": {"1": 1, "2": 0}, "maps": {"bb1": [[1]]}}
     ("phi", {"dims": {"1": 1}, "maps": {"bb1": [[0, 0]]}}, "shape"),
     ("phi", {"dims": {"1": 1}, "maps": {"bb1": [[0.5]]}}, "integers"),
     ("phi", {"dims": {"1": 1}, "maps": {"bb1": [[0], [0, 0]]}}, "input error"),
+    ("phi", {"dims": {"1": 1}, "maps": {"b1": [[1]]}}, "shape"),
+    ("phi", {"dims": {"1": 1}, "maps": {"bb1": [0]}}, "2-d"),
+    ("phi", {"dims": {"1": 1}, "maps": {"bb1": [[[0]]]}}, "2-d"),
+    ("phi", {"dims": {"1": -1}, "maps": {"bb1": []}}, "negative dimension"),
 ])
 def test_bad_module_json_exits_3(tmp_path, capsys, command, payload, says):
     path = tmp_path / "m.json"

@@ -15,11 +15,11 @@ from quivalg.budgets import DEFAULT, BudgetExceeded, RegistryAmbiguity
 
 
 def test_end_algebra_dims(exA, exB):
-    assert decomp.end_algebra(repmod.simple(exB, "1")).dim == 1
+    assert decomp.EndAlgebra(repmod.simple(exB, "1")).dim == 1
     two = repmod.direct_sum([repmod.simple(exB, "1"), repmod.simple(exB, "2")])[0]
-    assert decomp.end_algebra(two).dim == 2
+    assert decomp.EndAlgebra(two).dim == 2
     # End(P1) over exB: evaluation at the vertex-1 component
-    assert decomp.end_algebra(exB.projective("1")).dim == exB.projective("1").dims["1"]
+    assert decomp.EndAlgebra(exB.projective("1")).dim == exB.projective("1").dims["1"]
 
 
 def test_end_of_a_one_dimensional_module_is_its_identity(monkeypatch):
@@ -33,7 +33,7 @@ def test_end_of_a_one_dimensional_module_is_its_identity(monkeypatch):
                 want = repmod.hom_basis(t, t)
                 calls = _count_calls(monkeypatch, repmod, "presentation")
                 s = repmod.simple(alg, v)
-                E = decomp.end_algebra(s)
+                E = decomp.EndAlgebra(s)
                 monkeypatch.undo()
                 assert not calls and E.dim == s._end_dim == 1 and s._pres is None
                 for w in alg.quiver.vertices:
@@ -199,7 +199,8 @@ def test_registry_ambiguity_leaves_no_memo_entry(exB, monkeypatch):
     reg = decomp.IsoRegistry(exB)
     # P1 with a basis vector rescaled: no class representative equals it
     # entry for entry, so only an iso test can place it
-    m = repmod.Rep(exB, {"1": 2, "2": 1}, {"bb1": [[0, 2], [0, 0]], "b1": [[1], [0]]})
+    m = repmod.Rep(exB, {"1": 2, "2": 1}, {"bb1": np.array([[0, 2], [0, 0]], dtype=np.int64),
+                                          "b1": np.array([[1], [0]], dtype=np.int64)})
     monkeypatch.setattr(decomp, "is_isomorphic",
                         lambda *a, **k: decomp.IsoResult("inconclusive", None, "forced"))
     with pytest.raises(RegistryAmbiguity):
@@ -331,7 +332,7 @@ def test_iso_reads_the_hom_dimension_as_the_basis_first_oracle(name, p, seeds, k
         alg = cli.parse_algebra(f"algebra K field {p} truncate 5\nvertex 1 2\n"
                                 "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
         pieces = [repmod.Rep(alg, {"1": len(pts), "2": len(pts)},
-                             {"a": np.eye(len(pts), dtype=np.int64), "b": np.diag(pts)})
+                             {"a": np.eye(len(pts), dtype=np.int64), "b": np.diag(pts) % p})
                   for pts in ((1,), (2,), (1, 2), (1, 3))]
     else:
         alg = cli.underlying_algebra(cli.load_any(name, p))
@@ -474,7 +475,7 @@ def test_field_endomorphism_algebra_certified_in_quotient():
     # element splits it, so locality is certified in E/J(E) by an element
     # whose minimal polynomial is irreducible of full degree
     m = _kronecker_f9()
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
     assert E.dim == 2
     assert decomp._trace_radical(E)[0] == []  # J(E) = 0
     pieces, certified = decomp.indecomposable_pieces(m, np.random.default_rng(0), 5)
@@ -486,7 +487,7 @@ def test_trace_radical_codimension(exB, a2):
     # a module that is zero at vertex 2
     for m, dim_s in ((repmod.direct_sum([exB.projective("1"), repmod.simple(exB, "1")])[0], 2),
                      (repmod.power(repmod.simple(a2, "1"), 2), 4)):
-        E = decomp.end_algebra(m)
+        E = decomp.EndAlgebra(m)
         pivots, pair = decomp._trace_radical(E)
         assert pair is not None and E.dim - len(pivots) == dim_s
 
@@ -508,7 +509,7 @@ def test_trace_radical_passes_the_flag_when_p_is_small():
     # k[x]/(x^3) at p = 2: tr_M(x y) has radical span{x, x^2} = J(E), which
     # acts nilpotently on M although p <= dim M
     m = _truncated_polynomial_ring(3, 2)
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
     pivots, pair = decomp._trace_radical(E)
     assert E.dim == 3 and len(pivots) == 2 and pair is not None
     assert decomp.indecomposable_pieces(m, np.random.default_rng(0), 5)[1]
@@ -519,7 +520,7 @@ def test_trace_radical_stalls_when_p_divides_the_length():
     # radical of the form is all of E; it is not nil, the flag stalls and the
     # eigenvalue certificate (E = F + span{x}) shows E is local
     m = _truncated_polynomial_ring(2, 2)
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
     assert decomp._trace_radical(E) == ([], None)
     assert decomp._local_by_eigenvalues(E, _basis_factors(E))
     assert decomp._certify_or_split(m, E, np.random.default_rng(0), 0) == ("certified", None)
@@ -534,7 +535,7 @@ def test_stalled_form_radical_is_not_trusted():
     alg = cli.parse_algebra("algebra T field 2 truncate 5\nvertex 1 2 3\n"
                             "arrow a: 1 -> 2\n").build()
     m = repmod.direct_sum([alg.projective("1"), repmod.simple(alg, "3")])[0].strip()
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
     assert E.dim == 2 and decomp._trace_radical(E) == ([], None)
     assert not decomp._local_by_eigenvalues(E, _basis_factors(E))
     status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)
@@ -548,7 +549,7 @@ def test_eigenvalue_certificate_when_the_form_vanishes():
     # for the exhaustive search (5^14 > 10^6); the eigenvalue flag certifies
     alg = cli.load_algebra_file("exA.alg", 5)
     m = repmod.random_module(alg, 11, 10).strip()
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
     assert (m.total_dim, E.dim) == (10, 14) and decomp._trace_radical(E) == ([], None)
     pieces, certified = decomp.indecomposable_pieces(m, np.random.default_rng(0), 5)
     assert certified and len(pieces) == 1
@@ -561,7 +562,7 @@ def test_eigenvalue_certificate_needs_the_flag():
     point = cli.load_algebra_file("point.alg", 3)
     s = repmod.simple(point, "v")
     m = repmod.direct_sum([s, s])[0].strip()
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
     E.basis = [repmod.RepMap(m, m, {"v": np.array(mat, dtype=np.int64)}) for mat in
                ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [2, 0]])]
     assert not decomp._local_by_eigenvalues(E, _basis_factors(E))
@@ -580,7 +581,7 @@ def test_certified_pieces_have_local_end_brute_force(name, p):
             continue
         rng = np.random.default_rng(seed)
         for piece in decomp.indecomposable_pieces(m.strip(), rng, 5)[0]:
-            E = decomp.end_algebra(piece)
+            E = decomp.EndAlgebra(piece)
             if not decomp.indecomposable_pieces(piece, rng, 5)[1] or p ** E.dim > 3 ** 8:
                 continue
             nonunits = [x for x in decomp._fp_vectors(p, E.dim)
@@ -600,7 +601,8 @@ def test_certified_pieces_have_local_end_brute_force(name, p):
 def _kronecker_f9():
     kron = cli.parse_algebra("algebra K field 3 truncate 5\nvertex 1 2\n"
                              "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
-    return repmod.Rep(kron, {"1": 2, "2": 2}, {"a": [[1, 0], [0, 1]], "b": [[0, 1], [2, 0]]})
+    return repmod.Rep(kron, {"1": 2, "2": 2}, {"a": np.array([[1, 0], [0, 1]], dtype=np.int64),
+                                               "b": np.array([[0, 1], [2, 0]], dtype=np.int64)})
 
 
 @pytest.mark.parametrize("module", [
@@ -613,7 +615,7 @@ def test_local_end_is_certified_from_its_basis(module, monkeypatch):
     # each basis element of E is factored once, J(E) certifies E as local,
     # and no random element is drawn
     m = module()
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
     assert E.dim > 1
     calls = []
     split_by = decomp._split_by
@@ -636,7 +638,7 @@ def test_certify_or_split_lifts_a_candidate(exB):
     # polynomial lifts to an endomorphism that splits the module
     s1 = repmod.simple(exB, "1")
     m = repmod.direct_sum([s1, s1])[0].strip()
-    status, pieces = decomp._certify_or_split(m, decomp.end_algebra(m), np.random.default_rng(0), 5)
+    status, pieces = decomp._certify_or_split(m, decomp.EndAlgebra(m), np.random.default_rng(0), 5)
     assert status == "pieces"
     assert [piece.dims for piece in pieces] == [{"1": 1, "2": 0}] * 2
 
@@ -649,7 +651,7 @@ def test_certify_or_split_lifts_the_exhaustive_idempotent():
     point = cli.load_algebra_file("point.alg", 2)
     s = repmod.simple(point, "v")
     m = repmod.direct_sum([s, s])[0].strip()
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
     E.basis = [repmod.RepMap(m, m, {"v": np.array(mat, dtype=np.int64)}) for mat in
                ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 1]])]
     assert decomp._trace_radical(E)[0] == []  # E/J(E) = E, of dimension 4
@@ -666,9 +668,9 @@ def test_exhaustive_idempotent_search_certifies_a_local_end():
     # the search over all 16 elements of E finds no nontrivial idempotent.
     kron = cli.parse_algebra("algebra K field 2 truncate 5\nvertex 1 2\n"
                              "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
-    comp = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0]]
+    comp = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0]], dtype=np.int64)
     m = repmod.Rep(kron, {"1": 4, "2": 4}, {"a": np.eye(4, dtype=np.int64), "b": comp})
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
     assert E.dim == 4 and decomp._trace_radical(E) == ([], None)
     assert not decomp._local_by_eigenvalues(E, _basis_factors(E))
     assert decomp._certify_or_split(m, E, np.random.default_rng(0), 0) == ("certified", None)
@@ -684,7 +686,7 @@ def test_exhaustive_idempotent_search_works_modulo_the_radical():
                             "relation 1 x*x\n").build()
     proj = alg.projective("v")
     m = repmod.direct_sum([proj, proj])[0].strip()
-    E = decomp.end_algebra(m)
+    E = decomp.EndAlgebra(m)
 
     def unit(i, j):
         u = np.zeros((2, 2), dtype=np.int64)
@@ -732,14 +734,14 @@ def _kronecker_f2():
     # the module of test_exhaustive_idempotent_search_certifies_a_local_end
     kron = cli.parse_algebra("algebra K field 2 truncate 5\nvertex 1 2\n"
                              "arrow a: 1 -> 2\narrow b: 1 -> 2\n").build()
-    comp = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0]]
+    comp = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0]], dtype=np.int64)
     return repmod.Rep(kron, {"1": 4, "2": 4}, {"a": np.eye(4, dtype=np.int64), "b": comp})
 
 
 def _split_pieces_match_the_oracle(m, seed):
     """Split m by each basis element of End(m); returns how many split it."""
     split = 0
-    for f in decomp.end_algebra(m).basis:
+    for f in decomp.EndAlgebra(m).basis:
         factors, pieces = decomp._split_by(m, f.mats, np.random.default_rng(seed))
         if pieces is None:
             continue

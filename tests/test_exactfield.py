@@ -155,19 +155,6 @@ def test_solve_matches_sympy(p):
         assert np.array_equal(ef.matmul(m, x, p), b)
 
 
-@pytest.mark.parametrize("p", [2, 3, 101])
-def test_reduce_rows_residue(p):
-    rng = np.random.default_rng(40 + p)
-    for m in _matrices(p, 50 + p):
-        basis, pivots, _ = ef.rref(m, p)
-        vecs = rng.integers(0, p, size=(3, m.shape[1])).astype(np.int64)
-        res = ef.reduce_rows(basis, pivots, vecs, p)
-        assert not res[:, pivots].any()
-        # vecs - res lies in the row space of basis
-        stacked = np.concatenate([basis, (vecs - res) % p])
-        assert ef.rank_fp(stacked, p) == len(pivots)
-
-
 # ---------------------------------------------------------------------------
 # rref's list kernel (up to RREF_LIST_CELLS) and numpy kernel agree bit for bit
 

@@ -7,7 +7,8 @@ import pytest
 from fingerprint_oracle import quotient_fingerprint
 from hom_oracle import kron_hom_basis
 from random_module_oracle import oracle_random_module
-from quivalg import cli, decomp, exactfield as ef, repmod
+from quivalg import cli, decomp, exactfield as ef, grothendieck, repmod
+from quivalg.budgets import DEFAULT
 from quivalg.pathalgebra import Quiver, build_algebra, make_path
 
 FIXTURES = ("a2.alg", "exA.alg", "exB.alg", "exC.glue", "exCop.glue", "nakayama-a3.alg",
@@ -24,7 +25,8 @@ def test_validate_projectives_and_simples(exB):
 def test_validate_catches_violation():
     q = Quiver(["v"], [("g", "v", "v")])
     alg = build_algebra(q, [[(1, make_path(q, "v", ("g", "g")))]], 101, 30)
-    bad = repmod.Rep(alg, {"v": 1}, {"g": [[1]]})  # identity under g^2 = 0
+    # identity under g^2 = 0
+    bad = repmod.Rep(alg, {"v": 1}, {"g": np.array([[1]], dtype=np.int64)})
     violation = repmod.validate(bad)
     assert violation is not None
     assert violation.value.any()
@@ -81,7 +83,7 @@ def test_fingerprint_matches_the_quotient_oracle(p):
 
 def test_series_of_a_module_that_is_its_own_radical_raise(exB):
     # bb1 * bb1 = 0 fails, so this module equals its own radical
-    m = repmod.Rep(exB, {"1": 1}, {"bb1": [[1]]})
+    m = repmod.Rep(exB, {"1": 1}, {"bb1": np.array([[1]], dtype=np.int64)})
     for series in (decomp.fingerprint, repmod.loewy_length):
         with pytest.raises(ValueError, match="equals its own radical"):
             series(m)
@@ -155,7 +157,7 @@ def test_quotient_rejects_non_submodule(a2):
     # the vertex-1 line alone is not arrow-stable (a sends it onto vertex 2)
     for build in (repmod.quotient, repmod.submodule):
         with pytest.raises(repmod.NotASubmodule):
-            build(p1, {"1": [[1]]})
+            build(p1, {"1": np.array([[1]], dtype=np.int64)})
 
 
 def test_submodule_arrows_solve_the_inclusion(exB, nak_a3):
@@ -177,7 +179,7 @@ def test_span_rows_of_the_wrong_width_are_rejected(exB):
     assert p1.dims["2"] != 3
     for build in (repmod.submodule, repmod.generated_submodule, repmod.quotient):
         with pytest.raises(ValueError, match="vertex 2: rows of width 3"):
-            build(p1, {"2": [[1, 0, 0]]})
+            build(p1, {"2": np.array([[1, 0, 0]], dtype=np.int64)})
 
 
 def test_radical_socle_top_loewy(exA, exB, a2):
@@ -352,10 +354,102 @@ def test_module_json_roundtrip(exB):
         repmod.Rep.from_json(exB, {"algebra": "somewhere-else", "dims": {}, "maps": {}})
 
 
+def test_module_json_reduces_entries_mod_p(exB):
+    # P1 with its entries shifted by multiples of p, either way
+    p1 = exB.projective("1")
+    shift = exB.p * np.array([[-1, 2], [3, -4]])
+    shifted = {a: (mat + shift[:mat.shape[0], :mat.shape[1]]).tolist()
+               for a, mat in p1.mats.items() if mat.size}
+    assert any(x < 0 for mat in shifted.values() for row in mat for x in row)
+    assert any(x >= exB.p for mat in shifted.values() for row in mat for x in row)
+    back = repmod.Rep.from_json(exB, {"dims": p1.dims, "maps": shifted})
+    assert back.equals(p1)
+    for a, mat in back.mats.items():
+        assert mat.dtype == np.int64 and mat.ndim == 2 and not mat.flags.writeable
+        assert ((0 <= mat) & (mat < exB.p)).all(), a
+
+
+def test_module_json_takes_nested_lists_and_empty_blocks(exB):
+    s1 = repmod.simple(exB, "1")
+    back = repmod.Rep.from_json(exB, {"dims": {"1": 1}, "maps": {"bb1": [[0]], "b1": [],
+                                                                  "b2": [], "bb2": []}})
+    assert back.equals(s1)
+    assert back.mats["b1"].shape == (1, 0) and back.mats["b2"].shape == (0, 1)
+    assert repmod.Rep.from_json(exB, {"dims": {"1": 1}, "maps": {"b1": [[]]}}).equals(s1)
+
+
+def test_contract_paths_make_no_coercion(monkeypatch):
+    # random_module, decompose and phi build every matrix from contract
+    # matrices, so none goes through ef.as_matrix (only Rep.from_json does)
+    calls = []
+    as_matrix = ef.as_matrix
+    monkeypatch.setattr(ef, "as_matrix", lambda *a, **k: calls.append(a) or as_matrix(*a, **k))
+    for name in FIXTURES:
+        alg = cli.underlying_algebra(cli.load_any(name))
+        for seed in range(2):
+            m = repmod.random_module(alg, seed, 8)
+            decomp.decompose(m)
+            grothendieck.phi(m, DEFAULT)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_random_module_hands_quotient_contract_rows(p, monkeypatch):
+    # the image rows are sums of products below p**2: random_module reduces
+    # them, as quotient takes rows as given
+    quotient, seen = repmod.quotient, []
+
+    def checked(m, rows):
+        for r in rows.values():
+            assert r.dtype == np.int64 and r.ndim == 2 and ((0 <= r) & (r < p)).all()
+            seen.append(r.size)
+        return quotient(m, rows)
+
+    monkeypatch.setattr(repmod, "quotient", checked)
+    for name in FIXTURES:
+        alg = cli.underlying_algebra(cli.load_any(name, p))
+        for seed in range(3):
+            repmod.random_module(alg, seed, 10)
+    assert sum(seen)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_submodule_and_quotient_agree_on_stability(p):
+    # seeded random row sets, and redundant spanning rows of the submodules
+    # they generate: submodule and quotient raise NotASubmodule on the same
+    # inputs, and otherwise their dimensions add up to m's at every vertex
+    rng = np.random.default_rng(p)
+    raised = kept = 0
+    for name in FIXTURES:
+        alg = cli.underlying_algebra(cli.load_any(name, p))
+        for seed in range(3):
+            m = repmod.random_module(alg, seed, 8)
+            for trial in range(6):
+                rows = {v: rng.integers(0, p, size=(int(rng.integers(0, d + 1)), d))
+                        for v, d in m.dims.items()}
+                if trial % 2:
+                    _, inc = repmod.generated_submodule(m, rows)
+                    rows = {v: np.concatenate([b, rng.integers(0, p, (1, b.shape[0])) @ b % p])
+                            for v, b in inc.mats.items()}
+                try:
+                    sub, _ = repmod.submodule(m, rows)
+                except repmod.NotASubmodule:
+                    with pytest.raises(repmod.NotASubmodule):
+                        repmod.quotient(m, rows)
+                    raised += 1
+                    continue
+                q = repmod.quotient(m, rows)
+                assert repmod.validate(q) is None
+                assert all(sub.dims[v] + q.dims[v] == m.dims[v] for v in m.dims)
+                kept += 1
+    assert raised > 10 and kept > 10
+
+
 def test_repmap_takes_contract_matrices_as_given(a2):
     p1, s1 = a2.projective("1"), repmod.simple(a2, "1")
     mat = ef.eye(1)
-    f = repmod.RepMap(p1, s1, {"1": mat}, check=True)
+    f = repmod.RepMap(p1, s1, {"1": mat})
+    assert f.is_valid()
     assert f.mats["1"] is mat and not mat.flags.writeable
     assert f.mats["2"].shape == (1, 0)
     with pytest.raises(ValueError, match="map shape"):
