@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .budgets import DEFAULT, BudgetExceeded, Budgets, RegistryAmbiguity
 from .pathalgebra import (Arrow, BoundAlgebra, MalformedRelation, NotAdmissible,
-                          Path, Quiver, Relation, build_algebra, make_path)
+                          Quiver, Relation, build_algebra)
 from .repmod import (NotASubmodule, Rep, RepMap, direct_sum, dualize, hom_basis,
                      kernel, loewy_length, quotient, radical, random_module,
                      simple, socle, submodule, top, validate)

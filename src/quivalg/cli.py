@@ -2,6 +2,11 @@
 
 Algebra files are a line-oriented DSL; gluing files reference two algebra
 files plus connector and ideal-mode lines; modules cross the boundary as JSON.
+Both DSLs share one line reader and one `name: v -> w` arrow parser.  The
+parsers keep relations as the arrow words they read; `Relation` checks them
+when the algebra or the gluing is built, and every ValueError raised there
+becomes an input error.
+
 Every command honours --seed/--depth-budget/--class-budget/--confidence/
 --field and can dump a reproducible JSON report with --json.
 
@@ -22,8 +27,7 @@ from dataclasses import dataclass, field, replace
 from . import __version__, analysis, decomp, exactfield, grothendieck, homology, morita, \
     repmod
 from .budgets import DEFAULT, BudgetExceeded, Budgets
-from .pathalgebra import BoundAlgebra, MalformedRelation, NotAdmissible, Quiver, \
-    build_algebra, make_path
+from .pathalgebra import BoundAlgebra, Quiver, build_algebra
 from .repmod import Rep
 
 
@@ -45,39 +49,60 @@ class AlgebraSource:
     relations: tuple  # each a tuple of (coeff, arrow-name tuple)
 
     def build(self, p_override: int | None = None) -> BoundAlgebra:
-        q = Quiver(self.vertices, self.arrows)
+        """The bound algebra; any ValueError (a bad prime, a malformed or
+        inadmissible relation) becomes an InputError."""
         p = self.p if p_override is None else p_override
         try:
             exactfield.check_prime(p)
+            return build_algebra(Quiver(self.vertices, self.arrows), self.relations, p,
+                                 self.m_max, name=self.name)
         except ValueError as exc:
             raise InputError(f"{self.name}: {exc}") from exc
-        rels = [[(c, make_path(q, q.arrow_map[w[0]].source, w)) for c, w in terms]
-                for terms in self.relations]
-        try:
-            return build_algebra(q, rels, p, self.m_max, name=self.name)
-        except (NotAdmissible, MalformedRelation) as exc:
-            raise InputError(f"{self.name}: {exc}") from exc
+
+
+def _lines(text: str, filename: str):
+    """(parts, line, err) for each nonblank line of a DSL file, comments
+    stripped; err(msg) raises an InputError carrying the file and line."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+
+        def err(msg: str, ln=ln):
+            raise InputError(f"{filename}:{ln}: {msg}")
+
+        yield line.split(), line, err
+
+
+def _parse_arrow(head: str, line: str, err) -> tuple:
+    """`HEAD name: v -> w` as (name, v, w).
+
+    A relation splits its words on whitespace, `*`, `+` and `-`, so a name
+    that is empty or holds one of them could never appear in a relation.
+    """
+    aname, colon, spec = line[len(head):].partition(":")
+    bits = spec.split("->")
+    if not colon or len(bits) != 2:
+        err(f"expected: {head} name: v -> w")
+    aname = aname.strip()
+    if not aname or any(ch in aname for ch in "*+- \t"):
+        err(f"arrow name {aname!r} must be nonempty, with no space, '*', '+' or '-'")
+    return aname, bits[0].strip(), bits[1].strip()
 
 
 def parse_algebra(text: str, filename: str = "<input>") -> AlgebraSource:
-    """Parse the line-oriented algebra DSL; raises InputError with positions."""
+    """Parse the line-oriented algebra DSL; raises InputError with positions.
+
+    Relation words are checked when the algebra is built (`Relation`).
+    """
     name = None
     p = None
     m_max = None
     vertices: list[str] = []
     arrows: list[tuple] = []
     relations: list[tuple] = []
-    seen_arrows: set[str] = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for parts, line, err in _lines(text, filename):
         head = parts[0]
-
-        def err(msg: str):
-            raise InputError(f"{filename}:{ln}: {msg}")
-
         if head == "algebra":
             if len(parts) != 6 or parts[2] != "field" or parts[4] != "truncate":
                 err("expected: algebra NAME field P truncate M")
@@ -97,27 +122,16 @@ def parse_algebra(text: str, filename: str = "<input>") -> AlgebraSource:
                     err(f"duplicate vertex {v}")
                 vertices.append(v)
         elif head == "arrow":
-            # arrow name: v -> w
-            rest = line[len("arrow"):].strip()
-            if ":" not in rest:
-                err("expected: arrow name: v -> w")
-            aname, spec = rest.split(":", 1)
-            aname = aname.strip()
-            bits = spec.split("->")
-            if len(bits) != 2:
-                err("expected: arrow name: v -> w")
-            s, t = bits[0].strip(), bits[1].strip()
-            if aname in seen_arrows:
+            aname, s, t = _parse_arrow(head, line, err)
+            if any(a[0] == aname for a in arrows):
                 err(f"duplicate arrow {aname}")
             if s not in vertices:
                 err(f"unknown vertex {s}")
             if t not in vertices:
                 err(f"unknown vertex {t}")
-            seen_arrows.add(aname)
             arrows.append((aname, s, t))
         elif head == "relation":
-            terms = _parse_relation_terms(line[len("relation"):], seen_arrows, err)
-            relations.append(tuple(terms))
+            relations.append(_parse_relation_terms(line[len(head):], err))
         else:
             err(f"unknown directive {head!r}")
     if name is None:
@@ -126,7 +140,8 @@ def parse_algebra(text: str, filename: str = "<input>") -> AlgebraSource:
                          tuple(relations))
 
 
-def _parse_relation_terms(rest: str, seen_arrows, err):
+def _parse_relation_terms(rest: str, err) -> tuple:
+    """`c1 w1 + c2 w2 ...` as a tuple of (coeff, arrow-name tuple)."""
     toks = rest.replace("+", " + ").replace("-", " - ").split()
     terms = []
     sign = 1
@@ -144,18 +159,14 @@ def _parse_relation_terms(rest: str, seen_arrows, err):
                 continue
             except ValueError:
                 pending_coeff = sign
-        path = tuple(tok.split("*"))
-        for a in path:
-            if a not in seen_arrows:
-                err(f"unknown arrow {a!r} in relation")
-        terms.append((pending_coeff, path))
+        terms.append((pending_coeff, tuple(tok.split("*"))))
         pending_coeff = None
         sign = 1
     if pending_coeff is not None:
         err("dangling coefficient in relation")
     if not terms:
         err("empty relation")
-    return terms
+    return tuple(terms)
 
 
 def print_algebra(src: AlgebraSource) -> str:
@@ -188,25 +199,22 @@ class GlueSource:
     alphas: tuple
     betas: tuple
     mode: str
-    extra: tuple  # raw relation term tuples
+    extra: tuple  # relation term tuples of (coeff, arrow names)
 
 
 def parse_gluing(text: str, filename: str = "<input>") -> GlueSource:
+    """Parse the gluing DSL; raises InputError with positions.
+
+    Connector endpoints and relation words are checked when the gluing is
+    built (`GluingSpec`, `Relation`).
+    """
     name = left = right = None
     alphas: list[tuple] = []
     betas: list[tuple] = []
     mode = None
     extra: list[tuple] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for parts, line, err in _lines(text, filename):
         head = parts[0]
-
-        def err(msg: str):
-            raise InputError(f"{filename}:{ln}: {msg}")
-
         if head == "glue":
             name = parts[1] if len(parts) == 2 else err("expected: glue NAME")
         elif head in ("left", "right"):
@@ -217,23 +225,13 @@ def parse_gluing(text: str, filename: str = "<input>") -> GlueSource:
             else:
                 right = parts[1]
         elif head in ("alpha", "beta"):
-            rest = line[len(head):].strip()
-            if ":" not in rest or "->" not in rest:
-                err(f"expected: {head} name: v -> w")
-            aname, spec = rest.split(":", 1)
-            bits = spec.split("->")
-            if len(bits) != 2:
-                err(f"expected: {head} name: v -> w")
-            s, t = bits[0].strip(), bits[1].strip()
-            (alphas if head == "alpha" else betas).append((aname.strip(), s, t))
+            (alphas if head == "alpha" else betas).append(_parse_arrow(head, line, err))
         elif head == "ideal":
             if len(parts) != 2 or parts[1] not in ("generated", "extended"):
                 err("expected: ideal generated|extended")
             mode = parts[1]
         elif head == "relation":
-            terms = _parse_relation_terms(line[len("relation"):],
-                                          _AnyArrows(), err)
-            extra.append(tuple(terms))
+            extra.append(_parse_relation_terms(line[len(head):], err))
         else:
             err(f"unknown directive {head!r}")
     if name is None or left is None or right is None or mode is None:
@@ -242,13 +240,6 @@ def parse_gluing(text: str, filename: str = "<input>") -> GlueSource:
         raise InputError(f"{filename}: generated mode admits no extra relations")
     return GlueSource(name, left, right, tuple(alphas), tuple(betas), mode,
                       tuple(extra))
-
-
-class _AnyArrows:
-    """Arrow-name validation deferred to glue-build time."""
-
-    def __contains__(self, _name) -> bool:
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +274,10 @@ def load_glue_file(path: str, p_override: int | None = None) -> morita.GluedAlge
     left = load_algebra_file(os.path.join(base, src.left), p_override)
     right = load_algebra_file(os.path.join(base, src.right), p_override)
     try:
-        spec = morita.GluingSpec(left, right, src.alphas, src.betas, src.mode,
-                                 tuple(_resolve_extra(left, right, src)),
-                                 name=src.name)
-    except ValueError as exc:
+        return morita.glue(morita.GluingSpec(left, right, src.alphas, src.betas, src.mode,
+                                             src.extra, name=src.name))
+    except (ValueError, morita.H3Violation) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    try:
-        return morita.glue(spec)
-    except morita.H3Violation as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _resolve_extra(left: BoundAlgebra, right: BoundAlgebra, src: GlueSource):
-    arrow_source = {}
-    for alg in (left, right):
-        for a in alg.quiver.arrows:
-            arrow_source[a.name] = a.source
-    for aname, s, _ in list(src.alphas) + list(src.betas):
-        arrow_source[aname.strip()] = s
-    out = []
-    for terms in src.extra:
-        resolved = []
-        for c, w in terms:
-            if w[0] not in arrow_source:
-                raise InputError(f"{src.name}: unknown arrow {w[0]!r} in extra relation")
-            resolved.append((c, (arrow_source[w[0]], tuple(w))))
-        out.append(resolved)
-    return out
 
 
 def load_any(path: str, p_override: int | None = None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import decomp, exactfield as ef, repmod
 from .budgets import DEFAULT, BudgetExceeded, Budgets
-from .pathalgebra import BoundAlgebra, Relation, build_algebra
+from .pathalgebra import BoundAlgebra, Quiver, Relation, build_algebra
 from .repmod import Rep, projective_cover
 
 
@@ -85,16 +85,9 @@ def restricted_algebra(alg: BoundAlgebra, vertices: frozenset[str]) -> BoundAlge
     if alg.quiver.successor_closure(vertices) != frozenset(vertices):
         raise ValueError("vertex set is not successor-closed")
     verts = [v for v in alg.quiver.vertices if v in vertices]
-    arrows = [(a.name, a.source, a.target) for a in alg.quiver.arrows
-              if a.source in vertices]
-    from .pathalgebra import Quiver, make_path
-
-    q = Quiver(verts, arrows)
-    rels = []
-    for rel in alg.relations:
-        if rel.source in vertices:
-            rels.append(Relation(
-                q, [(c, make_path(q, k[0], k[1])) for c, k in rel.terms], alg.p))
+    q = Quiver(verts, [a for a in alg.quiver.arrows if a.source in vertices])
+    rels = [Relation(q, [(c, k[1]) for c, k in rel.terms], alg.p)
+            for rel in alg.relations if rel.source in vertices]
     sub = build_algebra(q, rels, alg.p, alg.m_max,
                         name=f"{alg.name}|{'+'.join(verts)}")
     alg.cache[key] = sub

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import decomp, exactfield as ef, grothendieck, homology, repmod
 from .budgets import DEFAULT, BudgetExceeded, Budgets
-from .pathalgebra import BoundAlgebra, Quiver, Relation, build_algebra, make_path
+from .pathalgebra import Arrow, BoundAlgebra, Quiver, Relation, build_algebra
 from .repmod import Rep, RepMap
 
 
@@ -29,30 +29,27 @@ class ModeError(RuntimeError):
     """Operation requires a gluing whose ideal equals the generated set."""
 
 
-@dataclass(frozen=True)
-class Connector:
-    name: str
-    source: str
-    target: str
-
-
 @dataclass
 class GluingSpec:
-    """Gluing data: two algebras, connector arrows, and the ideal mode."""
+    """Gluing data: two algebras, connector arrows, and the ideal mode.
+
+    Connectors are `Arrow`s, or (name, source, target) triples turned into
+    them.  Extra relations are term lists of (coeff, arrow names), as for
+    `Relation`; their words may use the arrows of either side and the
+    connectors, and `glue` builds them on the union quiver.
+    """
 
     left: BoundAlgebra
     right: BoundAlgebra
-    alphas: tuple  # Connector(name, vA, vB)
-    betas: tuple   # Connector(name, vB, vA)
+    alphas: tuple  # Arrow(name, vA, vB)
+    betas: tuple   # Arrow(name, vB, vA)
     mode: str = "generated"  # or "extended"
-    extra_relations: tuple = ()  # iterables of (coeff, (start, arrows)) term lists
+    extra_relations: tuple = ()  # term lists of (coeff, arrow names)
     name: str = "glued"
 
     def __post_init__(self):
-        self.alphas = tuple(Connector(*a) if not isinstance(a, Connector) else a
-                            for a in self.alphas)
-        self.betas = tuple(Connector(*b) if not isinstance(b, Connector) else b
-                           for b in self.betas)
+        self.alphas = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in self.alphas)
+        self.betas = tuple(b if isinstance(b, Arrow) else Arrow(*b) for b in self.betas)
         if self.mode not in ("generated", "extended"):
             raise ValueError(f"unknown ideal mode {self.mode!r}")
         if self.mode == "generated" and self.extra_relations:
@@ -108,45 +105,28 @@ class GluedAlgebra:
 
 def _generated_relations(spec: GluingSpec, quiver: Quiver) -> list[Relation]:
     p = spec.left.p
-    rels: list[Relation] = []
-    for side in (spec.left, spec.right):
-        for rel in side.relations:
-            rels.append(Relation(
-                quiver, [(c, make_path(quiver, k[0], k[1])) for c, k in rel.terms], p))
-    for a in spec.alphas:
-        for arr in spec.left.quiver.arrows:
-            if arr.target == a.source:
-                rels.append(Relation(
-                    quiver, [(1, make_path(quiver, arr.source, (arr.name, a.name)))], p))
-    for b in spec.betas:
-        for arr in spec.right.quiver.arrows:
-            if arr.target == b.source:
-                rels.append(Relation(
-                    quiver, [(1, make_path(quiver, arr.source, (arr.name, b.name)))], p))
+    rels = [Relation(quiver, [(c, k[1]) for c, k in rel.terms], p)
+            for side in (spec.left, spec.right) for rel in side.relations]
+    words = [(arr.name, a.name) for a in spec.alphas
+             for arr in spec.left.quiver.arrows if arr.target == a.source]
+    words += [(arr.name, b.name) for b in spec.betas
+              for arr in spec.right.quiver.arrows if arr.target == b.source]
     for a in spec.alphas:
         for b in spec.betas:
             if a.target == b.source:
-                rels.append(Relation(
-                    quiver, [(1, make_path(quiver, a.source, (a.name, b.name)))], p))
+                words.append((a.name, b.name))
             if b.target == a.source:
-                rels.append(Relation(
-                    quiver, [(1, make_path(quiver, b.source, (b.name, a.name)))], p))
-    return rels
+                words.append((b.name, a.name))
+    return rels + [Relation(quiver, [(1, w)], p) for w in words]
 
 
 def glue(spec: GluingSpec, m_max: int | None = None) -> GluedAlgebra:
     """Build C on the union quiver and verify the connector-ideal containment."""
-    verts = list(spec.left.quiver.vertices) + list(spec.right.quiver.vertices)
-    arrows = ([(a.name, a.source, a.target) for a in spec.left.quiver.arrows]
-              + [(a.name, a.source, a.target) for a in spec.right.quiver.arrows]
-              + [(x.name, x.source, x.target) for x in spec.alphas]
-              + [(x.name, x.source, x.target) for x in spec.betas])
-    quiver = Quiver(verts, arrows)
+    verts = spec.left.quiver.vertices + spec.right.quiver.vertices
+    quiver = Quiver(verts, spec.left.quiver.arrows + spec.right.quiver.arrows
+                    + spec.alphas + spec.betas)
     generated = _generated_relations(spec, quiver)
-    extra = [Relation(quiver,
-                      [(c, make_path(quiver, k[0], tuple(k[1]))) for c, k in terms],
-                      spec.left.p)
-             for terms in spec.extra_relations]
+    extra = [Relation(quiver, terms, spec.left.p) for terms in spec.extra_relations]
     algebra = build_algebra(quiver, generated + extra, spec.left.p,
                             m_max or max(spec.left.m_max, spec.right.m_max),
                             name=spec.name)
@@ -195,7 +175,7 @@ def _side(c: GluedAlgebra, side: str):
 
 def _incoming_blocks(c: GluedAlgebra, side: str):
     """For each target-side vertex, the connectors feeding it in C^op order."""
-    blocks: dict[str, list[Connector]] = {}
+    blocks: dict[str, list[Arrow]] = {}
     for con in _side(c, side)[1]:
         blocks.setdefault(con.source, []).append(con)
     return blocks

@@ -1,9 +1,13 @@
-"""Quivers, paths, admissible relations and bound quiver algebras kQ/I.
+"""Quivers, admissible relations and bound quiver algebras kQ/I.
 
-The algebra is presented by a degree-truncated noncommutative Groebner basis
-under the length-then-declared-arrow-order path order; the normal (irreducible)
-paths form the working basis.  Paths compose left to right: for w = a1 a2 the
-arrow a1 is applied first and t(a1) = s(a2).
+A path is keyed by (start vertex, tuple of arrow names).  Every relation is
+built by `Relation` from arrow words, (coeff, arrow names) terms: it infers
+where each word starts and checks that the arrows compose and that the terms
+are parallel, so no other code validates paths.  The algebra is presented by
+a degree-truncated noncommutative Groebner basis under the
+length-then-declared-arrow-order path order; the normal (irreducible) paths
+form the working basis.  Paths compose left to right: for w = a1 a2 the arrow
+a1 is applied first and t(a1) = s(a2).
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ DEFAULT_TRUNCATION = 30
 
 
 class MalformedRelation(ValueError):
-    """A relation term pair is non-parallel, too short, or the relation is zero."""
+    """A relation names an unknown arrow, has a word whose arrows do not compose,
+    has a nonzero term that is too short or not parallel to the others, or is zero."""
 
 
 class NotAdmissible(ValueError):
@@ -105,68 +110,45 @@ class Quiver:
 PathKey = tuple
 
 
-@dataclass(frozen=True)
-class Path:
-    start: str
-    arrows: tuple[str, ...]
-    target: str
-
-    @property
-    def length(self) -> int:
-        return len(self.arrows)
-
-    def key(self) -> PathKey:
-        return (self.start, self.arrows)
-
-    def __str__(self) -> str:
-        return "*".join(self.arrows) if self.arrows else f"e_{self.start}"
-
-
-def make_path(quiver: Quiver, start: str, arrow_names) -> Path:
-    """Validate arrow composability and build a Path."""
-    arrow_names = tuple(arrow_names)
-    cur = str(start)
-    if cur not in quiver.vertex_index:
-        raise ValueError(f"unknown vertex {start}")
-    for name in arrow_names:
-        a = quiver.arrow_map.get(name)
-        if a is None:
-            raise ValueError(f"unknown arrow {name}")
-        if a.source != cur:
-            raise ValueError(f"arrows do not compose at {name}")
-        cur = a.target
-    return Path(str(start), arrow_names, cur)
-
-
-def path_from_arrows(quiver: Quiver, arrow_names) -> Path:
-    names = tuple(arrow_names)
-    if not names:
-        raise ValueError("cannot infer the start of a trivial path")
-    return make_path(quiver, quiver.arrow_map[names[0]].source, names)
-
-
 class Relation:
-    """A k-linear combination of parallel paths of length >= 2."""
+    """A k-linear combination of parallel paths of length >= 2, built from words.
+
+    `terms` is an iterable of (coeff, arrow names).  Each word starts at the
+    source of its first arrow and must compose in `quiver`.  Raises
+    MalformedRelation on an empty word, an unknown arrow, arrows that do not
+    compose, no nonzero term, or a nonzero term that is shorter than 2 or not
+    parallel to the others.  `terms` holds (coeff, (start, arrows)) pairs
+    sorted by path key.
+    """
 
     def __init__(self, quiver: Quiver, terms, p: int):
         canon: dict[PathKey, int] = {}
-        paths: dict[PathKey, Path] = {}
-        for coeff, path in terms:
-            if not isinstance(path, Path):
-                path = path_from_arrows(quiver, path)
-            canon[path.key()] = (canon.get(path.key(), 0) + int(coeff)) % p
-            paths[path.key()] = path
+        targets: dict[PathKey, str] = {}
+        for coeff, word in terms:
+            word = tuple(word)
+            text = "*".join(word)
+            arrows = [quiver.arrow_map.get(name) for name in word]
+            if not arrows:
+                raise MalformedRelation("relation term has no arrows")
+            if None in arrows:
+                unknown = word[arrows.index(None)]
+                raise MalformedRelation(f"unknown arrow {unknown!r} in {text}")
+            for a, b in zip(arrows, arrows[1:]):
+                if a.target != b.source:
+                    raise MalformedRelation(f"arrows do not compose at {b.name} in {text}")
+            key = (arrows[0].source, word)
+            canon[key] = (canon.get(key, 0) + int(coeff)) % p
+            targets[key] = arrows[-1].target
         canon = {k: c for k, c in canon.items() if c}
         if not canon:
             raise MalformedRelation("relation has no nonzero term")
-        plist = [paths[k] for k in canon]
-        s, t = plist[0].start, plist[0].target
-        for q in plist:
-            if q.length < 2:
-                raise MalformedRelation(f"relation term {q} has length < 2")
-            if q.start != s or q.target != t:
+        first = next(iter(canon))
+        s, t = first[0], targets[first]
+        for k in canon:
+            if len(k[1]) < 2:
+                raise MalformedRelation(f"relation term {'*'.join(k[1])} has length < 2")
+            if k[0] != s or targets[k] != t:
                 raise MalformedRelation("relation terms are not parallel")
-        self.quiver = quiver
         self.terms = tuple(sorted(((canon[k], k) for k in canon), key=lambda ck: ck[1]))
         self.source, self.target = s, t
 
@@ -259,23 +241,9 @@ class BoundAlgebra:
                     del work[nk]
         return out
 
-    def normal_form(self, terms) -> dict[PathKey, int]:
-        """Reduce a formal combination of paths to the normal basis.
-
-        Args:
-            terms: mapping PathKey -> coeff, or iterable of (coeff, Path|PathKey).
-        """
-        if isinstance(terms, dict):
-            elem = dict(terms)
-        else:
-            elem = {}
-            for coeff, path in terms:
-                k = path.key() if isinstance(path, Path) else tuple(path)
-                elem[k] = (elem.get(k, 0) + int(coeff)) % self.p
+    def normal_form(self, elem: dict[PathKey, int]) -> dict[PathKey, int]:
+        """Reduce a formal combination {path key: coeff} to the normal basis."""
         return self._reduce(elem)
-
-    def nf_path(self, start: str, arrows) -> dict[PathKey, int]:
-        return self._reduce({(str(start), tuple(arrows)): 1})
 
     # -- Groebner completion --------------------------------------------------
 
@@ -421,9 +389,6 @@ class BoundAlgebra:
 
     # -- public helpers -------------------------------------------------------
 
-    def path(self, start: str, arrow_names) -> Path:
-        return make_path(self.quiver, start, arrow_names)
-
     def path_target(self, key: PathKey) -> str:
         start, arrows = key
         return self.quiver.arrow_map[arrows[-1]].target if arrows else start
@@ -443,13 +408,8 @@ class BoundAlgebra:
         """The opposite algebra: arrows reversed, relation paths reversed."""
         if self._opposite is None:
             rq = self.quiver.reversed()
-            rels = []
-            for rel in self.relations:
-                terms = []
-                for c, k in rel.terms:
-                    arrows = tuple(reversed(k[1]))
-                    terms.append((c, make_path(rq, self.path_target(k), arrows)))
-                rels.append(Relation(rq, terms, self.p))
+            rels = [Relation(rq, [(c, k[1][::-1]) for c, k in rel.terms], self.p)
+                    for rel in self.relations]
             op = BoundAlgebra(rq, rels, self.p, self.m_max, name=self.name + "^op")
             op._opposite = self
             self._opposite = op

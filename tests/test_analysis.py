@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quivalg import analysis, decomp, grothendieck as gk, homology, repmod
-from quivalg.pathalgebra import Quiver, build_algebra, make_path
+from quivalg.pathalgebra import Quiver, build_algebra
 
 
 @pytest.fixture(scope="module")
@@ -10,7 +10,7 @@ def qinf_violator():
     # loop at vertex 1 (infinite pd) with an arrow into a pd-finite vertex:
     # the infinite locus is not successor-closed
     q = Quiver(["1", "2"], [("l", "1", "1"), ("a", "1", "2")])
-    return build_algebra(q, [[(1, make_path(q, "1", ("l", "l")))]], 101, 30,
+    return build_algebra(q, [[(1, ("l", "l"))]], 101, 30,
                          name="loop-then-sink")
 
 

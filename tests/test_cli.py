@@ -229,13 +229,52 @@ def test_dsl_rejects_prime_above_cap():
         cli.parse_algebra("algebra t field 1048583 truncate 5\n", "big.alg")
 
 
-@pytest.mark.parametrize("connector", ["alpha a0: 0 -> 1 -> 2", "alpha a0: 1 -> 0"])
-def test_bad_gluing_file_exits_3(tmp_path, capsys, connector):
+def _extra(relation):
+    return f"alpha a0: 0 -> 1\nrelation {relation}"
+
+
+@pytest.mark.parametrize("connector,says", [
     # a connector with two arrows, and an alpha connector going B -> A
+    pytest.param("alpha a0: 0 -> 1 -> 2", "expected: alpha name: v -> w",
+                 id="alpha a0: 0 -> 1 -> 2"),
+    pytest.param("alpha a0: 1 -> 0", "must go A -> B", id="alpha a0: 1 -> 0"),
+    # extra relations on the union quiver, and connectors
+    pytest.param(_extra("1 a0*bb1 + 1 a0*b1"), "not parallel", id="terms-not-parallel"),
+    pytest.param(_extra("1 a0*zz"), "unknown arrow 'zz'", id="unknown-later-arrow"),
+    pytest.param(_extra("1 zz*a0"), "unknown arrow 'zz'", id="unknown-first-arrow"),
+    pytest.param(_extra("1 a0*a0"), "do not compose at a0", id="arrows-do-not-compose"),
+    pytest.param(_extra("1 a0"), "length < 2", id="term-of-length-1"),
+    pytest.param(_extra("1 a0*b1 - 1 a0*b1"), "no nonzero term", id="no-nonzero-term"),
+    pytest.param("alpha g1: 0 -> 1", "duplicate arrow ids", id="connector-reuses-a-name"),
+    pytest.param("alpha : 0 -> 1", "arrow name ''", id="empty-alpha-name"),
+    pytest.param("alpha a*0: 0 -> 1", "arrow name 'a*0'", id="alpha-name-with-star"),
+    pytest.param("beta b+0: 1 -> 0", "arrow name 'b+0'", id="beta-name-with-plus"),
+    pytest.param("beta b-0: 1 -> 0", "arrow name 'b-0'", id="beta-name-with-minus"),
+])
+def test_bad_gluing_file_exits_3(tmp_path, capsys, connector, says):
     path = tmp_path / "g.glue"
     path.write_text(f"glue g\nleft exA.alg\nright exB.alg\n{connector}\nideal extended\n")
     assert _run(["info", str(path)]) == 3
-    assert "input error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error" in err and says in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lines,says", [
+    pytest.param("arrow a: 1 -> 2\nrelation 1 a*a", "do not compose at a",
+                 id="arrows-do-not-compose"),
+    pytest.param("arrow : 1 -> 2", "alg:3: arrow name ''", id="empty-name"),
+    pytest.param("arrow a*b: 1 -> 2", "alg:3: arrow name 'a*b'", id="name-with-star"),
+    pytest.param("arrow a+b: 1 -> 2", "alg:3: arrow name 'a+b'", id="name-with-plus"),
+    pytest.param("arrow a-b: 1 -> 2", "alg:3: arrow name 'a-b'", id="name-with-minus"),
+    pytest.param("arrow a b: 1 -> 2", "alg:3: arrow name 'a b'", id="name-with-space"),
+])
+def test_bad_algebra_file_exits_3(tmp_path, capsys, lines, says):
+    path = tmp_path / "t.alg"
+    path.write_text(f"algebra t field 101 truncate 30\nvertex 1 2\n{lines}\n")
+    assert _run(["info", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and says in err and "Traceback" not in err
+
 
 
 @pytest.mark.parametrize("args", [

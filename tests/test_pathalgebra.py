@@ -2,7 +2,7 @@ import pytest
 
 from quivalg import exactfield as ef, repmod
 from quivalg.pathalgebra import (MalformedRelation, NotAdmissible, Quiver,
-                                 Relation, build_algebra, make_path)
+                                 Relation, build_algebra)
 
 
 def test_a2_basis(a2):
@@ -22,24 +22,46 @@ def test_exterior_dim_with_independent_oracle(exA):
 def test_not_admissible_at_low_truncation():
     q = Quiver(["v"], [("g", "v", "v")])
     with pytest.raises(NotAdmissible):
-        build_algebra(q, [[(1, make_path(q, "v", ("g", "g")))]], 101, 1)
+        build_algebra(q, [[(1, ("g", "g"))]], 101, 1)
 
 
 def test_malformed_relation():
     q = Quiver(["1", "2"], [("a", "1", "2"), ("l", "2", "2")])
     with pytest.raises(MalformedRelation):
-        Relation(q, [(1, make_path(q, "1", ("a",)))], 101)  # length 1
+        Relation(q, [(1, ("a",))], 101)  # length 1
     with pytest.raises(MalformedRelation):
-        Relation(q, [(1, make_path(q, "1", ("a", "l"))),
-                     (1, make_path(q, "2", ("l", "l")))], 101)  # non-parallel
+        Relation(q, [(1, ("a", "l")), (1, ("l", "l"))], 101)  # non-parallel
+
+
+@pytest.mark.parametrize("terms,says", [
+    ([(1, ())], "no arrows"),
+    ([(1, ("a", "zz"))], "unknown arrow 'zz'"),
+    ([(1, ("a", "a"))], "do not compose at a"),
+    ([(1, ("a", "l")), (-1, ("a", "l"))], "no nonzero term"),
+])
+def test_relation_rejects_bad_words(terms, says):
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("l", "2", "2")])
+    with pytest.raises(MalformedRelation, match=says):
+        Relation(q, terms, 101)
+
+
+def test_relation_keys_words_by_their_start():
+    # words in any order and with repeats: terms are summed, keyed by
+    # (start, arrows) and sorted by key
+    q = Quiver(["1", "2", "3", "4"],
+               [("a", "1", "2"), ("b", "1", "3"), ("c", "2", "4"), ("d", "3", "4")])
+    rel = Relation(q, [(2, ("b", "d")), (1, ("a", "c")), (100, ("b", "d"))], 101)
+    assert rel.terms == ((1, ("1", ("a", "c"))), (1, ("1", ("b", "d"))))
+    assert (rel.source, rel.target) == ("1", "4")
+    assert str(rel) == "1 a*c + 1 b*d"
 
 
 def test_normal_form_examples(exA):
     # basis paths are fixed; gamma_i^2 dies; the commutator rewrites with a sign
     for k in exA.basis:
         assert exA.normal_form({k: 1}) == {k: 1}
-    assert exA.nf_path("0", ("g1", "g1")) == {}
-    nf = exA.nf_path("0", ("g2", "g1"))
+    assert exA.normal_form({("0", ("g1", "g1")): 1}) == {}
+    nf = exA.normal_form({("0", ("g2", "g1")): 1})
     assert nf == {("0", ("g1", "g2")): exA.p - 1}
 
 
@@ -105,19 +127,19 @@ def test_groebner_extracts_consequences():
     # <x^3 + x^2, x^4> = <x^2>: the completion must discover x^2
     q = Quiver(["v"], [("x", "v", "v")])
     rels = [
-        [(1, make_path(q, "v", ("x",) * 3)), (1, make_path(q, "v", ("x",) * 2))],
-        [(1, make_path(q, "v", ("x",) * 4))],
+        [(1, ("x",) * 3), (1, ("x",) * 2)],
+        [(1, ("x",) * 4)],
     ]
     alg = build_algebra(q, rels, 101, 30)
     assert alg.dim == 2
     assert alg.m == 2
-    assert alg.nf_path("v", ("x", "x")) == {}
+    assert alg.normal_form({("v", ("x", "x")): 1}) == {}
 
 
 def test_groebner_without_extra_relation_not_admissible():
     # <x^3 + x^2> alone never kills a power of the arrow ideal
     q = Quiver(["v"], [("x", "v", "v")])
-    rel = [(1, make_path(q, "v", ("x",) * 3)), (1, make_path(q, "v", ("x",) * 2))]
+    rel = [(1, ("x",) * 3), (1, ("x",) * 2)]
     with pytest.raises(NotAdmissible):
         build_algebra(q, [rel], 101, 12)
 
@@ -125,10 +147,10 @@ def test_groebner_without_extra_relation_not_admissible():
 def test_commutative_square():
     q = Quiver(["1", "2", "3", "4"],
                [("a", "1", "2"), ("b", "1", "3"), ("c", "2", "4"), ("d", "3", "4")])
-    rel = [(1, make_path(q, "1", ("a", "c"))), (-1, make_path(q, "1", ("b", "d")))]
+    rel = [(1, ("a", "c")), (-1, ("b", "d"))]
     alg = build_algebra(q, [rel], 101, 30)
     assert alg.dim == 9  # 4 trivial + 4 arrows + one corner path class
-    nf = alg.nf_path("1", ("b", "d"))
+    nf = alg.normal_form({("1", ("b", "d")): 1})
     assert nf == {("1", ("a", "c")): 1}
     from quivalg import analysis
 
