@@ -267,12 +267,16 @@ def load_algebra_file(path: str, p_override: int | None = None) -> BoundAlgebra:
 
 
 def load_glue_file(path: str, p_override: int | None = None) -> morita.GluedAlgebra:
+    """Load a gluing; its `left` and `right` files resolve against its own
+    directory only, with no fallback to the bundled fixtures."""
     path = resolve_path(path)
     with open(path, "r", encoding="utf-8") as fh:
         src = parse_gluing(fh.read(), path)
-    base = os.path.dirname(path)
-    left = load_algebra_file(os.path.join(base, src.left), p_override)
-    right = load_algebra_file(os.path.join(base, src.right), p_override)
+    sides = [os.path.join(os.path.dirname(path), name) for name in (src.left, src.right)]
+    for side in sides:
+        if not os.path.exists(side):
+            raise InputError(f"no such file: {side}")
+    left, right = (load_algebra_file(side, p_override) for side in sides)
     try:
         return morita.glue(morita.GluingSpec(left, right, src.alphas, src.betas, src.mode,
                                              src.extra, name=src.name))

@@ -18,13 +18,21 @@ it is also a function of the computation that produced it.  Each registry
 therefore remembers finished decompositions by module content, seed,
 confidence and rng state, and `decompose` splits each distinct block once.
 
-No Hom space is solved for an answer already known, and each shortcut gives
-the same pieces, class ids and payloads: the End of a one-dimensional module
-is its identity (EndAlgebra); a split's pieces ker g(f) and ker h(f) are the
-images of h(f) and g(f), already evaluated (_split_by); the iso test reads
-dim Hom off repmod.hom_solve and builds a basis only for its random rounds
-(is_isomorphic); and a module equal entry for entry to a class
-representative is that class (IsoRegistry.content).
+No work is done for an answer already known, and each shortcut gives the
+same pieces, class ids and payloads: the End of a one-dimensional module is
+its identity (EndAlgebra); a nonzero endomorphism f with f_v f_v = 0 at
+every vertex has minimal polynomial x^2, a prime power, so it is factored
+with no Krylov sequence and cannot split (_split_by); a split's pieces
+ker g(f) and ker h(f) are the images of h(f) and g(f), already evaluated
+(_split_by); the iso test reads dim Hom off repmod.hom_solve and builds a
+basis only for its random rounds (is_isomorphic); and a module equal entry
+for entry to a class representative is that class (IsoRegistry.content).
+
+End(M)'s basis is kept as arrays, never as RepMaps: EndAlgebra holds one
+(dim E, d_v, d_v) stack per vertex where M is nonzero, read off the
+canonical rows of repmod.HomSolve, and its elements are dicts of matrices
+over those vertices.  The iso test's candidates are combinations of the
+canonical rows of Hom(m, n), each viewed as a RepMap only to test it.
 """
 
 from __future__ import annotations
@@ -88,7 +96,12 @@ def fingerprint(m: Rep) -> tuple:
 
 
 class EndAlgebra:
-    """End(M) as a basis of vertexwise endomorphisms.
+    """End(M) as its canonical basis, hom_basis(M, M), kept as arrays.
+
+    stacks maps each vertex v where M is nonzero, in quiver order, to the
+    (dim, d_v, d_v) stack of the basis elements' matrices at v, read off
+    HomSolve.rows with no RepMap built.  An element of E is a dict over the
+    same vertices; the vertices where M is zero carry nothing.
 
     The End of a one-dimensional module is spanned by its identity, which is
     the basis hom_basis would return (Hom is then all of the vertexwise maps,
@@ -98,15 +111,22 @@ class EndAlgebra:
     def __init__(self, module: Rep):
         self.module = module
         self.p = module.algebra.p
-        if module.total_dim == 1:
-            self.basis = [RepMap(module, module, {v: ef.eye(d) for v, d in module.dims.items()})]
-        else:
-            self.basis = repmod.hom_basis(module, module)
-        self.dim = len(self.basis)
+        rows = ef.eye(1) if module.total_dim == 1 else repmod.hom_solve(module, module).rows()
+        self.dim = rows.shape[0]
+        # a row holds the vertex blocks in quiver order; zero vertices hold none
+        self.stacks, off = {}, 0
+        for v, d in module.dims.items():
+            if d:
+                self.stacks[v] = rows[:, off:off + d * d].reshape(self.dim, d, d)
+                off += d * d
         module._end_dim = self.dim
 
+    def basis_element(self, i: int) -> dict[str, np.ndarray]:
+        return {v: s[i] for v, s in self.stacks.items()}
+
     def element(self, coords) -> dict[str, np.ndarray]:
-        return repmod.combine_maps(self.basis, coords).mats
+        """The element with the given coordinates, reduced mod p."""
+        return {v: np.tensordot(coords, s, 1) % self.p for v, s in self.stacks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +160,11 @@ def _split_by(m: Rep, f: dict[str, np.ndarray], rng):
     takes the RREF of those spans, so the pieces are the kernels' bit for bit.
     """
     p = m.algebra.p
+    # a nonzero f with f_v f_v = 0 at every vertex has minimal polynomial
+    # x^2, which factor splits into ([0, 1], 2) with no draw at any p
+    if (any(x.any() for x in f.values())
+            and not any((x @ x % p).any() for x in f.values())):
+        return [([0, 1], 2)], None
     minpoly = _minpoly_of_mats(f, p)
     factors = fppoly.factor(minpoly, p, rng)
     if len(factors) < 2:
@@ -157,12 +182,6 @@ def _split_by(m: Rep, f: dict[str, np.ndarray], rng):
     if pieces[0].total_dim + pieces[1].total_dim != m.total_dim:
         raise AssertionError("generalized kernels do not exhaust the module")
     return factors, pieces
-
-
-def _stacks(m: Rep, maps: list[dict]) -> list[np.ndarray]:
-    """Vertexwise endomorphisms of m as one (len(maps), d, d) stack per vertex
-    of dimension d > 0, in quiver order."""
-    return [np.stack([f[v] for f in maps]) for v in m.algebra.quiver.vertices if m.dims[v]]
 
 
 def _nilpotent_on(stacks: list[np.ndarray], p: int) -> bool:
@@ -193,7 +212,7 @@ def _trace_radical(E: EndAlgebra):
     ([], None) stands for J = 0, under which y lies in J iff y = 0.
     """
     p = E.p
-    stacks = _stacks(E.module, [f.mats for f in E.basis])
+    stacks = list(E.stacks.values())
     flat = np.concatenate([b.reshape(E.dim, -1) for b in stacks], axis=1)
     pair = np.concatenate([b.transpose(0, 2, 1).reshape(E.dim, -1) for b in stacks], axis=1).T
     # gram[i, j] = sum over vertices of tr(b_i b_j), a sum of
@@ -214,13 +233,11 @@ def _local_by_eigenvalues(E: EndAlgebra, factors) -> bool:
     local.  This certifies a local E whose trace form vanishes, as it does
     when p divides the length of M over E.
     """
-    shifted = []
-    for f, fac in zip(E.basis, factors):
-        if len(fac) != 1 or fppoly.degree(fac[0][0]) != 1:
-            return False
-        # the factor is x + c, so b_i - lambda_i = b_i + c
-        shifted.append({v: x + fac[0][0][0] * ef.eye(len(x)) for v, x in f.mats.items()})
-    return _nilpotent_on(_stacks(E.module, shifted), E.p)
+    if any(len(fac) != 1 or fppoly.degree(fac[0][0]) != 1 for fac in factors):
+        return False
+    # each factor is x + c_i, so b_i - lambda_i = b_i + c_i
+    c = np.array([fac[0][0][0] for fac in factors], dtype=np.int64)[:, None, None]
+    return _nilpotent_on([s + c * ef.eye(s.shape[1]) for s in E.stacks.values()], E.p)
 
 
 def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
@@ -235,8 +252,8 @@ def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
     if E.dim == 1:
         return ("certified", None)
     basis_factors = []
-    for f in E.basis:
-        factors, pieces = _split_by(m, f.mats, rng)
+    for i in range(E.dim):
+        factors, pieces = _split_by(m, E.basis_element(i), rng)
         if pieces is not None:
             return ("pieces", pieces)
         basis_factors.append(factors)
@@ -267,13 +284,13 @@ def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
         return E.element(coords)
 
     def in_radical(y):
-        row = np.concatenate([y[v].reshape(-1) for v in m.algebra.quiver.vertices])
+        row = np.concatenate([x.reshape(-1) for x in y.values()])
         return not (row.any() if pair is None else ef.matmul(row.reshape(1, -1), pair, p).any())
 
     # x is a nontrivial idempotent of S iff x != 0, lift^2 - lift lies in J(E)
     # and lift - 1 does not; then the minimal polynomial of the lift has the
     # factors x and x - 1, and the lift splits M
-    one = {v: ef.eye(d) for v, d in m.dims.items()}
+    one = {v: ef.eye(s.shape[1]) for v, s in E.stacks.items()}
     for x in _fp_vectors(p, len(free)):
         f = lift(x)
         if (x.any() and in_radical({v: ef.matmul(f[v], f[v], p) - f[v] for v in f})
@@ -326,9 +343,10 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
 
     dim Hom(m, n) is read off one hom_solve before any basis is assembled:
     "hom space is zero" and a mismatch with a known End dimension need only
-    that number.  The basis is assembled from the same solve when random
-    combinations must be tried, and End dimensions filled in afterwards come
-    from solves alone.
+    that number.  The basis is assembled from the same solve, as its
+    canonical rows, when random combinations must be tried; each candidate is
+    one combination of the rows, viewed as a RepMap.  End dimensions filled
+    in afterwards come from solves alone.
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
@@ -349,24 +367,25 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
     # a known End dimension settles "no" before the random rounds
     if any(x._end_dim is not None and x._end_dim != solve.dim for x in (m, n)):
         return IsoResult("no", None, "hom dimension mismatch")
-    homs = solve.basis()
+    rows = solve.rows()
+    dim = solve.dim
     rng = np.random.default_rng([int(seed) % (2 ** 31), m.algebra.structural_digest() % (2 ** 31), 17])
     for _ in range(confidence):
-        f = repmod.combine_maps(homs, rng.integers(0, p, size=len(homs)))
+        f = solve.map(rng.integers(0, p, size=dim) @ rows % p)
         if f.is_invertible():
             return IsoResult("yes", f, "random invertible hom")
     if m._end_dim is None:
         m._end_dim = repmod.hom_solve(m, m).dim
     if n._end_dim is None:
         n._end_dim = repmod.hom_solve(n, n).dim
-    if m._end_dim != len(homs) or n._end_dim != len(homs):
+    if m._end_dim != dim or n._end_dim != dim:
         return IsoResult("no", None, "hom dimension mismatch")
-    if p ** len(homs) <= EXHAUSTIVE_LIMIT:
+    if p ** dim <= EXHAUSTIVE_LIMIT:
         # invertibility is scale-invariant: sweep projective space only
-        for lead in range(len(homs)):
-            for tail in _fp_vectors(p, len(homs) - lead - 1):
+        for lead in range(dim):
+            for tail in _fp_vectors(p, dim - lead - 1):
                 coeffs = np.concatenate([np.zeros(lead, dtype=np.int64), [1], tail])
-                f = repmod.combine_maps(homs, coeffs)
+                f = solve.map(coeffs @ rows % p)
                 if f.is_invertible():
                     return IsoResult("yes", f, "exhaustive search")
         return IsoResult("no", None, "exhaustive search")

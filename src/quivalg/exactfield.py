@@ -10,7 +10,10 @@ re-coerces or re-reduces them.  Row vectors act on the right of arrow
 matrices throughout the package.
 
 p must be a prime below MAX_PRIME (see `check_prime`), so that no int64
-accumulation in the package overflows.  Integer lattices are handled
+accumulation in the package overflows.  `matmul` sends products of at least
+MATMUL_FLOAT_WORK multiply-adds to BLAS in float64 when every sum stays an
+exact integer there, k * (p - 1)**2 < 2**53 for inner dimension k
+(FLOAT_EXACT), and keeps int64 otherwise.  Integer lattices are handled
 fraction-free (Bareiss for ranks, Hermite form for membership), so no
 rational arithmetic ever appears.
 
@@ -48,6 +51,20 @@ DEFAULT_PRIME = 101
 #   p + ncols * (p - 1)**2 < 2**63 for ncols < 2**23 columns (augment
 #   columns excluded, as the number of pivots is at most ncols).
 MAX_PRIME = 2 ** 20
+
+# matmul sums k products of residues, each at most (p - 1)**2, per entry: in
+# float64 every partial sum is then an integer below 2**53, exact, while
+# k * (p - 1)**2 < 2**53 (at MAX_PRIME, k < 2**13; at p = 101, k < 9 * 10**11).
+FLOAT_EXACT = 2 ** 53
+
+# matmul runs on BLAS in float64 from this many multiply-adds (output entries
+# times inner dimension) when FLOAT_EXACT allows, and in int64, which numpy
+# cannot send to BLAS, below it.  Timed at p = 101 with one BLAS thread
+# (2-vCPU x86 VM, numpy 2.4, fastest of 5), float64 over int64 was 1.2-1.5
+# up to 12x12x12 (1,728) and on stacks of 5x5 and 6x6 products up to 1,250;
+# 0.9-1.1 from 2,560 to 4,320, by shape; 0.7-0.85 from 4,096 to 10,368; and
+# 0.12-0.13 on the hom systems' (133x841)(841x29) and (227x285)(285x60).
+MATMUL_FLOAT_WORK = 4096
 
 # rref runs on Python int lists up to this many cells, rows * (cols + augment
 # cols), and with the numpy kernel above it.  Replaying every rref input above
@@ -104,14 +121,18 @@ def eye(n: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product mod p.
+    """Product mod p of contract matrices, or of stacks of them (np.matmul's
+    batching, a stacked at least as deep as b).
 
-    Before the reduction each entry is a sum of a.shape[1] products below
-    p**2, which fits int64 while a.shape[1] < 2**23 (see MAX_PRIME).
+    Before the reduction each entry is a sum of k = a.shape[-1] products below
+    p**2: exact in int64 while k < 2**23 (see MAX_PRIME), and in float64 while
+    k * (p - 1)**2 < FLOAT_EXACT, where products of MATMUL_FLOAT_WORK or more
+    multiply-adds run on BLAS.  Both routes give the same int64 array.
     """
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return zeros(a.shape[0], b.shape[1])
-    return np.mod(a @ b, p)
+    k = a.shape[-1]
+    if a.size * b.shape[-1] >= MATMUL_FLOAT_WORK and k * (p - 1) ** 2 < FLOAT_EXACT:
+        return np.mod(np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64), p)
+    return np.mod(np.matmul(a, b), p)
 
 
 def rref(m, p: int, augment: np.ndarray | None = None):

@@ -6,7 +6,14 @@ takes and returns that form.  The inputs are small, mostly quadratics, so
 plain ints beat per-call numpy overhead.
 Factorization is squarefree + distinct-degree + Cantor-Zassenhaus; the
 equal-degree stage draws from a caller-supplied generator so decomposition
-runs are reproducible per seed.
+runs are reproducible per seed.  Most inputs are minimal polynomials of
+degree at most 2, which `factor` settles in closed form: a linear f is its
+own factor, and at odd p a quadratic's discriminant, by Euler's criterion,
+tells a double root, an irreducible f and two roots apart.  The two roots
+come from Tonelli-Shanks, and Cantor-Zassenhaus's draws for them are
+replayed on the values at the roots, so the factors and the generator's
+state afterwards are those of the polynomial path, which p = 2 and degree
+3 and up still take.
 """
 
 from __future__ import annotations
@@ -162,8 +169,74 @@ def _equal_degree(f: list[int], d: int, p: int, rng) -> list[list[int]]:
     return _equal_degree(g, d, p, rng) + _equal_degree(q1, d, p, rng)
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the nonzero quadratic residue a modulo the odd prime p
+    (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _factor_quadratic(f: list[int], p: int, rng) -> list[tuple[list[int], int]]:
+    """factor of a monic quadratic at odd p, from its roots.
+
+    Euler's criterion on the discriminant tells a double root, an
+    irreducible f and two roots r1, r2 apart.  Only the last draws: the
+    polynomial path's _equal_degree(f, 1) draws a = a0 + a1 x until
+    gcd(a, f) or gcd(a^((p-1)/2) - 1, f) is a linear factor, that is, until a
+    vanishes at one root only, or a(r1) and a(r2) differ in quadratic
+    character.  That loop is replayed on the values at the roots, with the
+    same draws, so the factors and the rng's after-state are the same.
+    """
+    c0, c1 = f[0], f[1]
+    disc = (c1 * c1 - 4 * c0) % p
+    half = (p + 1) // 2  # the inverse of 2
+    if not disc:
+        return [([c1 * half % p, 1], 2)]
+    e = (p - 1) // 2
+    if pow(disc, e, p) != 1:
+        return [(f, 1)]
+    s = _sqrt_mod(disc, p)
+    roots = ((p - c1 + s) * half % p, (2 * p - c1 - s) * half % p)
+    while True:
+        a0, a1 = rng.integers(0, p, size=2).tolist()
+        if a1:
+            at = [(a0 + a1 * r) % p for r in roots]
+            if 0 in at or (pow(at[0], e, p) == 1) != (pow(at[1], e, p) == 1):
+                # the split found is x - r1 or x - r2; either way the
+                # factors, sorted, are these
+                return sorted(([-r % p, 1], 1) for r in roots)
+
+
 def factor(f: list[int], p: int, rng) -> list[tuple[list[int], int]]:
-    """Full factorization of f into (monic irreducible, multiplicity) pairs."""
+    """Full factorization of f into (monic irreducible, multiplicity) pairs.
+
+    A linear f is its own factor, and a quadratic at odd p is factored in
+    closed form (_factor_quadratic); both give _factor_by_polynomials'
+    factors with the same rng draws.
+    """
+    if len(f) == 2:
+        return [(monic(f, p), 1)]
+    if len(f) == 3 and p != 2:
+        return _factor_quadratic(monic(f, p), p, rng)
+    return _factor_by_polynomials(f, p, rng)
+
+
+def _factor_by_polynomials(f: list[int], p: int, rng) -> list[tuple[list[int], int]]:
+    """factor by squarefree, distinct-degree and equal-degree factorization."""
     if len(f) < 2:
         return []
     factors: list[tuple[list[int], int]] = []

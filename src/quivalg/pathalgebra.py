@@ -398,9 +398,9 @@ class BoundAlgebra:
 
     def projective(self, v: str):
         """Indecomposable projective e_v A as a bound representation."""
-        from . import repmod
-
         if v not in self._projectives:
+            from . import repmod
+
             self._projectives[v] = repmod.projective(self, v)
         return self._projectives[v]
 
@@ -416,9 +416,9 @@ class BoundAlgebra:
         return self._opposite
 
     def registry(self):
-        from .decomp import IsoRegistry
-
         if self._registry is None:
+            from .decomp import IsoRegistry
+
             self._registry = IsoRegistry(self)
         return self._registry
 

@@ -8,8 +8,9 @@ return immutable numpy-backed values; every operation is pure.
 Hom spaces are solved on the first module's projective presentation
 0 -> omega -> P0 ->> m (see hom_solve), which is built once per module and
 cached on it, as are the matrices of its paths.  The solve alone gives
-dim Hom; hom_basis assembles the canonical basis from it.  The projective
-cover and homology's syzygies read the same cached presentation.
+dim Hom; HomSolve.rows assembles the canonical basis from it as one array,
+and hom_basis returns that basis as RepMaps.  The projective cover and
+homology's syzygies read the same cached presentation.
 
 Every matrix here meets ef's contract.  Rep.from_json, where outside
 matrices enter, is the only caller of ef.as_matrix; the Rep and RepMap
@@ -660,8 +661,11 @@ class HomSolve:
     ys holds a basis of the solutions y, one per row.  A hom is fixed by the
     images y of m's generators, so dim Hom(m, n) = len(ys) = dim, read with
     no basis built.  pres and stacks (m's presentation, n's path stacks from
-    the generator vertices) are what basis() reads; both are None when Hom
-    is 0 for lack of shared support or of unknowns.
+    the generator vertices) are what rows() reads; both are None when Hom
+    is 0 for lack of shared support or of unknowns.  rows() gives the
+    canonical basis as one array, and basis() the same maps as RepMaps, each
+    a `map` view of its row; callers that only read or combine the maps take
+    the rows.
     """
 
     m: Rep
@@ -674,14 +678,16 @@ class HomSolve:
     def dim(self) -> int:
         return self.ys.shape[0]
 
-    def basis(self) -> list[RepMap]:
-        """The canonical basis of Hom(m, n) that hom_basis returns."""
+    def rows(self) -> np.ndarray:
+        """The canonical basis of Hom(m, n) that hom_basis returns, one row
+        per map: its vertexwise matrices flattened in vertex order, each
+        row-major (the layout `map` reads)."""
         m, n, ys, pres, stacks = self.m, self.n, self.ys, self.pres, self.stacks
         nb = self.dim
-        if not nb:
-            return []
-        p = m.algebra.p
         verts = m.algebra.quiver.vertices
+        if not nb:
+            return ef.zeros(0, sum(m.dims[v] * n.dims[v] for v in verts))
+        p = m.algebra.p
         ycols, off = {}, 0
         for v, cols in pres.gens.items():
             ycols[v] = slice(off, off + len(cols) * n.dims[v])
@@ -696,23 +702,28 @@ class HomSolve:
                 t = rows[(rows >= col) & (rows < col + k * c)] - col
                 if t.size:
                     yv = ys[:, ycols[v]].reshape(nb, k, n.dims[v])[:, t // c, :]
-                    picked.append(np.matmul(yv.transpose(1, 0, 2), stacks[v][w][t % c]) % p)
+                    picked.append(ef.matmul(yv.transpose(1, 0, 2), stacks[v][w][t % c], p))
             phi = np.concatenate(picked, axis=0).reshape(m.dims[w], nb * dw)
             fw = ef.matmul(inv, phi, p)
             flat.append(fw.reshape(m.dims[w], nb, dw).transpose(1, 0, 2)
                         .reshape(nb, m.dims[w] * dw))
         flat = np.concatenate(flat, axis=1)
         # when Hom is all of the vertexwise maps, its canonical basis is the identity
-        basis = ef.eye(nb) if nb == flat.shape[1] else ef.rref(flat[:, ::-1], p)[0][::-1, ::-1]
-        maps = []
-        for row in basis:
-            mats, off = {}, 0
-            for v in verts:
-                size = m.dims[v] * n.dims[v]
-                mats[v] = row[off:off + size].reshape(m.dims[v], n.dims[v])
-                off += size
-            maps.append(RepMap(m, n, mats))
-        return maps
+        return ef.eye(nb) if nb == flat.shape[1] else ef.rref(flat[:, ::-1], p)[0][::-1, ::-1]
+
+    def map(self, row: np.ndarray) -> RepMap:
+        """The hom whose vertexwise matrices, flattened as in `rows`, are row."""
+        m, n = self.m, self.n
+        mats, off = {}, 0
+        for v in m.algebra.quiver.vertices:
+            size = m.dims[v] * n.dims[v]
+            mats[v] = row[off:off + size].reshape(m.dims[v], n.dims[v])
+            off += size
+        return RepMap(m, n, mats)
+
+    def basis(self) -> list[RepMap]:
+        """The canonical basis of Hom(m, n) that hom_basis returns."""
+        return [self.map(row) for row in self.rows()]
 
 
 def hom_solve(m: Rep, n: Rep) -> HomSolve:
@@ -746,9 +757,10 @@ def hom_solve(m: Rep, n: Rep) -> HomSolve:
         out = []
         for v, k, col, c in _generator_blocks(pres, stacks, w):
             dv = n.dims[v]
-            part = om[:, col:col + k * c].reshape(r * k, c) @ stacks[v][w].reshape(c, dv * dw)
+            part = ef.matmul(om[:, col:col + k * c].reshape(r * k, c),
+                             stacks[v][w].reshape(c, dv * dw), p)
             out.append(part.reshape(r, k, dv, dw).transpose(0, 3, 1, 2).reshape(r * dw, k * dv))
-        return np.concatenate(out, axis=1) % p
+        return np.concatenate(out, axis=1)
 
     system = [equations(w) for w in verts if pres.omega[w].shape[0] and n.dims[w]]
     ys = ef.kernel_basis(np.concatenate(system, axis=0) if system else ef.zeros(0, nvars), p)

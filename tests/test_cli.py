@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -233,6 +234,26 @@ def _extra(relation):
     return f"alpha a0: 0 -> 1\nrelation {relation}"
 
 
+def _copy_fixtures(directory, *names):
+    for name in names:
+        shutil.copy(os.path.join(cli.fixtures_dir(), name), directory / name)
+
+
+def test_gluing_sides_resolve_against_the_gluing_file_only(tmp_path, capsys):
+    # a .glue's left/right never fall back to the bundled fixtures: a missing
+    # sibling is an input error, a present one is the file loaded
+    path = tmp_path / "g.glue"
+    path.write_text("glue g\nleft exA.alg\nright exB.alg\nideal generated\n")
+    _copy_fixtures(tmp_path, "exB.alg")
+    assert _run(["info", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"input error: no such file: {tmp_path / 'exA.alg'}" in err and "Traceback" not in err
+    (tmp_path / "exA.alg").write_text(
+        open(os.path.join(cli.fixtures_dir(), "exA.alg")).read().replace("algebra exA", "algebra mine"))
+    glued = cli.load_glue_file(str(path))
+    assert glued.spec.left.name == "mine" and _run(["info", str(path)]) == 0
+
+
 @pytest.mark.parametrize("connector,says", [
     # a connector with two arrows, and an alpha connector going B -> A
     pytest.param("alpha a0: 0 -> 1 -> 2", "expected: alpha name: v -> w",
@@ -252,6 +273,7 @@ def _extra(relation):
     pytest.param("beta b-0: 1 -> 0", "arrow name 'b-0'", id="beta-name-with-minus"),
 ])
 def test_bad_gluing_file_exits_3(tmp_path, capsys, connector, says):
+    _copy_fixtures(tmp_path, "exA.alg", "exB.alg")
     path = tmp_path / "g.glue"
     path.write_text(f"glue g\nleft exA.alg\nright exB.alg\n{connector}\nideal extended\n")
     assert _run(["info", str(path)]) == 3

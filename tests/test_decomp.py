@@ -36,9 +36,9 @@ def test_end_of_a_one_dimensional_module_is_its_identity(monkeypatch):
                 E = decomp.EndAlgebra(s)
                 monkeypatch.undo()
                 assert not calls and E.dim == s._end_dim == 1 and s._pres is None
-                for w in alg.quiver.vertices:
-                    got, ref = E.basis[0].mats[w], want[0].mats[w]
-                    assert got.dtype == ref.dtype and np.array_equal(got, ref), (name, p, v)
+                assert list(E.stacks) == [v]
+                got, ref = E.basis_element(0)[v], want[0].mats[v]
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (name, p, v)
 
 
 def test_decompose_examples(exA, exB):
@@ -116,7 +116,7 @@ def test_decompose_reads_the_memo_for_equal_content(exB, monkeypatch):
     m = repmod.random_module(exB, 5, 9).strip()
     first = decomp.decompose(m, registry=reg)
     pieces = _count_calls(monkeypatch, decomp, "indecomposable_pieces")
-    homs = _count_calls(monkeypatch, repmod, "hom_basis")
+    homs = _count_calls(monkeypatch, repmod, "hom_solve")
     registers = _count_calls(monkeypatch, decomp.IsoRegistry, "register")
     again = m.strip()
     second = decomp.decompose(again, registry=reg)
@@ -294,9 +294,8 @@ def test_known_end_dimension_settles_no_before_the_random_rounds(monkeypatch):
         return repmod.Rep(kron, {"1": d, "2": d}, {"a": np.eye(d, dtype=np.int64),
                                                    "b": np.diag(points)})
 
-    calls = []
-    combine = repmod.combine_maps
-    monkeypatch.setattr(repmod, "combine_maps", lambda *a: calls.append(a) or combine(*a))
+    # each random round tests one candidate for invertibility
+    calls = _count_calls(monkeypatch, repmod.RepMap, "is_invertible")
     m, n = regular(1, 2), regular(1, 3)
     assert decomp.fingerprint(m) == decomp.fingerprint(n)
     r = decomp.is_isomorphic(m, n)
@@ -494,8 +493,9 @@ def test_trace_radical_codimension(exB, a2):
 
 def _basis_factors(E):
     """The factorized minimal polynomial of each basis element of E."""
-    return [fppoly.factor(decomp._minpoly_of_mats(f.mats, E.p), E.p, np.random.default_rng(0))
-            for f in E.basis]
+    return [fppoly.factor(decomp._minpoly_of_mats(E.basis_element(i), E.p), E.p,
+                          np.random.default_rng(0))
+            for i in range(E.dim)]
 
 
 def _truncated_polynomial_ring(n, p):
@@ -563,8 +563,8 @@ def test_eigenvalue_certificate_needs_the_flag():
     s = repmod.simple(point, "v")
     m = repmod.direct_sum([s, s])[0].strip()
     E = decomp.EndAlgebra(m)
-    E.basis = [repmod.RepMap(m, m, {"v": np.array(mat, dtype=np.int64)}) for mat in
-               ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [2, 0]])]
+    E.stacks = {"v": np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, 1]],
+                               [[1, 1], [2, 0]]], dtype=np.int64)}
     assert not decomp._local_by_eigenvalues(E, _basis_factors(E))
 
 
@@ -652,8 +652,8 @@ def test_certify_or_split_lifts_the_exhaustive_idempotent():
     s = repmod.simple(point, "v")
     m = repmod.direct_sum([s, s])[0].strip()
     E = decomp.EndAlgebra(m)
-    E.basis = [repmod.RepMap(m, m, {"v": np.array(mat, dtype=np.int64)}) for mat in
-               ([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [0, 1]], [[0, 1], [1, 1]])]
+    E.stacks = {"v": np.array([[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [0, 1]],
+                               [[0, 1], [1, 1]]], dtype=np.int64)}
     assert decomp._trace_radical(E)[0] == []  # E/J(E) = E, of dimension 4
     status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)
     assert status == "pieces"
@@ -699,8 +699,8 @@ def test_exhaustive_idempotent_search_works_modulo_the_radical():
     pairs = [(unit(0, 1), zero), (unit(1, 0), zero), (np.eye(2, dtype=np.int64), unit(0, 0)),
              (np.array([[1, 1], [2, 0]]), unit(1, 1))]
     pairs += [(zero, unit(i, j)) for i in range(2) for j in range(2)]
-    E.basis = [repmod.RepMap(m, m, {"v": (np.kron(c0, np.eye(2, dtype=np.int64))
-                                          + np.kron(c1, x)) % 3}) for c0, c1 in pairs]
+    E.stacks = {"v": np.array([(np.kron(c0, np.eye(2, dtype=np.int64)) + np.kron(c1, x)) % 3
+                               for c0, c1 in pairs], dtype=np.int64)}
     pivots, pair = decomp._trace_radical(E)
     assert pivots == [4, 5, 6, 7] and pair is not None
     status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)
@@ -741,17 +741,51 @@ def _kronecker_f2():
 def _split_pieces_match_the_oracle(m, seed):
     """Split m by each basis element of End(m); returns how many split it."""
     split = 0
-    for f in decomp.EndAlgebra(m).basis:
-        factors, pieces = decomp._split_by(m, f.mats, np.random.default_rng(seed))
+    E = decomp.EndAlgebra(m)
+    for i in range(E.dim):
+        f = E.basis_element(i)
+        factors, pieces = decomp._split_by(m, f, np.random.default_rng(seed))
         if pieces is None:
             continue
         split += 1
-        for got, want in zip(pieces, kernel_pieces(m, f.mats, factors)):
+        for got, want in zip(pieces, kernel_pieces(m, f, factors)):
             assert got.dims == want.dims
             for a in m.algebra.quiver.arrows:
                 x, y = got.mats[a.name], want.mats[a.name]
                 assert x.dtype == y.dtype and np.array_equal(x, y), (m, a.name)
     return split
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_square_zero_split_attempts_skip_the_minimal_polynomial(p, monkeypatch):
+    # every End-basis element of seeded random modules over every fixture:
+    # _split_by's factors and rng after-state are the full path's,
+    # factor(_minpoly_of_mats(f)); a nonzero f with f_v f_v = 0 everywhere
+    # gets x^2 with no Krylov or draw, and f = 0 keeps the full path (x)
+    krylov = _count_calls(monkeypatch, fppoly, "min_poly_matrix")
+    square_zero = 0
+    for name in FIXTURES:
+        alg = cli.underlying_algebra(cli.load_any(name, p))
+        for seed in range(3):
+            m = repmod.random_module(alg, seed, 9).strip()
+            if m.is_zero:
+                continue
+            E = decomp.EndAlgebra(m)
+            zero = {v: np.zeros_like(s[0]) for v, s in E.stacks.items()}
+            for f in [E.basis_element(i) for i in range(E.dim)] + [zero]:
+                nilsquare = not any((x @ x % p).any() for x in f.values())
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                state = rng.bit_generator.state
+                krylov.clear()
+                factors, pieces = decomp._split_by(m, f, rng)
+                assert bool(krylov) == (not nilsquare or f is zero)
+                want = fppoly.factor(decomp._minpoly_of_mats(f, p), p, ref)
+                assert factors == want and rng.bit_generator.state == ref.bit_generator.state
+                if nilsquare:
+                    assert pieces is None and rng.bit_generator.state == state
+                    assert factors == ([([0, 1], 1)] if f is zero else [([0, 1], 2)])
+                    square_zero += f is not zero
+    assert square_zero >= 100
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
@@ -795,6 +829,43 @@ def test_iso_exhaustive_search_witness_pinned(name, p, seed, size, witness):
     r = decomp.is_isomorphic(m, n, confidence=0)
     assert (r.verdict, r.method) == ("yes", "exhaustive search")
     assert {v: x.tolist() for v, x in r.witness.mats.items()} == witness
+
+
+# recorded before the iso test formed its candidates from the canonical rows
+# of Hom rather than from a list of RepMaps
+ISO_WITNESS_DIGEST = "9a40897b779d1d1a84e77b08e2a26facccbfd0c85c975aa56972f8cab5dd1b41"
+
+
+def test_iso_witnesses_are_unchanged():
+    # every bundled fixture at p = 2, 3 and 101: seeded random modules
+    # against a change of basis (the random rounds), then every ordered pair
+    # of distinct indecomposable pieces of them, and changes of basis of the
+    # pieces, with equal fingerprints and End dimensions, with 40 rounds and
+    # with the exhaustive sweep alone
+    h = hashlib.sha256()
+    for name in FIXTURES:
+        for p in (2, 3, 101):
+            alg = cli.underlying_algebra(cli.load_any(name, p))
+            rng = np.random.default_rng([p, 5])
+            pieces = []
+            for seed in range(3):
+                m = repmod.random_module(alg, seed, 8).strip()
+                if m.is_zero:
+                    continue
+                res = decomp.is_isomorphic(m, _base_change(m, rng), seed=seed)
+                h.update(json.dumps(_iso_outcome(res)).encode())
+                pieces += decomp.indecomposable_pieces(m, np.random.default_rng(seed), 40)[0]
+            pieces = list({decomp._content(x): x for x in pieces}.values())
+            pieces += [_base_change(x, rng) for x in pieces]
+            ends = [repmod.hom_solve(x, x).dim for x in pieces]
+            for i, x in enumerate(pieces):
+                for j, y in enumerate(pieces):
+                    if i != j and ends[i] == ends[j] and decomp.fingerprint(x) == decomp.fingerprint(y):
+                        for confidence in (40, 0):
+                            res = decomp.is_isomorphic(x.strip(), y.strip(), seed=i,
+                                                       confidence=confidence)
+                            h.update(json.dumps(_iso_outcome(res)).encode())
+    assert h.hexdigest() == ISO_WITNESS_DIGEST
 
 
 # recorded before the iso test read dim Hom off hom_solve, the split pieces

@@ -282,3 +282,48 @@ def test_kernel_basis_matches_its_loop_definition(p):
         k = ef.kernel_basis(m, p)
         assert k.dtype == np.int64
         assert np.array_equal(k, _kernel_basis_by_loop(m, p))
+
+
+def _spy_matmul(monkeypatch):
+    """The dtypes of the arguments of every np.matmul call."""
+    seen, orig = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b: seen.append((a.dtype, b.dtype)) or orig(a, b))
+    return seen
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_matmul_float_route_is_exact(p, monkeypatch):
+    # random residue matrices and stacks of them, large enough for BLAS:
+    # the product equals the int64 one
+    rng = np.random.default_rng(p)
+    shapes = [((40, 60), (60, 30)), ((133, 200), (200, 29)), ((5, 12, 30), (5, 30, 12)),
+              ((7, 20, 20), (7, 20, 20))]
+    for sa, sb in shapes:
+        a, b = rng.integers(0, p, size=sa), rng.integers(0, p, size=sb)
+        # the extreme residues as well
+        a[..., 0, :] = p - 1
+        b[..., :, 0] = p - 1
+        seen = _spy_matmul(monkeypatch)
+        got = ef.matmul(a, b, p)
+        monkeypatch.undo()
+        assert seen == [(np.float64, np.float64)]
+        assert got.dtype == np.int64 and np.array_equal(got, np.matmul(a, b) % p)
+
+
+def test_matmul_keeps_int64_beyond_the_float_bound(monkeypatch):
+    # at the largest prime below the cap, k (p - 1)**2 >= 2**53 for inner
+    # dimension k: entries near p - 1 sum past float64's exact range, so the
+    # helper must take the int64 route, and the product stays exact
+    p = MAX_PRIME_BELOW_CAP
+    k = 4 * -(-ef.FLOAT_EXACT // (p - 1) ** 2)  # sums near 2**55
+    assert k * (p - 1) ** 2 >= 4 * ef.FLOAT_EXACT and 2 * k * 3 >= ef.MATMUL_FLOAT_WORK
+    rng = np.random.default_rng(1)
+    a, b = rng.integers(p - 1000, p, size=(2, k)), rng.integers(p - 1000, p, size=(k, 3))
+    seen = _spy_matmul(monkeypatch)
+    got = ef.matmul(a, b, p)
+    monkeypatch.undo()
+    assert seen == [(np.int64, np.int64)]
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert np.array_equal(got, want.astype(np.int64))
+    # the float64 route would not be exact here
+    assert not np.array_equal(np.matmul(a.astype(np.float64), b.astype(np.float64)) % p, want)

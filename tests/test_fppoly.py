@@ -204,3 +204,35 @@ def test_factor_output_and_draws_pinned():
         assert all(type(c) is int for q, _ in got for c in q)
         assert got == factors
         assert int(rng.integers(0, 2 ** 31)) == draw
+
+
+def _assert_closed_form_is_the_polynomial_path(f, p, seed):
+    # the same factors, and the rng left in the same state
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = fppoly.factor(f, p, got_rng)
+    assert got == fppoly._factor_by_polynomials(f, p, want_rng), (f, p)
+    assert all(type(c) is int for q, _ in got for c in q)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state, (f, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_linear_and_quadratic_factors_match_the_polynomial_path_exhaustively(p):
+    # every monic linear and quadratic over F_p, each with two rng streams
+    polys = [[c, 1] for c in range(p)] + [[c0, c1, 1] for c0 in range(p) for c1 in range(p)]
+    for i, f in enumerate(polys):
+        for seed in (i, [p, i]):
+            _assert_closed_form_is_the_polynomial_path(f, p, seed)
+
+
+@pytest.mark.parametrize("p", [17, 41, 101, 65537])
+def test_linear_and_quadratic_factors_match_the_polynomial_path_at_random(p):
+    # 17 and 41 are 1 mod 8, so Tonelli-Shanks runs its loop; inputs need
+    # not be monic.  Both roots in F_p must come up, or the draws go untested.
+    gen = np.random.default_rng(p)
+    split = 0
+    for i in range(600):
+        f = gen.integers(0, p, size=2 + i % 2).tolist()
+        f[-1] = int(gen.integers(1, p))
+        _assert_closed_form_is_the_polynomial_path(f, p, i)
+        split += len(fppoly.factor(f, p, np.random.default_rng(i))) == 2
+    assert split > 100
