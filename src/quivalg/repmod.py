@@ -663,9 +663,9 @@ class HomSolve:
     no basis built.  pres and stacks (m's presentation, n's path stacks from
     the generator vertices) are what rows() reads; both are None when Hom
     is 0 for lack of shared support or of unknowns.  rows() gives the
-    canonical basis as one array, and basis() the same maps as RepMaps, each
-    a `map` view of its row; callers that only read or combine the maps take
-    the rows.
+    canonical basis as one array, and `map` views a row as a RepMap;
+    hom_basis maps every row, and callers that only read or combine the
+    maps take the rows.
     """
 
     m: Rep
@@ -721,10 +721,6 @@ class HomSolve:
             off += size
         return RepMap(m, n, mats)
 
-    def basis(self) -> list[RepMap]:
-        """The canonical basis of Hom(m, n) that hom_basis returns."""
-        return [self.map(row) for row in self.rows()]
-
 
 def hom_solve(m: Rep, n: Rep) -> HomSolve:
     """Solve for Hom(m, n) on m's projective presentation, with no basis built.
@@ -735,7 +731,7 @@ def hom_solve(m: Rep, n: Rep) -> HomSolve:
     f_w = S_w Phi_w(y).  So the unknowns are y (sum_j dim n at the vertex of
     generator j) and the equations are omega_w Phi_w(y) = 0; the kernel of
     that system is the HomSolve's ys.  Callers that need only dim Hom(m, n)
-    stop here; HomSolve.basis assembles the maps from the same solve.
+    stop here; HomSolve.rows assembles the basis from the same solve.
     """
     alg = m.algebra
     if n.algebra is not alg:
@@ -768,14 +764,15 @@ def hom_solve(m: Rep, n: Rep) -> HomSolve:
 
 
 def hom_basis(m: Rep, n: Rep) -> list[RepMap]:
-    """Basis of Hom(m, n): hom_solve's system, then HomSolve.basis.
+    """Basis of Hom(m, n): hom_solve's system, then HomSolve.rows as RepMaps.
 
     The basis is the canonical one of Hom(m, n) in the entries of the
     vertexwise matrices of f (vertex order, each matrix row-major): the RREF
     of its span in reversed column order, flipped back.  That is the basis
     kernel_basis gives of the commuting-square system on those entries.
     """
-    return hom_solve(m, n).basis()
+    solve = hom_solve(m, n)
+    return [solve.map(row) for row in solve.rows()]
 
 
 def combine_maps(maps: list[RepMap], coeffs) -> RepMap:
