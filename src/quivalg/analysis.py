@@ -243,13 +243,13 @@ def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets, seed: in
                 nonproj.append(piece)
         if 0 < len(nonproj) <= 4:
             _embed_and_quotient(pool, alg, om, nonproj, kinc, cover, rng, budgets)
-    # dedupe structurally, keep deterministic order, cap the pool
-    seen = []
+    # dedupe by content, keep first occurrences in order, cap the pool
+    seen = set()
     out = []
     for m in pool:
-        key = (m.dim_vector(), tuple(m.mats[a].tobytes() for a in sorted(m.mats)))
+        key = decomp._content(m)
         if key not in seen:
-            seen.append(key)
+            seen.add(key)
             out.append(m)
     return out[:24]
 

@@ -17,8 +17,9 @@ class RegistryAmbiguity(RuntimeError):
 class Budgets:
     """Default budgets: depth 64, classes 10000, confidence 40, seed 0.
 
-    max_dim caps the total dimension of any module handed to the
-    decomposition machinery; orbit probes report open/unknown beyond it.
+    max_dim caps the dimension of each direct-sum block that decompose
+    splits afresh (a block it has decomposed before is read from the
+    registry's memo); orbit probes report open/unknown beyond it.
     """
 
     depth: int = 64

@@ -530,8 +530,7 @@ def cmd_iso(obj, args, budgets, rep: Report):
     alg = underlying_algebra(obj)
     m = parse_module_expr(alg, args.module)
     n = parse_module_expr(alg, args.other)
-    r = decomp.is_isomorphic(m.strip(), n.strip(), seed=budgets.seed,
-                             confidence=budgets.confidence)
+    r = decomp.is_isomorphic(m, n, seed=budgets.seed, confidence=budgets.confidence)
     rep.results = {"verdict": r.verdict, "method": r.method}
     if r.verdict == "inconclusive":
         rep.status = "inconclusive"

@@ -13,10 +13,11 @@ a finite field (a candidate whose minimal polynomial has one irreducible
 factor, of degree dim E/J(E)) or, when the flag stalls, by the eigenvalues of
 the basis.  A local End(M) thus costs no random draw in the common case.
 
-Krull-Schmidt makes a module's class multiset a function of the module; here
-it is also a function of the computation that produced it.  Each registry
-therefore remembers finished decompositions by module content, seed,
-confidence and rng state, and `decompose` splits each distinct block once.
+Krull-Schmidt makes a module's class multiset a function of the module.
+`decompose` splits each block with an rng of its own, seeded alike for
+every block, so the pieces are a function of the block's content, seed and
+confidence; each registry remembers finished decompositions under that key,
+and `decompose` splits each distinct block once.
 
 No work is done for an answer already known, and each shortcut gives the
 same pieces, class ids and payloads: the End of a one-dimensional module is
@@ -432,12 +433,12 @@ class IsoRegistry:
     raises no RegistryAmbiguity once the content has certified the class.
 
     `memo` holds the decompositions `decompose` finished against this
-    registry, keyed by everything `indecomposable_pieces` reads: (seed,
-    confidence, rng state before the block or None while decompose has built
-    no rng, content).  The value is (items, certified, rng state after the
-    pieces), stored only once every piece is registered.  Entries are never
-    removed, and every iso verdict they rest on is certified, so
-    re-registering equal pieces would return the stored ids.
+    registry, keyed by everything that decides a block's pieces: (seed,
+    confidence, content), since each block is split with a freshly seeded
+    rng.  The value is (items, certified), stored only once every piece is
+    registered.  Entries are never removed, and every iso verdict they rest
+    on is certified, so re-registering equal pieces would return the stored
+    ids.
     """
 
     def __init__(self, algebra):
@@ -512,12 +513,6 @@ class DecomposeResult:
         return "certified" if self.certified else f"probabilistic(2^-{self.confidence})"
 
 
-def _rng_key(rng) -> tuple:
-    """The state of decompose's PCG64 stream, hashable."""
-    s = rng.bit_generator.state
-    return (s["state"]["state"], s["state"]["inc"], s["has_uint32"], s["uinteger"])
-
-
 def _piece_sort_key(piece: Rep):
     return (piece.total_dim, piece.dim_vector(),
             tuple(piece.mats[a].tobytes() for a in sorted(piece.mats)))
@@ -528,25 +523,20 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
               ) -> DecomposeResult:
     """Indecomposable decomposition of m as registry class ids with multiplicity.
 
-    The dimension cap applies per direct-sum block (the unit of hom-solve
-    cost), so recorded sums of small modules decompose even when the total is
-    large.  The rng is built at the first block not already decomposed, so
-    cache hits and recorded sums of them never build it.  A block's own
-    `_decomp` is read only against the registry it was decomposed with
-    (compared by identity): class ids belong to one registry.
+    Each direct-sum block is looked up in `registry.memo` (see IsoRegistry)
+    first, so a module equal entry for entry to one decomposed before with
+    the same seed and confidence costs no End(M), split or registration,
+    whatever its size.  The dimension cap applies to the other blocks, each
+    on its own (a block is the unit of hom-solve cost): a fresh block over
+    the cap raises BudgetExceeded, while recorded sums of small modules
+    decompose even when the total is large.
 
-    A block with no `_decomp` of its own is looked up in `registry.memo`
-    (see IsoRegistry), so a module equal entry for entry to one decomposed
-    before, with the same seed, confidence and rng state, costs no End(M),
-    split or registration.  The hit is exact: indecomposable_pieces reads only
-    the matrices, the rng and `confidence`, so it would return the same pieces
-    and leave the rng in the stored after-state, which the hit restores for
-    the blocks that follow.
+    Each fresh block is split with its own rng, seeded from the seed and the
+    algebra's structural digest, so its pieces depend on its content, seed
+    and confidence alone and the registry decides only their class ids.  A
+    recorded sum of cached blocks builds no rng and takes no digest.
     """
     registry = registry or m.algebra.registry()
-    if m.is_zero:
-        return DecomposeResult((), True, confidence)
-    rng = None
     counter: Counter = Counter()
     certified = True
     stack = [m]
@@ -557,33 +547,18 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
             continue
         if cur.is_zero:
             continue
-        cache = cur._decomp
-        if (cache is not None and cur._decomp_registry is registry
-                and cache[0] == (seed, confidence)):
-            counter.update(dict(cache[1]))
-            certified = certified and cache[2]
-            continue
-        if cur.total_dim > budgets.max_dim:
-            raise BudgetExceeded(
-                f"module dimension {cur.total_dim} exceeds the cap {budgets.max_dim}")
-        key = (seed, confidence, None if rng is None else _rng_key(rng), _content(cur))
-        hit = registry.memo.get(key)
-        if rng is None:
+        key = (seed, confidence, _content(cur))
+        if key not in registry.memo:
+            if cur.total_dim > budgets.max_dim:
+                raise BudgetExceeded(
+                    f"module dimension {cur.total_dim} exceeds the cap {budgets.max_dim}")
             rng = np.random.default_rng([int(seed) % (2 ** 31),
                                          m.algebra.structural_digest() % (2 ** 31), 23])
-        if hit is None:
             got, ok = indecomposable_pieces(cur, rng, confidence)
-            after = rng.bit_generator.state
             got.sort(key=_piece_sort_key)
             local = Counter(registry.register(piece, seed=seed) for piece in got)
-            items = tuple(sorted(local.items()))
-            registry.memo[key] = (items, ok, after)
-        else:
-            items, ok, after = hit
-            rng.bit_generator.state = after
-        cur._decomp = ((seed, confidence), items, ok)
-        cur._decomp_registry = registry
+            registry.memo[key] = (tuple(sorted(local.items())), ok)
+        items, ok = registry.memo[key]
         counter.update(dict(items))
         certified = certified and ok
-    items = tuple(sorted(counter.items()))
-    return DecomposeResult(items, certified, confidence)
+    return DecomposeResult(tuple(sorted(counter.items())), certified, confidence)

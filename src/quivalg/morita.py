@@ -299,7 +299,8 @@ def verify_syzygy_split(c: GluedAlgebra, m: Rep, budgets: Budgets = DEFAULT) -> 
     if parts is None:
         detail = "syzygy does not split into one-sided parts"
         try:
-            res = decomp.decompose(om.strip(), budgets=budgets)
+            res = decomp.decompose(om.strip(), seed=budgets.seed,
+                                   confidence=budgets.confidence, budgets=budgets)
             reg = c.algebra.registry()
             bad = [i for i, _ in res.items
                    if reg.rep(i).support() & c.a_vertices
@@ -319,7 +320,7 @@ def verify_syzygy_split(c: GluedAlgebra, m: Rep, budgets: Budgets = DEFAULT) -> 
         else:
             mine = b_part if support <= c.a_vertices else a_part
             theirs = tparts[1] if support <= c.a_vertices else tparts[0]
-            res = decomp.is_isomorphic(mine.strip(), theirs.strip(),
+            res = decomp.is_isomorphic(mine, theirs, seed=budgets.seed,
                                        confidence=budgets.confidence)
             top_clause = "match" if res.verdict == "yes" else f"mismatch ({res.verdict})"
     return SplitReport(True, dict(a_part.dims), dict(b_part.dims), top_clause)

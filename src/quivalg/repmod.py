@@ -55,8 +55,7 @@ class Rep:
         summands: optional tuple of block summands recorded by direct_sum.
     """
 
-    __slots__ = ("algebra", "dims", "mats", "summands", "_end_dim", "_fp", "_decomp",
-                 "_decomp_registry", "_pres", "_paths")
+    __slots__ = ("algebra", "dims", "mats", "summands", "_end_dim", "_fp", "_pres", "_paths")
 
     def __init__(self, algebra: BoundAlgebra, dims, mats, summands=None):
         self.algebra = algebra
@@ -74,8 +73,6 @@ class Rep:
         self.summands = tuple(summands) if summands else None
         self._end_dim = None
         self._fp = None
-        self._decomp = None
-        self._decomp_registry = None
         self._pres = None
         self._paths = {}
 

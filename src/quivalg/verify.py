@@ -126,10 +126,11 @@ def criterion_2(fx: Fixtures, budgets: Budgets) -> dict:
     details = []
     ok = True
     s1, s2 = repmod.simple(B, "1"), repmod.simple(B, "2")
-    target = repmod.direct_sum([s1, s2])[0].strip()
+    target = repmod.direct_sum([s1, s2])[0]
     for v, s in (("1", s1), ("2", s2)):
         om = homology.syzygy(s)
-        iso = decomp.is_isomorphic(om, target, confidence=budgets.confidence)
+        iso = decomp.is_isomorphic(om, target, seed=budgets.seed,
+                                   confidence=budgets.confidence)
         details.append(f"Omega(S{v}) ~ S1+S2: {iso.verdict}")
         ok &= iso.verdict == "yes"
     r = grothendieck.phi(repmod.direct_sum([s1, s2])[0], budgets)
@@ -165,11 +166,13 @@ def criterion_3(fx: Fixtures, budgets: Budgets) -> dict:
     cop = fx.exCop.algebra
     s2 = repmod.simple(cop, "2")
     om_s2 = homology.syzygy(s2)
-    target = repmod.direct_sum([repmod.simple(cop, "1"), s2])[0].strip()
-    iso1 = decomp.is_isomorphic(om_s2, target, confidence=budgets.confidence)
+    target = repmod.direct_sum([repmod.simple(cop, "1"), s2])[0]
+    iso1 = decomp.is_isomorphic(om_s2, target, seed=budgets.seed,
+                                confidence=budgets.confidence)
     m2 = cli.parse_module_expr(cop, "P1/(S1+S2)")
     om_m2 = homology.syzygy(m2)
-    iso2 = decomp.is_isomorphic(om_m2, target, confidence=budgets.confidence)
+    iso2 = decomp.is_isomorphic(om_m2, target, seed=budgets.seed,
+                                confidence=budgets.confidence)
     details.append(f"over Cop: Omega(S2) ~ S1+S2: {iso1.verdict}; "
                    f"Omega(P1/(S1+S2)) ~ S1+S2: {iso2.verdict}")
     ok &= iso1.verdict == "yes" and iso2.verdict == "yes"
@@ -199,7 +202,7 @@ def criterion_4(fx: Fixtures, budgets: Budgets) -> dict:
     c = fx.remark54
     alg = c.algebra
     om_sv = homology.syzygy(repmod.simple(alg, "v"))
-    iso = decomp.is_isomorphic(om_sv, alg.projective("0"),
+    iso = decomp.is_isomorphic(om_sv, alg.projective("0"), seed=budgets.seed,
                                confidence=budgets.confidence)
     details.append(f"Omega_C(S_v) ~ P0: {iso.verdict}")
     ok &= iso.verdict == "yes"
@@ -210,7 +213,8 @@ def criterion_4(fx: Fixtures, budgets: Budgets) -> dict:
         lhs = homology.syzygy(repmod.extend_rep(alg, m))
         rhs = repmod.extend_rep(alg, homology.syzygy(m))
         if not lhs.equals(rhs):
-            iso2 = decomp.is_isomorphic(lhs, rhs, confidence=budgets.confidence)
+            iso2 = decomp.is_isomorphic(lhs, rhs, seed=budgets.seed,
+                                        confidence=budgets.confidence)
             if iso2.verdict != "yes":
                 mism += 1
     details.append(f"Omega_C = Omega_A on 50 random A-side modules; mismatches {mism}")
@@ -472,7 +476,7 @@ def _check_g_side(c, side: str, budgets: Budgets, details: list) -> bool:
             commute_bad += 1
     for v in op.quiver.vertices:
         gproj = gfun(c, op.projective(v))
-        iso = decomp.is_isomorphic(gproj, cop.projective(v),
+        iso = decomp.is_isomorphic(gproj, cop.projective(v), seed=budgets.seed,
                                    confidence=budgets.confidence)
         if iso.verdict != "yes":
             proj_bad += 1
@@ -533,15 +537,17 @@ def criterion_9(fx: Fixtures, budgets: Budgets, battery_payload: str) -> dict:
     ok &= bad == 0
     ks_bad = 0
     from collections import Counter
+
+    def classes(x):
+        return Counter(dict(decomp.decompose(x.strip(), seed=budgets.seed,
+                                             confidence=budgets.confidence,
+                                             budgets=budgets).items))
+
     for label, alg in (("exB", fx.exB), ("a2", fx.a2)):
         for i in range(50):
             m = repmod.random_module(alg, (budgets.seed << 20) + i, 8)
             n = repmod.random_module(alg, (budgets.seed << 20) + 1000 + i, 8)
-            cm = Counter(dict(decomp.decompose(m.strip(), budgets=budgets).items))
-            cn = Counter(dict(decomp.decompose(n.strip(), budgets=budgets).items))
-            both = repmod.direct_sum([m, n])[0].strip()
-            cb = Counter(dict(decomp.decompose(both, budgets=budgets).items))
-            if cm + cn != cb:
+            if classes(m) + classes(n) != classes(repmod.direct_sum([m, n])[0]):
                 ks_bad += 1
     details.append(f"100 Krull-Schmidt pairs, failures {ks_bad}")
     ok &= ks_bad == 0

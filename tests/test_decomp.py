@@ -11,7 +11,7 @@ from iso_oracle import basis_first_is_isomorphic
 from split_oracle import kernel_pieces
 from test_repmod import FIXTURES
 from quivalg import cli, decomp, exactfield as ef, fppoly, repmod
-from quivalg.budgets import DEFAULT, BudgetExceeded, RegistryAmbiguity
+from quivalg.budgets import DEFAULT, BudgetExceeded, Budgets, RegistryAmbiguity
 
 
 def test_end_algebra_dims(exA, exB):
@@ -77,22 +77,23 @@ def test_krull_schmidt_union(exB):
         assert cm + cn == cb
 
 
-def test_decompose_builds_one_rng_at_its_first_fresh_block(exB, monkeypatch):
+def test_decompose_seeds_each_fresh_block_alike(exB, monkeypatch):
     m, n = (repmod.random_module(exB, seed, 9).strip() for seed in (41, 42))
     reg = decomp.IsoRegistry(exB)
     seen = []
     pieces = decomp.indecomposable_pieces
 
     def spy(cur, rng, confidence):
-        seen.append((rng, rng.bit_generator.state))
+        seen.append((cur, rng, rng.bit_generator.state))
         return pieces(cur, rng, confidence)
 
     monkeypatch.setattr(decomp, "indecomposable_pieces", spy)
     decomp.decompose(repmod.direct_sum([m, n])[0], registry=reg)
-    # both fresh blocks draw from one stream, seeded as before
-    assert len(seen) >= 2 and all(rng is seen[0][0] for rng, _ in seen)
+    # each fresh block gets an rng of its own, in the seeded initial state
+    blocks = [(rng, state) for cur, rng, state in seen if cur is m or cur is n]
     fresh = np.random.default_rng([0, exB.structural_digest() % (2 ** 31), 23])
-    assert seen[0][1] == fresh.bit_generator.state
+    assert len(blocks) == 2 and blocks[0][0] is not blocks[1][0]
+    assert all(state == fresh.bit_generator.state for _, state in blocks)
     # a recorded sum of cached blocks builds no rng and takes no digest
     seen.clear()
     monkeypatch.setattr(exB, "structural_digest", lambda: pytest.fail("digest taken"))
@@ -121,13 +122,13 @@ def test_decompose_reads_the_memo_for_equal_content(exB, monkeypatch):
     again = m.strip()
     second = decomp.decompose(again, registry=reg)
     assert (second.items, second.status()) == (first.items, first.status())
-    assert again._decomp == m._decomp
     assert not pieces and not homs and not registers
 
 
 def test_memo_hit_leaves_the_rng_where_the_block_would(monkeypatch):
-    # A's content is in the memo and B is fresh; B must meet the rng in the
-    # state that decomposing A would have left, with or without the memo
+    # B is fresh; it meets the rng in the seeded state and splits into the
+    # same pieces whether A's block before it is decomposed afresh, read
+    # from the memo, or absent
     entered = []
     pieces = decomp.indecomposable_pieces
 
@@ -139,24 +140,25 @@ def test_memo_hit_leaves_the_rng_where_the_block_would(monkeypatch):
 
     monkeypatch.setattr(decomp, "indecomposable_pieces", spy)
 
-    def run(clear):
+    def run(before):
         alg = cli.load_algebra_file("exB.alg")
         reg = decomp.IsoRegistry(alg)
         a, b = (repmod.random_module(alg, seed, 9) for seed in (5, 6))
         decomp.decompose(a.strip(), registry=reg)
-        if clear:
+        if before == "fresh":
             reg.memo.clear()
         entered.clear()
         a, b = a.strip(), b.strip()
         # the last summand is decomposed first, so A's block comes before B's
-        res = decomp.decompose(repmod.direct_sum([b, a])[0], registry=reg)
-        assert any(cur is a for cur, _, _ in entered) == clear
+        decomp.decompose(repmod.direct_sum([b] if before == "none" else [b, a])[0],
+                         registry=reg)
+        assert any(cur is a for cur, _, _ in entered) == (before == "fresh")
         into_b = [(state, got) for cur, state, got in entered if cur is b]
         fresh = np.random.default_rng([0, alg.structural_digest() % (2 ** 31), 23])
-        assert into_b[0][0] != fresh.bit_generator.state
-        return res.items, res.status(), b._decomp, into_b, reg.dump()
+        assert into_b[0][0] == fresh.bit_generator.state
+        return into_b, reg.memo[(0, 40, decomp._content(b))], reg.dump()
 
-    assert run(clear=False) == run(clear=True)
+    assert run("fresh") == run("hit") == run("none")
 
 
 def test_memo_misses_on_any_key_difference(exB, a2, monkeypatch):
@@ -168,11 +170,12 @@ def test_memo_misses_on_any_key_difference(exB, a2, monkeypatch):
         pieces.clear()
         decomp.decompose(m.strip(), registry=reg, **kwargs)
         assert pieces
-    # after a fresh block (the last summand goes first) the rng is built
+    # after a fresh block (the last summand goes first) the key is the same
     pieces.clear()
     again, fresh = m.strip(), repmod.random_module(exB, 6, 9).strip()
     decomp.decompose(repmod.direct_sum([again, fresh])[0], registry=reg)
-    assert any(args[0] is again for args in pieces)
+    assert any(args[0] is fresh for args in pieces)
+    assert not any(args[0] is again for args in pieces)
     # a registry passed as registry= has its own memo
     pieces.clear()
     other = decomp.IsoRegistry(exB)
@@ -205,7 +208,7 @@ def test_registry_ambiguity_leaves_no_memo_entry(exB, monkeypatch):
                         lambda *a, **k: decomp.IsoResult("inconclusive", None, "forced"))
     with pytest.raises(RegistryAmbiguity):
         decomp.decompose(m, registry=reg)
-    assert reg.memo == {} and m._decomp is None
+    assert reg.memo == {}
     monkeypatch.undo()
     assert dict(decomp.decompose(m, registry=reg).items) == {reg.projective_ids["1"]: 1}
     assert len(reg.memo) == 1
@@ -220,7 +223,18 @@ def test_decomp_cache_is_read_only_against_its_own_registry(exB):
     want = decomp.decompose(m.strip(), registry=other)
     assert first.items == ((4, 1), (5, 1))
     assert got.items == want.items == ((6, 1), (7, 1))
-    assert m._decomp_registry is other
+
+
+def test_memo_is_read_before_the_dimension_cap(exB):
+    reg = decomp.IsoRegistry(exB)
+    m, n = (repmod.random_module(exB, seed, 9).strip() for seed in (5, 6))
+    first = decomp.decompose(m, registry=reg)
+    small = Budgets(max_dim=min(m.total_dim, n.total_dim) - 1)
+    # an equal-content copy of a cached block costs no solve, whatever its size
+    assert decomp.decompose(m.strip(), budgets=small, registry=reg).items == first.items
+    # a fresh block over the cap still raises
+    with pytest.raises(BudgetExceeded):
+        decomp.decompose(n, budgets=small, registry=reg)
 
 
 def _fixture_algebra(name):
@@ -235,21 +249,26 @@ def _fixture_algebra(name):
        st.lists(st.integers(0, 999), min_size=1, max_size=4),
        st.randoms(use_true_random=False))
 def test_memo_agrees_with_decomposing_afresh(name, seeds, order_rng):
-    # each module twice, in shuffled order: with the memo, and with the memo
-    # emptied before every call
+    # each module twice, in shuffled order, alone and as a block of a
+    # recorded sum beside a different neighbour each time (listed after it
+    # and before it in turn): with the memo, and with the memo emptied
+    # before every call
     alg = _fixture_algebra(name)
     modules = [repmod.random_module(alg, seed, 8) for seed in seeds]
     order = list(range(len(modules))) * 2
     order_rng.shuffle(order)
+    neighbours = [repmod.random_module(alg, 1000 + k, 4) for k in range(len(order))]
 
     def run(clear):
         reg = decomp.IsoRegistry(alg)
         results = []
-        for i in order:
-            if clear:
-                reg.memo.clear()
-            res = decomp.decompose(modules[i].strip(), registry=reg)
-            results.append((res.items, res.certified))
+        for k, i in enumerate(order):
+            pair = [modules[i].strip(), neighbours[k].strip()]
+            for m in (modules[i].strip(), repmod.direct_sum(pair[::(-1) ** k])[0]):
+                if clear:
+                    reg.memo.clear()
+                res = decomp.decompose(m, registry=reg)
+                results.append((res.items, res.certified))
         return results, reg.dump()
 
     assert run(clear=False) == run(clear=True)
