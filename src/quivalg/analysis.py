@@ -238,7 +238,7 @@ def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets, seed: in
         reg = alg.registry()
         nonproj = []
         for piece in pieces:
-            eid = reg.register(piece)
+            eid = reg.register(piece, seed, budgets.confidence)
             if not reg.is_projective(eid):
                 nonproj.append(piece)
         if 0 < len(nonproj) <= 4:

@@ -14,10 +14,11 @@ factor, of degree dim E/J(E)) or, when the flag stalls, by the eigenvalues of
 the basis.  A local End(M) thus costs no random draw in the common case.
 
 Krull-Schmidt makes a module's class multiset a function of the module.
-`decompose` splits each block with an rng of its own, seeded alike for
-every block, so the pieces are a function of the block's content, seed and
-confidence; each registry remembers finished decompositions under that key,
-and `decompose` splits each distinct block once.
+`decompose` splits each block, and each piece a split produces, from the
+same seeded rng state, so the pieces of any module it splits are a function
+of that module's content, seed and confidence; each registry remembers the
+decomposition of every block and piece split under that key, and
+`decompose` splits each distinct module, block or piece, once.
 
 No work is done for an answer already known, and each shortcut gives the
 same pieces, class ids and payloads: the End of a one-dimensional module is
@@ -306,16 +307,47 @@ def _fp_vectors(p: int, n: int):
         yield np.array(t[::-1], dtype=np.int64)
 
 
-def indecomposable_pieces(m: Rep, rng, confidence: int):
-    """Split m into indecomposables; returns (pieces, all_certified)."""
+@dataclass
+class _PieceMemo:
+    """What `decompose` hands indecomposable_pieces for one call.
+
+    table is the registry's memo and prefix its (seed, confidence); start is
+    the seeded rng state every module is split from; split collects
+    (key, pieces, certified) for each piece split afresh, to be recorded once
+    the block's new leaves are registered.
+    """
+    table: dict
+    prefix: tuple
+    start: dict
+    split: list
+
+
+def indecomposable_pieces(m: Rep, rng, confidence: int, memo: _PieceMemo | None = None):
+    """Split m into indecomposables; returns (pieces, all_certified).
+
+    Without memo, m and its pieces draw in turn from rng's running state.
+    With one, m and every piece split afresh start from memo.start, so each
+    one's pieces depend on its content, seed and confidence alone; a piece
+    whose key is in memo.table is not split, and stands in the result as its
+    class ids, each repeated by its multiplicity.
+    """
     if m.is_zero:
         return [], True
+    if memo is not None:
+        rng.bit_generator.state = memo.start
     status, split = _certify_or_split(m, EndAlgebra(m), rng, confidence)
     if status != "pieces":
         return [m], status == "certified"
     out, ok = [], True
     for piece in split:
-        sub_pieces, sub_ok = indecomposable_pieces(piece, rng, confidence)
+        key = memo and memo.prefix + (_content(piece),)
+        hit = memo and memo.table.get(key)
+        if hit:
+            sub_pieces, sub_ok = [eid for eid, k in hit[0] for _ in range(k)], hit[1]
+        else:
+            sub_pieces, sub_ok = indecomposable_pieces(piece, rng, confidence, memo)
+            if memo:
+                memo.split.append((key, sub_pieces, sub_ok))
         out.extend(sub_pieces)
         ok = ok and sub_ok
     return out, ok
@@ -433,12 +465,14 @@ class IsoRegistry:
     raises no RegistryAmbiguity once the content has certified the class.
 
     `memo` holds the decompositions `decompose` finished against this
-    registry, keyed by everything that decides a block's pieces: (seed,
-    confidence, content), since each block is split with a freshly seeded
-    rng.  The value is (items, certified), stored only once every piece is
-    registered.  Entries are never removed, and every iso verdict they rest
-    on is certified, so re-registering equal pieces would return the stored
-    ids.
+    registry: of every block, and of every piece split below one, leaves
+    included.  They are keyed by everything that decides a module's pieces,
+    (seed, confidence, content), since each is split from the same seeded
+    rng state.  The value is (items, certified), stored only once the
+    block's new leaves are all registered, so a RegistryAmbiguity leaves no
+    entry for any of its pieces.  Entries are never removed, and every iso
+    verdict they rest on is certified, so re-registering equal pieces would
+    return the stored ids.
     """
 
     def __init__(self, algebra):
@@ -456,7 +490,7 @@ class IsoRegistry:
             self.projective_ids[v] = pid
             self.entries[pid].projective = True
 
-    def register(self, m: Rep, seed: int = 0) -> int:
+    def register(self, m: Rep, seed: int = 0, confidence: int = 40) -> int:
         if m.is_zero:
             raise ValueError("cannot register the zero module")
         key = _content(m)
@@ -465,7 +499,7 @@ class IsoRegistry:
             return eid
         fp = fingerprint(m)
         for eid in self.buckets.get(fp, ()):
-            res = is_isomorphic(self.entries[eid].rep, m, seed=seed)
+            res = is_isomorphic(self.entries[eid].rep, m, seed=seed, confidence=confidence)
             if res.verdict == "yes":
                 return eid
             if res.verdict == "inconclusive":
@@ -531,14 +565,20 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
     the cap raises BudgetExceeded, while recorded sums of small modules
     decompose even when the total is large.
 
-    Each fresh block is split with its own rng, seeded from the seed and the
-    algebra's structural digest, so its pieces depend on its content, seed
-    and confidence alone and the registry decides only their class ids.  A
+    A fresh block is split by indecomposable_pieces, which looks each piece
+    a split produces up in the memo as well: a hit adds its stored classes
+    and is not split, solved or registered.  The block and every piece split
+    afresh start from one rng state, seeded from the seed and the algebra's
+    structural digest, so their pieces depend on their content, seed and
+    confidence alone and the registry decides only the class ids.  The
+    block's new leaves are registered together, in _piece_sort_key order,
+    and then the memo records the block and every piece split below it.  A
     recorded sum of cached blocks builds no rng and takes no digest.
     """
     registry = registry or m.algebra.registry()
     counter: Counter = Counter()
     certified = True
+    memo = None
     stack = [m]
     while stack:
         cur = stack.pop()
@@ -552,12 +592,18 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
             if cur.total_dim > budgets.max_dim:
                 raise BudgetExceeded(
                     f"module dimension {cur.total_dim} exceeds the cap {budgets.max_dim}")
-            rng = np.random.default_rng([int(seed) % (2 ** 31),
-                                         m.algebra.structural_digest() % (2 ** 31), 23])
-            got, ok = indecomposable_pieces(cur, rng, confidence)
-            got.sort(key=_piece_sort_key)
-            local = Counter(registry.register(piece, seed=seed) for piece in got)
-            registry.memo[key] = (tuple(sorted(local.items())), ok)
+            if memo is None:
+                rng = np.random.default_rng([int(seed) % (2 ** 31),
+                                             m.algebra.structural_digest() % (2 ** 31), 23])
+                memo = _PieceMemo(registry.memo, (seed, confidence), rng.bit_generator.state, [])
+            got, ok = indecomposable_pieces(cur, rng, confidence, memo)
+            memo.split.append((key, got, ok))
+            fresh = sorted((x for x in got if isinstance(x, Rep)), key=_piece_sort_key)
+            ids = {id(x): registry.register(x, seed, confidence) for x in fresh}
+            for k, pieces, k_ok in memo.split:
+                local = Counter(ids[id(x)] if isinstance(x, Rep) else x for x in pieces)
+                registry.memo[k] = (tuple(sorted(local.items())), k_ok)
+            memo.split.clear()
         items, ok = registry.memo[key]
         counter.update(dict(items))
         certified = certified and ok

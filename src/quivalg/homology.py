@@ -155,7 +155,7 @@ def syzygy_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> tup
         if not om.is_zero and not entry.projective and selfinjectivity(alg):
             # stable equivalence: the minimal syzygy of an indecomposable
             # nonprojective is again indecomposable nonprojective
-            entry.syzygy = ((registry.register(om), 1),)
+            entry.syzygy = ((registry.register(om, budgets.seed, budgets.confidence), 1),)
         else:
             res = decomp.decompose(om, seed=budgets.seed,
                                    confidence=budgets.confidence,

@@ -400,11 +400,13 @@ def criterion_7(fx: Fixtures, budgets: Budgets) -> dict:
             rep = reg.rep(eid)
             supp = rep.support()
             if supp <= c.a_vertices:
-                sid = areg.register(repmod.restrict_rep(c.left, rep))
+                sid = areg.register(repmod.restrict_rep(c.left, rep),
+                                     budgets.seed, budgets.confidence)
                 if sid not in predicted_a:
                     outside += 1
             elif supp <= c.b_vertices:
-                sid = breg.register(repmod.restrict_rep(c.right, rep))
+                sid = breg.register(repmod.restrict_rep(c.right, rep),
+                                     budgets.seed, budgets.confidence)
                 if sid not in predicted_b:
                     outside += 1
             else:

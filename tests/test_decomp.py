@@ -81,19 +81,19 @@ def test_decompose_seeds_each_fresh_block_alike(exB, monkeypatch):
     m, n = (repmod.random_module(exB, seed, 9).strip() for seed in (41, 42))
     reg = decomp.IsoRegistry(exB)
     seen = []
-    pieces = decomp.indecomposable_pieces
+    certify = decomp._certify_or_split
 
-    def spy(cur, rng, confidence):
-        seen.append((cur, rng, rng.bit_generator.state))
-        return pieces(cur, rng, confidence)
+    def spy(cur, E, rng, confidence):
+        seen.append((cur, rng.bit_generator.state))
+        return certify(cur, E, rng, confidence)
 
-    monkeypatch.setattr(decomp, "indecomposable_pieces", spy)
+    monkeypatch.setattr(decomp, "_certify_or_split", spy)
     decomp.decompose(repmod.direct_sum([m, n])[0], registry=reg)
-    # each fresh block gets an rng of its own, in the seeded initial state
-    blocks = [(rng, state) for cur, rng, state in seen if cur is m or cur is n]
+    # both fresh blocks and every piece split below them meet the rng in
+    # the seeded initial state
     fresh = np.random.default_rng([0, exB.structural_digest() % (2 ** 31), 23])
-    assert len(blocks) == 2 and blocks[0][0] is not blocks[1][0]
-    assert all(state == fresh.bit_generator.state for _, state in blocks)
+    assert {id(m), id(n)} <= {id(cur) for cur, _ in seen} and len(seen) > 2
+    assert all(state == fresh.bit_generator.state for _, state in seen)
     # a recorded sum of cached blocks builds no rng and takes no digest
     seen.clear()
     monkeypatch.setattr(exB, "structural_digest", lambda: pytest.fail("digest taken"))
@@ -126,19 +126,19 @@ def test_decompose_reads_the_memo_for_equal_content(exB, monkeypatch):
 
 
 def test_memo_hit_leaves_the_rng_where_the_block_would(monkeypatch):
-    # B is fresh; it meets the rng in the seeded state and splits into the
-    # same pieces whether A's block before it is decomposed afresh, read
-    # from the memo, or absent
+    # B is fresh; it and its pieces meet the rng in the seeded state and
+    # split into the same pieces whether A's block before it is decomposed
+    # afresh, read from the memo, or absent
     entered = []
-    pieces = decomp.indecomposable_pieces
+    certify = decomp._certify_or_split
 
-    def spy(cur, rng, confidence):
+    def spy(cur, E, rng, confidence):
         state = rng.bit_generator.state
-        got = pieces(cur, rng, confidence)
-        entered.append((cur, state, [x.to_json() for x in got[0]]))
-        return got
+        status, split = certify(cur, E, rng, confidence)
+        entered.append((cur, state, status, split and [x.to_json() for x in split]))
+        return status, split
 
-    monkeypatch.setattr(decomp, "indecomposable_pieces", spy)
+    monkeypatch.setattr(decomp, "_certify_or_split", spy)
 
     def run(before):
         alg = cli.load_algebra_file("exB.alg")
@@ -152,10 +152,11 @@ def test_memo_hit_leaves_the_rng_where_the_block_would(monkeypatch):
         # the last summand is decomposed first, so A's block comes before B's
         decomp.decompose(repmod.direct_sum([b] if before == "none" else [b, a])[0],
                          registry=reg)
-        assert any(cur is a for cur, _, _ in entered) == (before == "fresh")
-        into_b = [(state, got) for cur, state, got in entered if cur is b]
+        assert any(cur is a for cur, *_ in entered) == (before == "fresh")
+        at_b = next(i for i, (cur, *_) in enumerate(entered) if cur is b)
+        into_b = [(state, status, split) for _, state, status, split in entered[at_b:]]
         fresh = np.random.default_rng([0, alg.structural_digest() % (2 ** 31), 23])
-        assert into_b[0][0] == fresh.bit_generator.state
+        assert all(state == fresh.bit_generator.state for state, _, _ in into_b)
         return into_b, reg.memo[(0, 40, decomp._content(b))], reg.dump()
 
     assert run("fresh") == run("hit") == run("none")
@@ -176,11 +177,14 @@ def test_memo_misses_on_any_key_difference(exB, a2, monkeypatch):
     decomp.decompose(repmod.direct_sum([again, fresh])[0], registry=reg)
     assert any(args[0] is fresh for args in pieces)
     assert not any(args[0] is again for args in pieces)
-    # a registry passed as registry= has its own memo
+    # a registry passed as registry= has its own memo, which holds m and
+    # every piece split below it
     pieces.clear()
     other = decomp.IsoRegistry(exB)
     decomp.decompose(m.strip(), registry=other)
-    assert pieces and len(other.memo) == 1
+    assert pieces and set(other.memo) == {(0, 40, decomp._content(args[0])) for args in pieces}
+    # each piece is keyed by seed and confidence as its block is
+    assert {key[:2] for key in reg.memo} == {(0, 40), (1, 40), (0, 39)}
     # S1 and S2 over 1 -> 2 have the same (empty) arrow bytes
     reg_a2 = decomp.IsoRegistry(a2)
     s1, s2 = repmod.simple(a2, "1"), repmod.simple(a2, "2")
@@ -214,6 +218,68 @@ def test_registry_ambiguity_leaves_no_memo_entry(exB, monkeypatch):
     assert len(reg.memo) == 1
 
 
+def test_registry_ambiguity_leaves_no_entry_for_any_piece(exB, monkeypatch):
+    reg = decomp.IsoRegistry(exB)
+    m = repmod.random_module(exB, 5, 9).strip()
+    first = decomp.decompose(m, registry=reg)
+    before = dict(reg.memo)
+    # an isomorphic copy in another basis: its pieces meet their classes'
+    # representatives only through iso tests
+    copy = _base_change(m, np.random.default_rng(3))
+    pieces = _count_calls(monkeypatch, decomp, "indecomposable_pieces")
+    monkeypatch.setattr(decomp, "is_isomorphic",
+                        lambda *a, **k: decomp.IsoResult("inconclusive", None, "forced"))
+    with pytest.raises(RegistryAmbiguity):
+        decomp.decompose(copy, registry=reg)
+    assert len(pieces) > 1 and reg.memo == before
+    monkeypatch.undo()
+    assert decomp.decompose(copy, registry=reg).items == first.items
+    assert len(reg.memo) > len(before)
+
+
+def test_a_memoized_piece_is_neither_solved_nor_registered(exB, monkeypatch):
+    reg = decomp.IsoRegistry(exB)
+    m = repmod.random_module(exB, 5, 9).strip()
+    first = decomp.decompose(m, registry=reg)
+    # forget the block alone: its split's pieces are all still recorded
+    key = (0, 40, decomp._content(m))
+    del reg.memo[key]
+    assert len(reg.memo) >= 2
+    ends = _count_calls(monkeypatch, decomp.EndAlgebra, "__init__")
+    registers = _count_calls(monkeypatch, decomp.IsoRegistry, "register")
+    again = m.strip()
+    second = decomp.decompose(again, registry=reg)
+    assert len(ends) == 1 and ends[0][1] is again and not registers
+    assert (second.items, second.certified) == (first.items, first.certified)
+    assert reg.memo[key] == (first.items, first.certified)
+
+
+def test_every_memo_entry_equals_decomposing_its_piece_afresh(exB, monkeypatch):
+    nak = cli.load_algebra_file("nakayama-a3.alg")
+    pieces = decomp.indecomposable_pieces
+    for alg in (exB, nak):
+        reg = decomp.IsoRegistry(alg)
+        for seed in range(6):
+            split = {}
+
+            def spy(cur, rng, confidence, memo=None):
+                split[(0, 40, decomp._content(cur))] = cur
+                return pieces(cur, rng, confidence, memo)
+
+            monkeypatch.setattr(decomp, "indecomposable_pieces", spy)
+            before = set(reg.memo)
+            decomp.decompose(repmod.random_module(alg, seed, 10).strip(), registry=reg)
+            monkeypatch.undo()
+            written = {k: reg.memo[k] for k in set(reg.memo) - before}
+            assert set(written) == set(split)
+            memo = dict(reg.memo)
+            for k, entry in written.items():
+                reg.memo.clear()
+                res = decomp.decompose(split[k].strip(), registry=reg)
+                assert (res.items, res.certified) == entry
+            reg.memo = memo
+
+
 def test_decomp_cache_is_read_only_against_its_own_registry(exB):
     m = repmod.random_module(exB, 5, 9)
     first = decomp.decompose(m, registry=decomp.IsoRegistry(exB))
@@ -235,6 +301,23 @@ def test_memo_is_read_before_the_dimension_cap(exB):
     # a fresh block over the cap still raises
     with pytest.raises(BudgetExceeded):
         decomp.decompose(n, budgets=small, registry=reg)
+
+
+def test_end_algebra_builds_of_a_fixed_stream(monkeypatch):
+    # a work count, exact on any host: every distinct piece is split once,
+    # so a change that stops reading or writing the piece memo raises it
+    # (without the piece memo the stream builds End 53 times over exB and
+    # 160 times over nakayama-a3)
+    builds = _count_calls(monkeypatch, decomp.EndAlgebra, "__init__")
+    counts = {}
+    for name in ("exB.alg", "nakayama-a3.alg"):
+        alg = cli.load_algebra_file(name)
+        reg = decomp.IsoRegistry(alg)
+        builds.clear()
+        for seed in range(20):
+            decomp.decompose(repmod.random_module(alg, seed, 10).strip(), registry=reg)
+        counts[name] = len(builds)
+    assert counts == {"exB.alg": 40, "nakayama-a3.alg": 66}
 
 
 def _fixture_algebra(name):

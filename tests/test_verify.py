@@ -1,10 +1,13 @@
-"""The battery's and split-check's decompositions and iso tests run at the
-budgets' seed and confidence, not at decompose's and is_isomorphic's defaults."""
+"""The battery's and split-check's decompositions, registrations and iso
+tests run at the budgets' seed and confidence, not at decompose's, register's
+and is_isomorphic's defaults."""
 
 import json
 import sys
 
-from quivalg import decomp, morita, repmod, verify
+import numpy as np
+
+from quivalg import analysis, cli, decomp, homology, morita, repmod, verify
 from quivalg.budgets import Budgets
 
 BUDGETS = Budgets(seed=3, confidence=7)
@@ -56,3 +59,38 @@ def test_split_check_runs_at_the_budgets_seed_and_confidence(exC, monkeypatch):
     report = morita.verify_syzygy_split(exC, repmod.simple(alg, "0"), BUDGETS)
     assert not report.ok and "mixed-support classes" in report.detail
     assert _from(decomps, "quivalg.morita") == {(3, 7)}
+
+
+def test_registrations_and_their_scans_run_at_the_budgets_seed_and_confidence(monkeypatch):
+    registers = []
+    register = decomp.IsoRegistry.register
+
+    def spy(self, m, seed=0, confidence=40):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+            caller = caller.f_back
+        registers.append((f"{caller.f_globals['__name__']}.{caller.f_code.co_name}",
+                          seed, confidence))
+        return register(self, m, seed, confidence)
+
+    monkeypatch.setattr(decomp.IsoRegistry, "register", spy)
+    isos = _spy(monkeypatch, "is_isomorphic")
+    # criterion 7 places restricted classes in the sides' registries
+    verify.criterion_7(verify.Fixtures(), BUDGETS)
+    # the phi-zero witness pool registers the pieces of syzygies
+    glued = cli.load_glue_file("remark54.glue").algebra
+    analysis.phi_zero_probe(glued, BUDGETS, seed=BUDGETS.seed)
+    # over a selfinjective algebra a syzygy class is registered whole
+    selfinj = cli.load_algebra_file("nakayama-selfinj.alg")
+    homology.syzygy_class(selfinj, selfinj.registry().simple_ids["1"], BUDGETS)
+    # P1 with a basis vector rescaled meets its class only by a bucket scan
+    exB = cli.load_algebra_file("exB.alg")
+    p1 = repmod.Rep(exB, {"1": 2, "2": 1}, {"bb1": np.array([[0, 2], [0, 0]], dtype=np.int64),
+                                            "b1": np.array([[1], [0]], dtype=np.int64)})
+    decomp.decompose(p1, seed=BUDGETS.seed, confidence=BUDGETS.confidence)
+    # (a registry seeds its simples and projectives at the defaults)
+    for caller in ("quivalg.verify.criterion_7", "quivalg.analysis._witness_pool",
+                   "quivalg.homology.syzygy_class", "quivalg.decomp.decompose"):
+        assert _from(registers, caller) == {(3, 7)}, caller
+    # the registry's bucket scans pass both on to the iso test
+    assert _from(isos, "quivalg.decomp") == {(3, 7)}
