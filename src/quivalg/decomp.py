@@ -35,6 +35,19 @@ End(M)'s basis is kept as arrays, never as RepMaps: EndAlgebra holds one
 canonical rows of repmod.HomSolve, and its elements are dicts of matrices
 over those vertices.  The iso test's candidates are combinations of the
 canonical rows of Hom(m, n), each viewed as a RepMap only to test it.
+
+End is solved once per block; split pieces are compressed.  A split
+M = X + Y comes with the RREF bases of X_v and Y_v inside M_v, which
+together form an invertible S_v.  End(X) is the corner of End(M) at the
+projection onto X, spanned by the X-diagonal blocks of S_v b S_v^-1 over
+End(M)'s basis b (EndAlgebra.corners), so indecomposable_pieces hands each
+piece split afresh its End with no Hom solved.  The canonical basis of a
+span depends on the span alone, and both the solve and the corner take it
+by the same reversed-column RREF (repmod.canonical_rows), so a piece's End
+equals hom_solve(X, X).rows() bit for bit and every candidate, rng draw,
+piece and class id is the one a solve would give.  Likewise the iso test
+takes the fingerprint of a module the registry has decomposed from its
+classes' fingerprints, as every component is additive over direct sums.
 """
 
 from __future__ import annotations
@@ -93,6 +106,36 @@ def fingerprint(m: Rep) -> tuple:
     return fp
 
 
+def _fingerprint_from_classes(m: Rep, seed: int, confidence: int) -> None:
+    """Fill in m's fingerprint from its decomposition, when the algebra's
+    registry holds one at this seed and confidence and m has none yet.
+
+    Every component is additive over direct sums: the dim vectors, the arrow
+    ranks and each term of both series, a shorter series padded with zero
+    vectors (rad^k and the socle layers of a summand vanish past its Loewy
+    length).  So m's fingerprint is the sum of its classes', each times its
+    multiplicity.
+    """
+    reg = m.algebra._registry
+    hit = m._fp is None and reg and reg.memo.get((seed, confidence, _content(m)))
+    if not hit:
+        return
+    fps = [reg.entries[eid].fp for eid, _ in hit[0]]
+    ks = [k for _, k in hit[0]]
+    length = max(len(fp[3]) for fp in fps)
+    zero = (0,) * len(m.dims)
+
+    def total(vectors):
+        return tuple(sum(k * x for k, x in zip(ks, xs)) for xs in zip(*vectors))
+
+    def series(j):
+        padded = [fp[j] + (zero,) * (length - len(fp[j])) for fp in fps]
+        return tuple(total(layers) for layers in zip(*padded))
+
+    m._fp = (total(fp[0] for fp in fps), total(fp[1] for fp in fps),
+             total(fp[2] for fp in fps), series(3), series(4), total(fp[5] for fp in fps))
+
+
 # ---------------------------------------------------------------------------
 # endomorphism algebras
 
@@ -105,15 +148,19 @@ class EndAlgebra:
     HomSolve.rows with no RepMap built.  An element of E is a dict over the
     same vertices; the vertices where M is zero carry nothing.
 
+    rows, when given, is that canonical basis already known: the rows
+    `corners` derives for a summand of a module whose End is solved.  Only a
+    block is solved; each split piece inherits its End from its parent's.
     The End of a one-dimensional module is spanned by its identity, which is
     the basis hom_basis would return (Hom is then all of the vertexwise maps,
     whose canonical basis is the identity), so that case solves nothing.
     """
 
-    def __init__(self, module: Rep):
+    def __init__(self, module: Rep, rows: np.ndarray | None = None):
         self.module = module
         self.p = module.algebra.p
-        rows = ef.eye(1) if module.total_dim == 1 else repmod.hom_solve(module, module).rows()
+        if rows is None:
+            rows = ef.eye(1) if module.total_dim == 1 else repmod.hom_solve(module, module).rows()
         self.dim = rows.shape[0]
         # a row holds the vertex blocks in quiver order; zero vertices hold none
         self.stacks, off = {}, 0
@@ -123,12 +170,55 @@ class EndAlgebra:
                 off += d * d
         module._end_dim = self.dim
 
+    def corners(self, incls: list[RepMap]):
+        """A function i -> the canonical rows of End(X_i), for M = X_1 + ... + X_k.
+
+        incls are the summands' inclusions into M, whose bases together form
+        one of M_v at every vertex: S_v, their matrices stacked, is
+        invertible.  End(X_i) is the Peirce corner of End(M) at the
+        projection onto X_i (Assem, Simson and Skowronski, Elements of the
+        Representation Theory of Associative Algebras I, I.4), spanned by the
+        compressions of End(M)'s basis: the i-th diagonal blocks of
+        S_v b S_v^-1, that is B_v b P_v with B_v X_i's basis and P_v the
+        columns of S_v^-1 that project onto X_i.  S_v is inverted once, at
+        the first call; each call flattens its compressions' nonzero rows in
+        vertex order and takes the canonical basis of their span, which is
+        hom_solve(X_i, X_i).rows() bit for bit.
+        """
+        p, inv = self.p, {}
+
+        def rows(i: int) -> np.ndarray:
+            if not inv:
+                for v in self.stacks:
+                    inv[v] = ef.invert(np.concatenate([x.mats[v] for x in incls]), p)
+            blocks = []
+            for v, b in self.stacks.items():
+                k = incls[i].source.dims[v]
+                if k:
+                    o = sum(x.source.dims[v] for x in incls[:i])
+                    blocks.append(_compress(b, incls[i].mats[v], inv[v][:, o:o + k], p))
+            flat = np.concatenate(blocks, axis=1)
+            return repmod.canonical_rows(flat[flat.any(axis=1)], p)
+
+        return rows
+
     def basis_element(self, i: int) -> dict[str, np.ndarray]:
         return {v: s[i] for v, s in self.stacks.items()}
 
     def element(self, coords) -> dict[str, np.ndarray]:
         """The element with the given coordinates, reduced mod p."""
         return {v: np.tensordot(coords, s, 1) % self.p for v, s in self.stacks.items()}
+
+
+def _compress(b: np.ndarray, incl: np.ndarray, proj: np.ndarray, p: int) -> np.ndarray:
+    """The products incl b_j proj over a stack b of (d, d) matrices, each
+    (k, k) product flattened row-major into one row."""
+    n, d = b.shape[:2]
+    k = incl.shape[0]
+    # every b_j proj, stacked, then incl times them side by side
+    right = ef.matmul(b.reshape(n * d, d), proj, p)
+    left = ef.matmul(incl, right.reshape(n, d, k).transpose(1, 0, 2).reshape(d, n * k), p)
+    return left.reshape(k, n, k).transpose(1, 0, 2).reshape(n, k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +250,7 @@ def _split_by(m: Rep, f: dict[str, np.ndarray], rng):
     dim m_v - dim ker h(f_v) = dim ker g(f_v).  Hence ker g(f) = im h(f) and
     ker h(f) = im g(f), spanned by the rows of h(f_v) and g(f_v); submodule
     takes the RREF of those spans, so the pieces are the kernels' bit for bit.
+    The pieces come as a _Split, which also holds their inclusions into m.
     """
     p = m.algebra.p
     # a nonzero f with f_v f_v = 0 at every vertex has minimal polynomial
@@ -180,10 +271,19 @@ def _split_by(m: Rep, f: dict[str, np.ndarray], rng):
         if m.dims[v]:
             at_g[v] = fppoly.eval_matrix(g, f[v], p)
             at_h[v] = fppoly.eval_matrix(h, f[v], p)
-    pieces = [repmod.submodule(m, at_h)[0], repmod.submodule(m, at_g)[0]]
+    pieces = _Split([repmod.submodule(m, at_h), repmod.submodule(m, at_g)])
     if pieces[0].total_dim + pieces[1].total_dim != m.total_dim:
         raise AssertionError("generalized kernels do not exhaust the module")
     return factors, pieces
+
+
+class _Split(list):
+    """The pieces of a split, from (submodule, inclusion) pairs, with the
+    inclusions kept in `incls` for EndAlgebra.corners."""
+
+    def __init__(self, subs):
+        super().__init__(sub for sub, _ in subs)
+        self.incls = [incl for _, incl in subs]
 
 
 def _nilpotent_on(stacks: list[np.ndarray], p: int) -> bool:
@@ -322,8 +422,13 @@ class _PieceMemo:
     split: list
 
 
-def indecomposable_pieces(m: Rep, rng, confidence: int, memo: _PieceMemo | None = None):
+def indecomposable_pieces(m: Rep, rng, confidence: int, memo: _PieceMemo | None = None,
+                          end: EndAlgebra | None = None):
     """Split m into indecomposables; returns (pieces, all_certified).
+
+    end is End(m) when it is already known; otherwise it is solved.  Each
+    piece split afresh is handed its End, read off end's corners, so a
+    block's End is the only one solved below it.
 
     Without memo, m and its pieces draw in turn from rng's running state.
     With one, m and every piece split afresh start from memo.start, so each
@@ -335,17 +440,20 @@ def indecomposable_pieces(m: Rep, rng, confidence: int, memo: _PieceMemo | None 
         return [], True
     if memo is not None:
         rng.bit_generator.state = memo.start
-    status, split = _certify_or_split(m, EndAlgebra(m), rng, confidence)
+    E = end or EndAlgebra(m)
+    status, split = _certify_or_split(m, E, rng, confidence)
     if status != "pieces":
         return [m], status == "certified"
+    corner = E.corners(split.incls)
     out, ok = [], True
-    for piece in split:
+    for i, piece in enumerate(split):
         key = memo and memo.prefix + (_content(piece),)
         hit = memo and memo.table.get(key)
         if hit:
             sub_pieces, sub_ok = [eid for eid, k in hit[0] for _ in range(k)], hit[1]
         else:
-            sub_pieces, sub_ok = indecomposable_pieces(piece, rng, confidence, memo)
+            sub_pieces, sub_ok = indecomposable_pieces(piece, rng, confidence, memo,
+                                                       EndAlgebra(piece, corner(i)))
             if memo:
                 memo.split.append((key, sub_pieces, sub_ok))
         out.extend(sub_pieces)
@@ -379,7 +487,9 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
     that number.  The basis is assembled from the same solve, as its
     canonical rows, when random combinations must be tried; each candidate is
     one combination of the rows, viewed as a RepMap.  End dimensions filled
-    in afterwards come from solves alone.
+    in afterwards come from solves alone.  A module the algebra's registry
+    has decomposed at this seed and confidence takes its fingerprint from
+    its classes (_fingerprint_from_classes).
     """
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
@@ -391,6 +501,8 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
     if m.equals(n):
         ident = RepMap(m, n, {v: ef.eye(m.dims[v]) for v in m.dims})
         return IsoResult("yes", ident, "structural equality")
+    for x in (m, n):
+        _fingerprint_from_classes(x, seed, confidence)
     if fingerprint(m) != fingerprint(n):
         return IsoResult("no", None, "fingerprints differ")
     solve = repmod.hom_solve(m, n)

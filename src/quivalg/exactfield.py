@@ -20,9 +20,11 @@ rational arithmetic ever appears.
 `rref` has two kernels with one pivot rule, so both give the same R, pivots
 and augment block bit for bit.  Up to RREF_LIST_CELLS cells (rows times
 columns, augment columns included) it eliminates on Python int lists, where
-the per-call numpy overhead would cost more than the arithmetic; above that
-it runs one numpy row operation per pivot with delayed reduction.  Most
-calls are on matrices of a few rows, so most take the list kernel.
+the per-call numpy overhead would cost more than the arithmetic, unless the
+input has more than RREF_DENSE_CELLS cells and is more than half nonzero;
+otherwise it runs one numpy row operation per pivot with delayed reduction.
+Most calls are on sparse matrices of a few rows, so most take the list
+kernel.
 
 The numpy kernel works on one int64 array, the augment block concatenated
 on the right.  For each pivot it reduces mod p only what a decision reads:
@@ -79,7 +81,26 @@ MATMUL_FLOAT_WORK = 4096
 # 512 would save about 0.13 s summed over the three passes and slow most
 # shapes in between; moving it to 1536 would save under 0.01 s on battery
 # and phi-stream and cost 0.04 s on large-dense.  So it stays at 1024.
+# Inputs up to it that are dense go to numpy all the same (RREF_DENSE_CELLS);
+# the tall 48x16 battery systems that read 0.77-0.79 above no longer occur in
+# a seed-0 battery pass.
 RREF_LIST_CELLS = 1024
+
+# The list kernel's cost grows with the nonzero entries it updates, the numpy
+# kernel's does not, so up to RREF_LIST_CELLS an input above this many cells
+# whose entries (augment block included) are more than half nonzero takes the
+# numpy kernel.  Dense square inputs, as from is_invertible and from the
+# fingerprint ranks of a change-of-basis module, took 3.9 ms on lists against
+# 0.76 ms on numpy at 29x29 and 1.41 against 0.46 ms at 20x20 (random full
+# matrices at p = 101, fastest of 5); at 10% nonzero the list kernel was as
+# fast or faster up to 20x20.
+# Replaying every rref input of at least 128 cells from one seed-0 pass of
+# each benchmark workload under both routings (2-vCPU x86 VM, one BLAS
+# thread, fastest of 3 per call), the rule moved large-dense from 0.353 to
+# 0.323 s and left battery (0.236 s) and phi-stream (0.046 s) within 3%.
+# Those workloads' inputs at 257-1024 cells are mostly 5-30% nonzero and stay
+# on lists.
+RREF_DENSE_CELLS = 256
 
 # The numpy kernel updates only the nonzero columns of the pivot row when it
 # hits at least this many rows and fewer than a quarter of the row's columns
@@ -151,7 +172,9 @@ def rref(m, p: int, augment: np.ndarray | None = None):
     a = np.asarray(m, dtype=np.int64)
     aug = None if augment is None else np.asarray(augment, dtype=np.int64)
     cells = a.shape[0] * (a.shape[1] + (0 if aug is None else aug.shape[1]))
-    if cells <= RREF_LIST_CELLS:
+    if cells <= RREF_LIST_CELLS and (
+            cells <= RREF_DENSE_CELLS
+            or 2 * (np.count_nonzero(a) + (0 if aug is None else np.count_nonzero(aug))) <= cells):
         return _rref_lists(a, p, aug)
     return _rref_numpy(a, p, aug)
 

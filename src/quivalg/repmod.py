@@ -706,7 +706,7 @@ class HomSolve:
                         .reshape(nb, m.dims[w] * dw))
         flat = np.concatenate(flat, axis=1)
         # when Hom is all of the vertexwise maps, its canonical basis is the identity
-        return ef.eye(nb) if nb == flat.shape[1] else ef.rref(flat[:, ::-1], p)[0][::-1, ::-1]
+        return ef.eye(nb) if nb == flat.shape[1] else canonical_rows(flat, p)
 
     def map(self, row: np.ndarray) -> RepMap:
         """The hom whose vertexwise matrices, flattened as in `rows`, are row."""
@@ -717,6 +717,32 @@ class HomSolve:
             mats[v] = row[off:off + size].reshape(m.dims[v], n.dims[v])
             off += size
         return RepMap(m, n, mats)
+
+
+def canonical_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """The canonical basis of the row span of rows: its RREF in reversed
+    column order, flipped back, so that each row ends in a 1 (its pivot)
+    that no other row has, and the rows are in pivot order.  It depends on
+    the span alone, so any spanning set of Hom(m, n), flattened as in
+    HomSolve.rows, gives rows().
+
+    A row with a single nonzero entry spans the unit vector of its column,
+    which is then a canonical row.  Above RREF_LIST_CELLS cells, where rref
+    would pay numpy's per-pivot cost for each of them, such rows are taken
+    as they are and only the others, with those columns cleared, are
+    reduced.  Most compressed End rows (decomp.EndAlgebra.corners) are such.
+    """
+    unit = np.count_nonzero(rows, axis=1) == 1 if rows.size > ef.RREF_LIST_CELLS else None
+    if unit is None or not unit.any():
+        return ef.rref(rows[:, ::-1], p)[0][::-1, ::-1]
+    cols = np.unique(rows[unit].nonzero()[1])
+    rest = rows[~unit]
+    rest[:, cols] = 0
+    rest = canonical_rows(rest, p)
+    units = ef.zeros(cols.size, rows.shape[1])
+    units[np.arange(cols.size), cols] = 1
+    pivots = np.concatenate([cols, rows.shape[1] - 1 - np.argmax(rest[:, ::-1] != 0, axis=1)])
+    return np.concatenate([units, rest])[np.argsort(pivots)]
 
 
 def hom_solve(m: Rep, n: Rep) -> HomSolve:

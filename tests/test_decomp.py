@@ -262,9 +262,9 @@ def test_every_memo_entry_equals_decomposing_its_piece_afresh(exB, monkeypatch):
         for seed in range(6):
             split = {}
 
-            def spy(cur, rng, confidence, memo=None):
+            def spy(cur, rng, confidence, memo=None, end=None):
                 split[(0, 40, decomp._content(cur))] = cur
-                return pieces(cur, rng, confidence, memo)
+                return pieces(cur, rng, confidence, memo, end)
 
             monkeypatch.setattr(decomp, "indecomposable_pieces", spy)
             before = set(reg.memo)
@@ -318,6 +318,146 @@ def test_end_algebra_builds_of_a_fixed_stream(monkeypatch):
             decomp.decompose(repmod.random_module(alg, seed, 10).strip(), registry=reg)
         counts[name] = len(builds)
     assert counts == {"exB.alg": 40, "nakayama-a3.alg": 66}
+
+
+@pytest.fixture
+def inherited_ends(monkeypatch):
+    """Check every End handed to a split piece against hom_solve(piece, piece).
+
+    Returns the list of checked pieces' routes through _certify_or_split:
+    "basis" (a basis element of the parent's End split it), "random" (past
+    the radical, a random element) or "exhaustive" (the idempotent search).
+    """
+    routes, step, checked = {}, {}, []
+    certify, radical, vectors = decomp._certify_or_split, decomp._trace_radical, decomp._fp_vectors
+    init = decomp.EndAlgebra.__init__
+
+    def certify_spy(m, E, rng, confidence):
+        step["route"] = "basis"
+        status, split = certify(m, E, rng, confidence)
+        for piece in split or ():
+            routes[id(piece)] = step["route"]
+        return status, split
+
+    def radical_spy(E):
+        step["route"] = "random"
+        return radical(E)
+
+    def vectors_spy(p, n):
+        step["route"] = "exhaustive"
+        return vectors(p, n)
+
+    def init_spy(self, module, rows=None):
+        if rows is not None:
+            want = repmod.hom_solve(module, module).rows()
+            assert rows.dtype == want.dtype and np.array_equal(rows, want), module
+            checked.append(routes[id(module)])
+        init(self, module, rows)
+
+    monkeypatch.setattr(decomp, "_certify_or_split", certify_spy)
+    monkeypatch.setattr(decomp, "_trace_radical", radical_spy)
+    monkeypatch.setattr(decomp, "_fp_vectors", vectors_spy)
+    monkeypatch.setattr(decomp.EndAlgebra, "__init__", init_spy)
+    return checked
+
+
+@pytest.mark.parametrize("name,p", [("exB.alg", 101), ("nakayama-a3.alg", 101), ("exA.alg", 101),
+                                    ("remark54.glue", 101), ("rad-square-zero-pair.glue", 101),
+                                    ("exB.alg", 2), ("exB.alg", 3)])
+def test_split_pieces_inherit_end_from_their_parent(name, p, inherited_ends):
+    # seeded random modules and sums of two: every piece split afresh gets
+    # the canonical basis a solve of End(piece) gives, bit for bit
+    alg = cli.underlying_algebra(cli.load_any(name, p))
+    reg = decomp.IsoRegistry(alg)
+    for seed in range(10):
+        m, n = (repmod.random_module(alg, s, 8) for s in (seed, seed + 100))
+        decomp.decompose(repmod.direct_sum([m, n])[0].strip(), registry=reg)
+    assert len(inherited_ends) >= 10 and set(inherited_ends) == {"basis"}
+
+
+@pytest.mark.parametrize("p,confidence,route", [(101, 40, "random"), (3, 0, "exhaustive")])
+def test_pieces_of_random_and_exhaustive_splits_inherit_end(p, confidence, route, inherited_ends):
+    # End(P + P) over k[x]/(x^2) on a basis none of whose elements splits
+    # (the top [[1, 1], [7, 0]] has an irreducible minimal polynomial at
+    # p = 101): a random element splits it, or with no random candidates
+    # the idempotent search does, and each piece P inherits End(P)
+    m, E = _dual_number_pair(p, [[1, 1], [2, 0]] if p == 3 else [[1, 1], [7, 0]])
+    pieces, certified = decomp.indecomposable_pieces(m, np.random.default_rng(0), confidence,
+                                                     end=E)
+    assert certified and [piece.total_dim for piece in pieces] == [2, 2]
+    assert inherited_ends == [route, route]
+
+
+def test_end_is_solved_once_per_fresh_block(monkeypatch):
+    # the streams of test_end_algebra_builds_of_a_fixed_stream: End(M) is
+    # solved for every fresh block (of dimension above 1; a one-dimensional
+    # End is its identity) and for no piece split below one (when each piece
+    # solved its own End, the streams made 38 and 63 solves)
+    solves = []
+    hom_solve = repmod.hom_solve
+
+    def spy(m, n):
+        if m is n:
+            solves.append(m)
+        return hom_solve(m, n)
+
+    monkeypatch.setattr(repmod, "hom_solve", spy)
+    counts = {}
+    for name in ("exB.alg", "nakayama-a3.alg"):
+        alg = cli.load_algebra_file(name)
+        reg = decomp.IsoRegistry(alg)
+        solves.clear()
+        fresh = []
+        for seed in range(20):
+            m = repmod.random_module(alg, seed, 10).strip()
+            if (0, 40, decomp._content(m)) not in reg.memo and m.total_dim > 1:
+                fresh.append(m)
+            decomp.decompose(m, registry=reg)
+        assert [id(x) for x in solves] == [id(x) for x in fresh]
+        counts[name] = len(solves)
+    assert counts == {"exB.alg": 17, "nakayama-a3.alg": 16}
+
+
+@pytest.mark.parametrize("name", ["exB.alg", "nakayama-a3.alg", "exA.alg", "a2.alg",
+                                  "remark54.glue", "rad-square-zero-pair.glue"])
+def test_fingerprint_from_classes_is_the_fingerprint(name):
+    # stripped sums of three seeded random modules, decomposed against the
+    # algebra's registry: the sum of the classes' fingerprints, times their
+    # multiplicities, is the module's fingerprint, Python ints and all
+    for p in (3, 101):
+        alg = cli.underlying_algebra(cli.load_any(name, p))
+        for seed in range(15):
+            parts = [repmod.random_module(alg, 100 * seed + j, 8) for j in range(3)]
+            m = repmod.direct_sum(parts)[0].strip()
+            if m.is_zero:
+                continue
+            decomp.decompose(m, seed=seed)
+            # an equal copy: registering an indecomposable m fingerprints it
+            x = m.strip()
+            decomp._fingerprint_from_classes(x, seed, 40)
+            got, x._fp = x._fp, None
+            assert got is not None and repr(got) == repr(decomp.fingerprint(x))
+
+
+def test_iso_test_reads_a_decomposed_fingerprint_from_its_classes(monkeypatch):
+    # the large-dense shape: a decomposed sum against a copy in another
+    # basis; only the copy's radical layers are computed, and a memo at
+    # another seed or confidence is not read
+    alg = cli.load_algebra_file("nakayama-a3.alg")
+    m = repmod.direct_sum([repmod.random_module(alg, s, 8) for s in (1, 2, 3)])[0].strip()
+    copy = _base_change(m, np.random.default_rng(0))
+    want = decomp.fingerprint(m.strip())
+    assert len(decomp.decompose(m).items) > 1
+    layers = _count_calls(monkeypatch, repmod, "radical_layers")
+    for seed, confidence in ((1, 40), (0, 39)):
+        other = m.strip()
+        decomp.is_isomorphic(other, copy, seed=seed, confidence=confidence)
+        assert any(args[0] is other for args in layers)
+    layers.clear()
+    big = m.strip()
+    res = decomp.is_isomorphic(big, copy.strip())
+    assert res.verdict == "yes" and big._fp == want
+    assert layers and not any(args[0] is big for args in layers)
 
 
 def _fixture_algebra(name):
@@ -778,13 +918,11 @@ def test_exhaustive_idempotent_search_certifies_a_local_end():
     assert decomp._certify_or_split(m, E, np.random.default_rng(0), 0) == ("certified", None)
 
 
-def test_exhaustive_idempotent_search_works_modulo_the_radical():
-    # End(P + P) = M_2(k[x]/(x^2)) at p = 3, with J(E) = x M_2(k) found by the
-    # form and a basis of E/J(E) lifted as E12, E21, 1 + x E11 and
-    # [[1, 1], [2, 0]] + x E22: no element splits, and no lift of an
-    # idempotent of E/J(E) is an idempotent of E, so the search must test
-    # e^2 - e for membership in J(E), not for zero
-    alg = cli.parse_algebra("algebra L field 3 truncate 10\nvertex v\narrow x: v -> v\n"
+def _dual_number_pair(p, top):
+    """M = P + P over k[x]/(x^2) at p, and E = End(M) = M_2(k[x]/(x^2)) on a
+    basis of E12, E21, 1 + x E11 and top + x E22, then x times the matrix
+    units; top is a 2x2 matrix whose minimal polynomial is a prime power."""
+    alg = cli.parse_algebra(f"algebra L field {p} truncate 10\nvertex v\narrow x: v -> v\n"
                             "relation 1 x*x\n").build()
     proj = alg.projective("v")
     m = repmod.direct_sum([proj, proj])[0].strip()
@@ -799,10 +937,20 @@ def test_exhaustive_idempotent_search_works_modulo_the_radical():
     x = proj.mats["x"]
     zero = np.zeros((2, 2), dtype=np.int64)
     pairs = [(unit(0, 1), zero), (unit(1, 0), zero), (np.eye(2, dtype=np.int64), unit(0, 0)),
-             (np.array([[1, 1], [2, 0]]), unit(1, 1))]
+             (np.array(top), unit(1, 1))]
     pairs += [(zero, unit(i, j)) for i in range(2) for j in range(2)]
-    E.stacks = {"v": np.array([(np.kron(c0, np.eye(2, dtype=np.int64)) + np.kron(c1, x)) % 3
+    E.stacks = {"v": np.array([(np.kron(c0, np.eye(2, dtype=np.int64)) + np.kron(c1, x)) % p
                                for c0, c1 in pairs], dtype=np.int64)}
+    return m, E
+
+
+def test_exhaustive_idempotent_search_works_modulo_the_radical():
+    # End(P + P) = M_2(k[x]/(x^2)) at p = 3, with J(E) = x M_2(k) found by the
+    # form and a basis of E/J(E) lifted as E12, E21, 1 + x E11 and
+    # [[1, 1], [2, 0]] + x E22: no element splits, and no lift of an
+    # idempotent of E/J(E) is an idempotent of E, so the search must test
+    # e^2 - e for membership in J(E), not for zero
+    m, E = _dual_number_pair(3, [[1, 1], [2, 0]])
     pivots, pair = decomp._trace_radical(E)
     assert pivots == [4, 5, 6, 7] and pair is not None
     status, pieces = decomp._certify_or_split(m, E, np.random.default_rng(0), 0)

@@ -228,6 +228,48 @@ def test_rref_kernels_agree_on_tall_sparse_matrices(p):
         _assert_kernels_agree(m, p, rng.integers(0, p, size=(m.shape[0], 7)))
 
 
+@pytest.mark.parametrize("p", [2, 101, MAX_PRIME_BELOW_CAP])
+def test_rref_kernels_agree_on_dense_squares(p, monkeypatch):
+    # 16x16 to 32x32, full and low rank, more than half nonzero, with and
+    # without an augment block: rref sends every one of them above
+    # RREF_DENSE_CELLS to the numpy kernel, including those within
+    # RREF_LIST_CELLS, and both kernels give the same R, pivots and augment
+    rng = np.random.default_rng(p)
+    calls = []
+    numpy_kernel = ef._rref_numpy
+    monkeypatch.setattr(ef, "_rref_numpy", lambda *a: calls.append(a) or numpy_kernel(*a))
+    below_cap = 0
+    for n in range(16, 33, 2):
+        full = rng.integers(1, p, size=(n, n))
+        full[rng.random((n, n)) < 0.3] = 0
+        # the second has rank at most n/2: its rows repeat the first n/2
+        for m in (full, full[rng.integers(0, n // 2, size=n)]):
+            assert 2 * np.count_nonzero(m) > m.size
+            for aug in (None, rng.integers(0, p, size=(n, 4))):
+                _assert_kernels_agree(m, p, aug)
+                calls.clear()
+                assert [x.tolist() if isinstance(x, np.ndarray) else x
+                        for x in ef.rref(m, p, aug)] == [
+                    x.tolist() if isinstance(x, np.ndarray) else x
+                    for x in ef._rref_lists(m, p, aug)]
+                cells = n * (n + (0 if aug is None else 4))
+                assert bool(calls) == (cells > ef.RREF_DENSE_CELLS)
+                below_cap += ef.RREF_DENSE_CELLS < cells <= ef.RREF_LIST_CELLS
+    assert below_cap >= 16
+
+
+def test_rref_keeps_sparse_inputs_below_the_cap_on_lists(monkeypatch):
+    # at most half nonzero, or at most RREF_DENSE_CELLS cells: the list kernel
+    monkeypatch.setattr(ef, "_rref_numpy", lambda *a: pytest.fail("numpy kernel"))
+    rng = np.random.default_rng(5)
+    half = np.zeros((32, 32), dtype=np.int64)
+    half[:, :16] = rng.integers(1, 101, size=(32, 16))
+    for m in (half, rng.integers(1, 101, size=(16, 16)),
+              _tall_sparse(101, 0)[:25]):
+        ef.rref(m, 101)
+    ef.rref(half[:, :24], 101, augment=np.zeros((32, 8), dtype=np.int64))
+
+
 def test_rref_kernels_agree_on_a_dense_matrix_at_the_largest_prime():
     # 200 pivots each add up to (p - 1)**2 to every unreduced entry: about
     # 200 * 2**40 before the final reduction; the zero corner forces a swap

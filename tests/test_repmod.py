@@ -70,6 +70,31 @@ def test_hom_basis_matches_the_kron_oracle(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
+def test_canonical_rows_is_the_reversed_rref(p, monkeypatch):
+    # sparse spanning sets, most rows with one nonzero entry (some repeated,
+    # some zero rows, some rows that become unit rows once the unit columns
+    # are cleared), on both sides of RREF_LIST_CELLS: the unit-row shortcut
+    # gives the RREF in reversed column order, flipped back, bit for bit
+    rng = np.random.default_rng(p)
+    reduced = []
+    rref = ef.rref
+    monkeypatch.setattr(ef, "rref", lambda m, *a: reduced.append(m.shape[0]) or rref(m, *a))
+    for trial in range(120):
+        rows, cols = int(rng.integers(1, 120)), int(rng.integers(1, 60))
+        m = np.zeros((rows, cols), dtype=np.int64)
+        for i in range(rows):
+            k = min(cols, int(rng.choice([0, 1, 1, 1, 1, 2, 3, cols])))
+            m[i, rng.choice(cols, size=k, replace=False)] = rng.integers(1, p, size=k)
+        want = rref(m[:, ::-1], p)[0][::-1, ::-1]
+        reduced.clear()
+        got = repmod.canonical_rows(m, p)
+        assert got.dtype == want.dtype and np.array_equal(got, want), trial
+        # only the rows that are not unit rows are row-reduced
+        if m.size > ef.RREF_LIST_CELLS and (np.count_nonzero(m, axis=1) == 1).any():
+            assert reduced[0] < rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
 def test_fingerprint_matches_the_quotient_oracle(p):
     # the same tuple, entry types and repr included, on the modules of the
     # hom oracle test over every bundled fixture; loewy_length agrees too
