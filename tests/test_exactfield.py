@@ -248,10 +248,7 @@ def test_rref_kernels_agree_on_dense_squares(p, monkeypatch):
             for aug in (None, rng.integers(0, p, size=(n, 4))):
                 _assert_kernels_agree(m, p, aug)
                 calls.clear()
-                assert [x.tolist() if isinstance(x, np.ndarray) else x
-                        for x in ef.rref(m, p, aug)] == [
-                    x.tolist() if isinstance(x, np.ndarray) else x
-                    for x in ef._rref_lists(m, p, aug)]
+                ef.rref(m, p, aug)
                 cells = n * (n + (0 if aug is None else 4))
                 assert bool(calls) == (cells > ef.RREF_DENSE_CELLS)
                 below_cap += ef.RREF_DENSE_CELLS < cells <= ef.RREF_LIST_CELLS
