@@ -137,10 +137,6 @@ class AdditivityVerdict:
     note: str = ""
 
     @property
-    def conclusive(self) -> bool:
-        return self.kind != "inconclusive"
-
-    @property
     def additive(self) -> bool | None:
         if self.kind.startswith("additive"):
             return True

@@ -207,7 +207,8 @@ class EndAlgebra:
 
     def element(self, coords) -> dict[str, np.ndarray]:
         """The element with the given coordinates, reduced mod p."""
-        return {v: np.tensordot(coords, s, 1) % self.p for v, s in self.stacks.items()}
+        return {v: ef.matmul(coords, s.reshape(self.dim, -1), self.p).reshape(s.shape[1:])
+                for v, s in self.stacks.items()}
 
 
 def _compress(b: np.ndarray, incl: np.ndarray, proj: np.ndarray, p: int) -> np.ndarray:
@@ -256,7 +257,7 @@ def _split_by(m: Rep, f: dict[str, np.ndarray], rng):
     # a nonzero f with f_v f_v = 0 at every vertex has minimal polynomial
     # x^2, which factor splits into ([0, 1], 2) with no draw at any p
     if (any(x.any() for x in f.values())
-            and not any((x @ x % p).any() for x in f.values())):
+            and not any(ef.matmul(x, x, p).any() for x in f.values())):
         return [([0, 1], 2)], None
     minpoly = _minpoly_of_mats(f, p)
     factors = fppoly.factor(minpoly, p, rng)
@@ -291,9 +292,11 @@ def _nilpotent_on(stacks: list[np.ndarray], p: int) -> bool:
     k: the flag M, M R, M R^2, ... reaches 0 rather than stalling."""
     spans = [ef.eye(b.shape[1]) for b in stacks]
     size = sum(b.shape[1] for b in stacks)
+    # each stack's matrices side by side: the rows u b_i over every i are one product
+    wide = [b.transpose(1, 0, 2).reshape(b.shape[1], -1) for b in stacks]
     while size:
-        spans = [ef.row_basis((u @ b % p).reshape(-1, b.shape[2]), p)
-                 for u, b in zip(spans, stacks)]
+        spans = [ef.row_basis(ef.matmul(u, w, p).reshape(-1, u.shape[1]), p)
+                 for u, w in zip(spans, wide)]
         rank = sum(u.shape[0] for u in spans)
         if rank == size:
             return False
@@ -321,7 +324,8 @@ def _trace_radical(E: EndAlgebra):
     # sum_v dim(M_v)**2 products (the matmul bound at ef.MAX_PRIME)
     rad, pivots, _ = ef.rref(ef.kernel_basis(ef.matmul(flat, pair, p), p), p)
     if (pivots and p <= E.module.total_dim
-            and not _nilpotent_on([np.tensordot(rad, b, 1) % p for b in stacks], p)):
+            and not _nilpotent_on([ef.matmul(rad, b.reshape(E.dim, -1), p)
+                                   .reshape(-1, *b.shape[1:]) for b in stacks], p)):
         return [], None
     return pivots, pair
 
@@ -337,9 +341,10 @@ def _local_by_eigenvalues(E: EndAlgebra, factors) -> bool:
     """
     if any(len(fac) != 1 or fppoly.degree(fac[0][0]) != 1 for fac in factors):
         return False
-    # each factor is x + c_i, so b_i - lambda_i = b_i + c_i
+    # each factor is x + c_i, so b_i - lambda_i = b_i + c_i, reduced for the
+    # matrix contract (ef.matmul's float bound assumes residues)
     c = np.array([fac[0][0][0] for fac in factors], dtype=np.int64)[:, None, None]
-    return _nilpotent_on([s + c * ef.eye(s.shape[1]) for s in E.stacks.values()], E.p)
+    return _nilpotent_on([(s + c * ef.eye(s.shape[1])) % E.p for s in E.stacks.values()], E.p)
 
 
 def _certify_or_split(m: Rep, E: EndAlgebra, rng, confidence: int):
@@ -516,7 +521,7 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
     dim = solve.dim
     rng = np.random.default_rng([int(seed) % (2 ** 31), m.algebra.structural_digest() % (2 ** 31), 17])
     for _ in range(confidence):
-        f = solve.map(rng.integers(0, p, size=dim) @ rows % p)
+        f = solve.map(ef.matmul(rng.integers(0, p, size=dim), rows, p))
         if f.is_invertible():
             return IsoResult("yes", f, "random invertible hom")
     if m._end_dim is None:
@@ -530,7 +535,7 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
         for lead in range(dim):
             for tail in _fp_vectors(p, dim - lead - 1):
                 coeffs = np.concatenate([np.zeros(lead, dtype=np.int64), [1], tail])
-                f = solve.map(coeffs @ rows % p)
+                f = solve.map(ef.matmul(coeffs, rows, p))
                 if f.is_invertible():
                     return IsoResult("yes", f, "exhaustive search")
         return IsoResult("no", None, "exhaustive search")
@@ -549,7 +554,7 @@ def _content(m: Rep) -> tuple:
 
 
 class RegistryEntry:
-    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "syzygy_certified", "pd")
+    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "syzygy_certified", "omega", "pd")
 
     def __init__(self, id_: int, rep: Rep, fp, projective: bool):
         self.id = id_
@@ -558,6 +563,7 @@ class RegistryEntry:
         self.projective = projective
         self.syzygy = None  # tuple[(id, mult)] once computed
         self.syzygy_certified = True  # False when that decomposition is probabilistic
+        self.omega = None  # the syzygy module itself while it waits on a larger max_dim
         self.pd = None
 
 

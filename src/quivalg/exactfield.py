@@ -10,7 +10,10 @@ re-coerces or re-reduces them.  Row vectors act on the right of arrow
 matrices throughout the package.
 
 p must be a prime below MAX_PRIME (see `check_prime`), so that no int64
-accumulation in the package overflows.  `matmul` sends products of at least
+accumulation in the package overflows.  `matmul` is the package's only
+matrix product: no other module uses `@` or a numpy product (as
+tests/test_exactfield.py checks), so the choice of route and the bound
+that keeps each exact live in it alone.  It sends products of at least
 MATMUL_FLOAT_WORK multiply-adds to BLAS in float64 when every sum stays an
 exact integer there, k * (p - 1)**2 < 2**53 for inner dimension k
 (FLOAT_EXACT), and keeps int64 otherwise.  Integer lattices are handled
@@ -143,7 +146,7 @@ def eye(n: int) -> np.ndarray:
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Product mod p of contract matrices, or of stacks of them (np.matmul's
-    batching, a stacked at least as deep as b).
+    batching, a stacked at least as deep as b); a may be a row vector.
 
     Before the reduction each entry is a sum of k = a.shape[-1] products below
     p**2: exact in int64 while k < 2**23 (see MAX_PRIME), and in float64 while

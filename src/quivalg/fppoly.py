@@ -3,7 +3,8 @@
 A polynomial is a Python int list, coefficients low-to-high, reduced mod p
 and trimmed (no trailing zero; [] is the zero polynomial).  Every function
 takes and returns that form.  The inputs are small, mostly quadratics, so
-plain ints beat per-call numpy overhead.
+plain ints beat per-call numpy overhead.  The two functions on matrices,
+eval_matrix and min_poly_matrix, multiply them by exactfield.matmul.
 Factorization is squarefree + distinct-degree + Cantor-Zassenhaus; the
 equal-degree stage draws from a caller-supplied generator so decomposition
 runs are reproducible per seed.  Most inputs are minimal polynomials of
@@ -19,6 +20,8 @@ state afterwards are those of the polynomial path, which p = 2 and degree
 from __future__ import annotations
 
 import numpy as np
+
+from . import exactfield as ef
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +292,10 @@ def is_irreducible(f: list[int], p: int) -> bool:
 def eval_matrix(f: list[int], mat: np.ndarray, p: int) -> np.ndarray:
     """Evaluate f at a square matrix (Horner), mod p."""
     n = mat.shape[0]
-    out = np.zeros((n, n), dtype=np.int64)
+    out = ef.zeros(n, n)
     for c in reversed(f):
-        out = (out @ mat + c * np.eye(n, dtype=np.int64)) % p
+        out = ef.matmul(out, mat, p)
+        out.flat[::n + 1] = (out.flat[::n + 1] + c) % p
     return out
 
 
@@ -313,12 +317,12 @@ def min_poly_matrix(mat: np.ndarray, p: int) -> list[int]:
     cur = np.eye(n, dtype=np.int64)
     for k in range(n + 1):
         if k:
-            cur = (cur @ mat) % p
+            cur = ef.matmul(cur, mat, p)
         w = np.zeros(rows.shape[1], dtype=np.int64)
         w[:size] = cur.reshape(-1)
         w[size + k] = 1
         if k:
-            w = (w - w[pivots] @ rows[:k]) % p
+            w = (w - ef.matmul(w[pivots], rows[:k], p)) % p
         nz = np.flatnonzero(w[:size])
         if not nz.size:
             return w[size: size + k + 1].tolist()

@@ -187,22 +187,6 @@ def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
     return result(value, False, "depth_budget")
 
 
-def vanishing_index(alg: BoundAlgebra, vec: K0Vector,
-                    budgets: Budgets = DEFAULT) -> int | None:
-    """Least n with Omega-bar^n(vec) = 0, or None within the depth budget.
-
-    For a module whose summands all have finite pd, phi equals the maximum
-    vanishing index over the generator classes; used as a finite-pd
-    cross-check of the trace computation.
-    """
-    cur = dict(vec)
-    for n in range(budgets.depth + 1):
-        if not cur:
-            return n
-        cur = omega_bar(alg, cur, budgets)
-    return None
-
-
 @dataclass
 class PhiDimResult:
     value: int

@@ -143,15 +143,20 @@ def syzygy_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> tup
 
     Projective summands are retained (K0 consumers drop them; orbit analysis
     keeps them as markers).  Whether the decomposition was certified is kept
-    in the entry's syzygy_certified.
+    in the entry's syzygy_certified.  A syzygy above budgets.max_dim is kept
+    in the entry's omega, so a later call checks it against its own cap with
+    no rebuild.
     """
     registry = alg.registry()
     entry = registry.entries[eid]
     if entry.syzygy is None:
-        om = syzygy(entry.rep)
+        if entry.omega is None:
+            entry.omega = syzygy(entry.rep)
+        om = entry.omega
         if om.total_dim > budgets.max_dim:
             raise BudgetExceeded(
                 f"syzygy of class {eid} has dimension {om.total_dim} > cap")
+        entry.omega = None
         if not om.is_zero and not entry.projective and selfinjectivity(alg):
             # stable equivalence: the minimal syzygy of an indecomposable
             # nonprojective is again indecomposable nonprojective

@@ -450,26 +450,6 @@ def f_vec(c: GluedAlgebra, vec: dict, budgets: Budgets = DEFAULT) -> FTriple:
     return out
 
 
-def f_compatibility(c: GluedAlgebra, m: Rep, budgets: Budgets = DEFAULT):
-    """Check f([Omega(M)]) = ([Omega(M1)], [Omega(M2)], 0) for t-free classes.
-
-    Returns (status, detail): status in {"ok", "mismatch", "skipped"}.
-    """
-    cop = c.algebra.opposite()
-    vec = grothendieck.class_vector(m, budgets)
-    fm = f_vec(c, vec, budgets)
-    if not fm.is_zero_t():
-        return "skipped", "class meets the connector-source simples"
-    lhs = f_vec(c, grothendieck.omega_bar(cop, vec, budgets), budgets)
-    aop, bop = c.left.opposite(), c.right.opposite()
-    rhs_a = grothendieck.omega_bar(aop, fm.a_part, budgets)
-    rhs_b = grothendieck.omega_bar(bop, fm.b_part, budgets)
-    ok = lhs.a_part == rhs_a and lhs.b_part == rhs_b and lhs.is_zero_t()
-    detail = "" if ok else (f"lhs=({lhs.a_part},{lhs.b_part},{lhs.t_part}) "
-                            f"rhs=({rhs_a},{rhs_b},0)")
-    return ("ok" if ok else "mismatch"), detail
-
-
 # ---------------------------------------------------------------------------
 # classification
 

@@ -174,15 +174,6 @@ class RepMap:
             m.setflags(write=False)
             self.mats[v] = m
 
-    def is_valid(self) -> bool:
-        p = self.source.algebra.p
-        for a in self.source.algebra.quiver.arrows:
-            lhs = ef.matmul(self.source.mats[a.name], self.mats[a.target], p)
-            rhs = ef.matmul(self.mats[a.source], self.target.mats[a.name], p)
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
-
     def compose(self, other: "RepMap") -> "RepMap":
         """self then other (left-to-right, matching the row convention)."""
         p = self.source.algebra.p
@@ -735,7 +726,7 @@ def canonical_rows(rows: np.ndarray, p: int) -> np.ndarray:
     unit = np.count_nonzero(rows, axis=1) == 1 if rows.size > ef.RREF_LIST_CELLS else None
     if unit is None or not unit.any():
         return ef.rref(rows[:, ::-1], p)[0][::-1, ::-1]
-    cols = np.unique(rows[unit].nonzero()[1])
+    cols = np.flatnonzero(rows[unit].any(axis=0))
     rest = rows[~unit]
     rest[:, cols] = 0
     rest = canonical_rows(rest, p)
@@ -804,13 +795,12 @@ def combine_maps(maps: list[RepMap], coeffs) -> RepMap:
         raise ValueError("no maps to combine")
     src, tgt = maps[0].source, maps[0].target
     p = src.algebra.p
-    # reduced coefficients keep each sum below len(maps) * p**2 (see ef.MAX_PRIME)
     c = np.asarray(coeffs, dtype=np.int64) % p
     mats = {}
     for v in src.algebra.quiver.vertices:
         ds, dt = src.dims[v], tgt.dims[v]
         stack = np.array([f.mats[v] for f in maps]).reshape(len(maps), ds * dt)
-        mats[v] = (c @ stack).reshape(ds, dt) % p
+        mats[v] = ef.matmul(c, stack, p).reshape(ds, dt)
     return RepMap(src, tgt, mats)
 
 
@@ -963,8 +953,7 @@ def random_module(algebra: BoundAlgebra, seed, size_bound: int = 12) -> Rep:
         rows = [ef.zeros(ds, dq) for ds, dq in zip(sdims.tolist(), qdims.tolist())]
         used = 0
         for j, i, last, images, spans in pairs:
-            # each entry is a sum of products below p**2, reduced here
-            image = coeffs[used:used + len(last)] @ images % p
+            image = ef.matmul(coeffs[used:used + len(last)], images, p)
             used += len(last)
             for vi, a, b, ds, dt in spans:
                 r0, c0 = int(soffs[j, vi]), int(qoffs[i, vi])

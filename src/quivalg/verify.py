@@ -94,9 +94,8 @@ def criterion_1(fx: Fixtures, budgets: Budgets) -> dict:
     rng = np.random.default_rng([budgets.seed, 911])
     for _ in range(5):
         picks = rng.integers(0, 2, size=rad1.dims["0"])
-        rows = {"0": ef.matmul(picks.reshape(1, -1) @ np.diag(
-            rng.integers(1, A.p, size=rad1.dims["0"])) % A.p,
-            rad1_inc.mats["0"], A.p)}
+        scales = rng.integers(1, A.p, size=rad1.dims["0"])
+        rows = {"0": ef.matmul((picks * scales).reshape(1, -1), rad1_inc.mats["0"], A.p)}
         sub, inc = repmod.generated_submodule(p0, rows)
         if 0 < sub.total_dim < p0.total_dim:
             quotients.append(repmod.quotient(p0, inc.mats))

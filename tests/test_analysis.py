@@ -102,7 +102,7 @@ def test_left_right_parity(exB, remark54):
     # inconclusive but never contradicts the opposite side
     v = analysis.phi_zero_probe(exB)
     vop = analysis.phi_zero_probe(exB.opposite())
-    if v.conclusive and vop.conclusive:
+    if "inconclusive" not in (v.kind, vop.kind):
         assert v.kind == vop.kind
     c = remark54.algebra
     assert analysis.phi_zero_probe(c).kind == \

@@ -757,6 +757,45 @@ def test_trace_radical_passes_the_flag_when_p_is_small():
     assert decomp.indecomposable_pieces(m, np.random.default_rng(0), 5)[1]
 
 
+def _trace_radical_pivots_reference(E):
+    """J(E)'s RREF pivots with every product an inline int64 numpy product:
+    the radical of the trace form, kept when p > dim M or when the flag
+    M, M R, M R^2, ... reaches 0, and [] (J = 0) when it stalls."""
+    p = E.p
+    stacks = list(E.stacks.values())
+    flat = np.concatenate([b.reshape(E.dim, -1) for b in stacks], axis=1)
+    pair = np.concatenate([b.transpose(0, 2, 1).reshape(E.dim, -1) for b in stacks], axis=1).T
+    rad, pivots, _ = ef.rref(ef.kernel_basis(flat @ pair % p, p), p)
+    if not pivots or p > E.module.total_dim:
+        return pivots
+    rads = [np.tensordot(rad, b, 1) % p for b in stacks]
+    spans = [ef.eye(b.shape[1]) for b in stacks]
+    size = sum(b.shape[1] for b in stacks)
+    while size:
+        spans = [ef.row_basis((u @ r % p).reshape(-1, r.shape[2]), p) for u, r in zip(spans, rads)]
+        rank = sum(u.shape[0] for u in spans)
+        if rank == size:
+            return []
+        size = rank
+    return pivots
+
+
+@pytest.mark.parametrize("name, p, seed", [("exA.alg", 3, 4), ("exB.alg", 2, 5)])
+def test_trace_radical_flag_matches_plain_products(name, p, seed, monkeypatch):
+    # decompositions with p <= dim M, so the nilpotency flag runs on the
+    # radical's action: the 13-dimensional exA module has dim E = 25, and
+    # J(E)'s action on it is one product of 24 x 25 by 25 x 169, on
+    # ef.matmul's float64 route; exB's pieces are small, on its int64 route
+    seen, radical = [], decomp._trace_radical
+    monkeypatch.setattr(decomp, "_trace_radical",
+                        lambda E: seen.append((E, radical(E))) or seen[-1][1])
+    m = repmod.random_module(cli.load_algebra_file(name, p), seed, 16).strip()
+    assert decomp.decompose(m).certified
+    assert any(pivots and p <= E.module.total_dim for E, (pivots, _) in seen)
+    for E, (pivots, _) in seen:
+        assert pivots == _trace_radical_pivots_reference(E)
+
+
 def test_trace_radical_stalls_when_p_divides_the_length():
     # k[x]/(x^2) at p = 2 on M = P: tr_M(x y) = 2 x(0) y(0) vanishes, so the
     # radical of the form is all of E; it is not nil, the flag stalls and the

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -366,3 +369,23 @@ def test_matmul_keeps_int64_beyond_the_float_bound(monkeypatch):
     assert np.array_equal(got, want.astype(np.int64))
     # the float64 route would not be exact here
     assert not np.array_equal(np.matmul(a.astype(np.float64), b.astype(np.float64)) % p, want)
+
+
+NUMPY_PRODUCTS = {"matmul", "dot", "tensordot", "einsum", "inner", "vdot"}
+
+
+def test_matmul_is_the_only_product():
+    # ef.matmul picks the int64 or the float64 route and owns the bound that
+    # keeps each exact, so no other module in the package multiplies
+    # matrices itself: no `@` and no numpy product outside exactfield.py
+    found = []
+    for path in sorted(pathlib.Path(ef.__file__).parent.glob("*.py")):
+        if path.name == "exactfield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_PRODUCTS
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno} np.{node.attr}")
+    assert not found, found

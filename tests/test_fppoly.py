@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from sympy import Poly, symbols
 
-from quivalg import fppoly
+from quivalg import exactfield as ef, fppoly
 
 
 def _poly(*coeffs):
@@ -89,6 +89,70 @@ def test_krylov_minpoly_definition():
             mu = fppoly.min_poly_matrix(mat, p)
             assert mu[-1] == 1 and 1 <= fppoly.degree(mu) <= n
             assert not fppoly.eval_matrix(mu, mat, p).any()
+
+
+def _eval_reference(f, mat, p):
+    """f(mat) mod p by Horner on Python int lists."""
+    n = len(mat)
+    out = [[0] * n for _ in range(n)]
+    for c in reversed(f):
+        out = [[(sum(out[i][k] * mat[k][j] for k in range(n)) + (c if i == j else 0)) % p
+                for j in range(n)] for i in range(n)]
+    return out
+
+
+def _min_poly_reference(mat, p):
+    """The monic minimal polynomial of mat on Python int lists: the first
+    power mat^d in the span of I, mat, ..., mat^(d-1), by elimination."""
+    n = len(mat)
+    basis = []  # (pivot, row, coordinates over the powers), each row led by a 1
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for d in range(n + 1):
+        row, coords = [x for r in power for x in r], [0] * d + [1]
+        for piv, brow, bco in basis:
+            f = row[piv]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, brow)]
+                coords = [(x - f * y) % p for x, y in zip(coords, bco + [0] * (d + 1 - len(bco)))]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            return coords
+        inv = pow(row[lead], p - 2, p)
+        basis.append((lead, [x * inv % p for x in row], [x * inv % p for x in coords]))
+        power = [[sum(power[i][k] * mat[k][j] for k in range(n)) % p for j in range(n)]
+                 for i in range(n)]
+    raise AssertionError("no relation among the first n + 1 powers")
+
+
+def _test_matrices(p, n, rng):
+    """A full random matrix, one of rank about n / 2, and a block diagonal
+    with a repeated block, whose minimal polynomial has degree below n."""
+    k = n // 2
+    low = rng.integers(0, p, size=(n, k)) @ rng.integers(0, p, size=(k, n)) % p
+    block = rng.integers(0, p, size=(k, k))
+    rep = np.zeros((n, n), dtype=np.int64)
+    rep[:k, :k] = rep[k:2 * k, k:2 * k] = block
+    return [rng.integers(0, p, size=(n, n)), low, rep]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 1048573])
+def test_matrix_polynomials_match_plain_int_references(p, monkeypatch):
+    # eval_matrix and min_poly_matrix take every product through ef.matmul:
+    # the 5x5 inputs stay on its int64 route, and the 20x20 ones, whose
+    # products reach ef.MATMUL_FLOAT_WORK multiply-adds, take float64 as well
+    assert 5 ** 3 < ef.MATMUL_FLOAT_WORK <= 20 ** 3
+    routes, matmul = set(), np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b: routes.add(a.dtype) or matmul(a, b))
+    rng = np.random.default_rng(p)
+    for n in (5, 20):
+        for mat in _test_matrices(p, n, rng):
+            ints = mat.tolist()
+            mu = fppoly.min_poly_matrix(mat, p)
+            assert mu == _min_poly_reference(ints, p)
+            f = rng.integers(0, p, size=n + 2).tolist()
+            assert fppoly.eval_matrix(f, mat, p).tolist() == _eval_reference(f, ints, p)
+            assert not fppoly.eval_matrix(mu, mat, p).any()
+    assert routes == {np.dtype(np.int64), np.dtype(np.float64)}
 
 
 # ---------------------------------------------------------------------------

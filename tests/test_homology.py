@@ -1,6 +1,7 @@
 import pytest
 
 from quivalg import cli, decomp, exactfield as ef, homology, repmod
+from quivalg.budgets import BudgetExceeded, Budgets
 
 
 def test_cover_examples(exB, a2):
@@ -172,3 +173,33 @@ def test_closed_orbit_is_forward_closed(exB, rsz):
             if reg.is_projective(eid):
                 continue
             assert {j for j, _ in homology.syzygy_class(alg, eid)} <= reached
+
+
+def test_over_cap_syzygy_is_built_once(monkeypatch):
+    # Omega(S0) over exCop has dimension 7: above a cap of 6, the entry keeps
+    # it, so a second call at that cap raises with no rebuild, and a call
+    # at the default cap decomposes it as a fresh registry does
+    alg = cli.load_glue_file("exCop.glue").algebra
+    eid = alg.registry().simple_ids["0"]
+    built, syzygy = [], homology.syzygy
+    monkeypatch.setattr(homology, "syzygy", lambda m: built.append(m) or syzygy(m))
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match=f"syzygy of class {eid} has dimension 7 > cap"):
+            homology.syzygy_class(alg, eid, Budgets(max_dim=6))
+        assert len(built) == 1
+    got = homology.syzygy_class(alg, eid)
+    assert len(built) == 1
+    fresh = cli.load_glue_file("exCop.glue").algebra
+    assert got == homology.syzygy_class(fresh, fresh.registry().simple_ids["0"])
+
+
+def test_large_excop_syzygies_decompose_to_one_certified_class():
+    # Omega^4(S0) and Omega^5(S0) over exCop, of 49 and 71 dimensions, lie in
+    # the unbounded orbit of its selfinjective block: each is one certified
+    # class, split-tested at sizes that no benchmark workload reaches
+    alg = cli.load_glue_file("exCop.glue").algebra
+    m = homology.omega_power(repmod.simple(alg, "0"), 3)
+    for dim, eid in ((49, 6), (71, 7)):
+        m = homology.syzygy(m)
+        res = decomp.decompose(m, budgets=Budgets(max_dim=80))
+        assert (m.total_dim, res.items, res.certified) == (dim, ((eid, 1),), True)
