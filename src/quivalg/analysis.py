@@ -206,9 +206,9 @@ def _embed_and_quotient(pool: list, alg: BoundAlgebra, base: Rep,
         pool.append(q)
 
 
-def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets, seed: int):
+def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets):
     """Candidate phi-zero modules: infinite-pd simples and projective quotients."""
-    rng = np.random.default_rng([seed % (2 ** 31),
+    rng = np.random.default_rng([budgets.seed % (2 ** 31),
                                  alg.structural_digest() % (2 ** 31), 71])
     pool: list[Rep] = []
     for v in sorted(qinf.certified):
@@ -234,7 +234,7 @@ def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets, seed: in
         reg = alg.registry()
         nonproj = []
         for piece in pieces:
-            eid = reg.register(piece, seed, budgets.confidence)
+            eid = reg.register(piece, budgets)
             if not reg.is_projective(eid):
                 nonproj.append(piece)
         if 0 < len(nonproj) <= 4:
@@ -250,8 +250,7 @@ def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets, seed: in
     return out[:24]
 
 
-def phi_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
-                   seed: int = 0) -> AdditivityVerdict:
+def phi_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> AdditivityVerdict:
     """Decide additivity of phi^{-1}(0) or search for a certified witness pair."""
     if is_selfinjective(alg):
         return AdditivityVerdict("additive_selfinjective")
@@ -259,7 +258,7 @@ def phi_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
     if gd.status == "finite":
         return AdditivityVerdict("additive_gldim")
     qinf = q_infinity(alg, budgets)
-    pool = _witness_pool(alg, qinf, budgets, seed)
+    pool = _witness_pool(alg, qinf, budgets)
     certified_zero: list[tuple[Rep, object, dict]] = []
     for m in pool:
         try:
@@ -315,14 +314,14 @@ class FindimProbe:
 
 
 def findim_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
-                      seed: int = 0, samples: int = 200) -> FindimProbe:
+                      samples: int = 200) -> FindimProbe:
     """Search for a finite nonzero pd module on an all-simples-infinite algebra."""
     qinf = q_infinity(alg, budgets)
     if qinf.certified != frozenset(alg.quiver.vertices):
         return FindimProbe("not_applicable",
                            note="some simple has finite or undecided pd")
     for i in range(samples):
-        m = repmod.random_module(alg, (seed << 16) + i, 12)
+        m = repmod.random_module(alg, (budgets.seed << 16) + i, 12)
         try:
             r = homology.pd(m, budgets)
         except BudgetExceeded:
@@ -391,9 +390,7 @@ def zero_it_check(alg: BoundAlgebra, generators, blocks=(),
         if g.is_zero:
             continue
         try:
-            res = decomp.decompose(g.strip(), seed=budgets.seed,
-                                   confidence=budgets.confidence,
-                                   budgets=budgets, registry=reg)
+            res = decomp.decompose(g.strip(), budgets, registry=reg)
         except BudgetExceeded:
             add_closed = False
             details.append("a generator exceeds the decomposition budget")

@@ -11,7 +11,7 @@ Every command honours --seed/--depth-budget/--class-budget/--confidence/
 --field and can dump a reproducible JSON report with --json.
 
 Exit codes: 0 success, 1 property/verification failure, 2 inconclusive,
-3 input error.
+3 input error, usage errors on the command line included.
 """
 
 from __future__ import annotations
@@ -515,8 +515,7 @@ def cmd_phidim(obj, args, budgets, rep: Report):
 def cmd_decompose(obj, args, budgets, rep: Report):
     alg = underlying_algebra(obj)
     m = parse_module_expr(alg, args.module)
-    res = decomp.decompose(m.strip(), seed=budgets.seed,
-                           confidence=budgets.confidence, budgets=budgets)
+    res = decomp.decompose(m.strip(), budgets)
     reg = alg.registry()
     rep.results = {
         "classes": [[i, k] for i, k in res.items],
@@ -530,7 +529,7 @@ def cmd_iso(obj, args, budgets, rep: Report):
     alg = underlying_algebra(obj)
     m = parse_module_expr(alg, args.module)
     n = parse_module_expr(alg, args.other)
-    r = decomp.is_isomorphic(m, n, seed=budgets.seed, confidence=budgets.confidence)
+    r = decomp.is_isomorphic(m, n, budgets)
     rep.results = {"verdict": r.verdict, "method": r.method}
     if r.verdict == "inconclusive":
         rep.status = "inconclusive"
@@ -613,7 +612,7 @@ def cmd_split_check(obj, args, budgets, rep: Report):
 
 def cmd_additivity(obj, args, budgets, rep: Report):
     alg = underlying_algebra(obj)
-    v = analysis.phi_zero_probe(alg, budgets, seed=budgets.seed)
+    v = analysis.phi_zero_probe(alg, budgets)
     rep.results = {"kind": v.kind, "note": v.note}
     if v.kind == "witness":
         rep.results.update({
@@ -669,14 +668,11 @@ def cmd_classify(obj, args, budgets, rep: Report):
 
 
 def cmd_registry(obj, args, budgets, rep: Report):
-    if args.action != "dump":
-        raise InputError("registry supports only: registry dump")
     alg = underlying_algebra(obj)
     if args.modules:
         for e in args.modules.split(","):
             m = parse_module_expr(alg, e)
-            decomp.decompose(m.strip(), seed=budgets.seed,
-                             confidence=budgets.confidence, budgets=budgets)
+            decomp.decompose(m.strip(), budgets)
     rep.results = {"entries": alg.registry().dump()}
 
 
@@ -695,8 +691,19 @@ def cmd_verify_paper(args, budgets, rep: Report):
 # dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors (an unknown command or option, a missing
+    or ill-typed argument) exiting 3, as input errors, and not 2, which means
+    an inconclusive result; --help still exits 0.  Subcommand parsers are
+    made from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="quivalg",
         description="workbench for bound quiver algebras: syzygies, "
                     "decompositions, Igusa-Todorov phi, Morita-context gluings")

@@ -18,7 +18,10 @@ Krull-Schmidt makes a module's class multiset a function of the module.
 same seeded rng state, so the pieces of any module it splits are a function
 of that module's content, seed and confidence; each registry remembers the
 decomposition of every block and piece split under that key, and
-`decompose` splits each distinct module, block or piece, once.
+`decompose` splits each distinct module, block or piece, once.  The seed
+and the confidence reach `decompose`, `is_isomorphic` and
+`IsoRegistry.register` only inside a `Budgets`, so every seeded search a
+command runs reads the one --seed and --confidence it was given.
 
 No work is done for an answer already known, and each shortcut gives the
 same pieces, class ids and payloads: the End of a one-dimensional module is
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,9 +109,9 @@ def fingerprint(m: Rep) -> tuple:
     return fp
 
 
-def _fingerprint_from_classes(m: Rep, seed: int, confidence: int) -> None:
+def _fingerprint_from_classes(m: Rep, budgets: Budgets) -> None:
     """Fill in m's fingerprint from its decomposition, when the algebra's
-    registry holds one at this seed and confidence and m has none yet.
+    registry holds one at the budgets' seed and confidence and m has none yet.
 
     Every component is additive over direct sums: the dim vectors, the arrow
     ranks and each term of both series, a shorter series padded with zero
@@ -117,7 +120,8 @@ def _fingerprint_from_classes(m: Rep, seed: int, confidence: int) -> None:
     multiplicity.
     """
     reg = m.algebra._registry
-    hit = m._fp is None and reg and reg.memo.get((seed, confidence, _content(m)))
+    hit = m._fp is None and reg and reg.memo.get((budgets.seed, budgets.confidence,
+                                                  _content(m)))
     if not hit:
         return
     fps = [reg.entries[eid].fp for eid, _ in hit[0]]
@@ -481,11 +485,23 @@ class IsoResult:
         return self.verdict in ("yes", "no")
 
 
-def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoResult:
+def _folded(budgets: Budgets, seed: int | None, confidence: int | None) -> Budgets:
+    """budgets with the keyword seed and confidence of decompose and
+    is_isomorphic folded in.  Only the benchmark's workloads pass those
+    keywords; every call in the package hands its Budgets alone."""
+    given = {k: v for k, v in (("seed", seed), ("confidence", confidence)) if v is not None}
+    return replace(budgets, **given) if given else budgets
+
+
+def is_isomorphic(m: Rep, n: Rep, budgets: Budgets = DEFAULT, *,
+                  seed: int | None = None, confidence: int | None = None) -> IsoResult:
     """Certified iso test: fingerprints for no, an invertible hom for yes.
 
-    Falls back to exhaustive search of Hom(m, n) when |F|^dim <= 10^6, and
-    reports "inconclusive" rather than guessing beyond that.
+    The random rounds are seeded by budgets.seed, and there are
+    budgets.confidence of them (seed and confidence, when given, replace
+    the budgets' own: see _folded).  Falls back to exhaustive search of
+    Hom(m, n) when |F|^dim <= 10^6, and reports "inconclusive" rather than
+    guessing beyond that.
 
     dim Hom(m, n) is read off one hom_solve before any basis is assembled:
     "hom space is zero" and a mismatch with a known End dimension need only
@@ -496,6 +512,7 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
     has decomposed at this seed and confidence takes its fingerprint from
     its classes (_fingerprint_from_classes).
     """
+    budgets = _folded(budgets, seed, confidence)
     if m.algebra is not n.algebra:
         raise ValueError("modules live over different algebras")
     p = m.algebra.p
@@ -507,7 +524,7 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
         ident = RepMap(m, n, {v: ef.eye(m.dims[v]) for v in m.dims})
         return IsoResult("yes", ident, "structural equality")
     for x in (m, n):
-        _fingerprint_from_classes(x, seed, confidence)
+        _fingerprint_from_classes(x, budgets)
     if fingerprint(m) != fingerprint(n):
         return IsoResult("no", None, "fingerprints differ")
     solve = repmod.hom_solve(m, n)
@@ -519,8 +536,9 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
         return IsoResult("no", None, "hom dimension mismatch")
     rows = solve.rows()
     dim = solve.dim
-    rng = np.random.default_rng([int(seed) % (2 ** 31), m.algebra.structural_digest() % (2 ** 31), 17])
-    for _ in range(confidence):
+    rng = np.random.default_rng([int(budgets.seed) % (2 ** 31),
+                                 m.algebra.structural_digest() % (2 ** 31), 17])
+    for _ in range(budgets.confidence):
         f = solve.map(ef.matmul(rng.integers(0, p, size=dim), rows, p))
         if f.is_invertible():
             return IsoResult("yes", f, "random invertible hom")
@@ -540,7 +558,7 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0, confidence: int = 40) -> IsoRes
                     return IsoResult("yes", f, "exhaustive search")
         return IsoResult("no", None, "exhaustive search")
     return IsoResult("inconclusive", None,
-                     f"no invertible hom after {confidence} rounds")
+                     f"no invertible hom after {budgets.confidence} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +620,15 @@ class IsoRegistry:
         self.simple_ids: dict[str, int] = {}
         self.projective_ids: dict[str, int] = {}
         for v in algebra.quiver.vertices:
-            self.simple_ids[v] = self.register(repmod.simple(algebra, v))
+            self.simple_ids[v] = self.register(repmod.simple(algebra, v), DEFAULT)
         for v in algebra.quiver.vertices:
-            pid = self.register(algebra.projective(v))
+            pid = self.register(algebra.projective(v), DEFAULT)
             self.projective_ids[v] = pid
             self.entries[pid].projective = True
 
-    def register(self, m: Rep, seed: int = 0, confidence: int = 40) -> int:
+    def register(self, m: Rep, budgets: Budgets = DEFAULT) -> int:
+        """m's class id, a new class when m is isomorphic to none; the bucket
+        scan's iso tests run at the budgets' seed and confidence."""
         if m.is_zero:
             raise ValueError("cannot register the zero module")
         key = _content(m)
@@ -617,7 +637,7 @@ class IsoRegistry:
             return eid
         fp = fingerprint(m)
         for eid in self.buckets.get(fp, ()):
-            res = is_isomorphic(self.entries[eid].rep, m, seed=seed, confidence=confidence)
+            res = is_isomorphic(self.entries[eid].rep, m, budgets)
             if res.verdict == "yes":
                 return eid
             if res.verdict == "inconclusive":
@@ -670,10 +690,13 @@ def _piece_sort_key(piece: Rep):
             tuple(piece.mats[a].tobytes() for a in sorted(piece.mats)))
 
 
-def decompose(m: Rep, seed: int = 0, confidence: int = 40,
-              budgets: Budgets = DEFAULT, registry: IsoRegistry | None = None
+def decompose(m: Rep, budgets: Budgets = DEFAULT, registry: IsoRegistry | None = None,
+              *, seed: int | None = None, confidence: int | None = None
               ) -> DecomposeResult:
     """Indecomposable decomposition of m as registry class ids with multiplicity.
+
+    The seed, the confidence and the dimension cap are the budgets' (seed
+    and confidence, when given, replace the budgets' own: see _folded).
 
     Each direct-sum block is looked up in `registry.memo` (see IsoRegistry)
     first, so a module equal entry for entry to one decomposed before with
@@ -693,6 +716,8 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
     and then the memo records the block and every piece split below it.  A
     recorded sum of cached blocks builds no rng and takes no digest.
     """
+    budgets = _folded(budgets, seed, confidence)
+    seed, confidence = budgets.seed, budgets.confidence
     registry = registry or m.algebra.registry()
     counter: Counter = Counter()
     certified = True
@@ -717,7 +742,7 @@ def decompose(m: Rep, seed: int = 0, confidence: int = 40,
             got, ok = indecomposable_pieces(cur, rng, confidence, memo)
             memo.split.append((key, got, ok))
             fresh = sorted((x for x in got if isinstance(x, Rep)), key=_piece_sort_key)
-            ids = {id(x): registry.register(x, seed, confidence) for x in fresh}
+            ids = {id(x): registry.register(x, budgets) for x in fresh}
             for k, pieces, k_ok in memo.split:
                 local = Counter(ids[id(x)] if isinstance(x, Rep) else x for x in pieces)
                 registry.memo[k] = (tuple(sorted(local.items())), k_ok)

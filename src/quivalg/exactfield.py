@@ -17,7 +17,7 @@ that keeps each exact live in it alone.  It sends products of at least
 MATMUL_FLOAT_WORK multiply-adds to BLAS in float64 when every sum stays an
 exact integer there, k * (p - 1)**2 < 2**53 for inner dimension k
 (FLOAT_EXACT), and keeps int64 otherwise.  Integer lattices are handled
-fraction-free (Bareiss for ranks, Hermite form for membership), so no
+fraction-free, by one Hermite form for both rank and membership, so no
 rational arithmetic ever appears.
 
 `rref` has two kernels with one pivot rule, so both give the same R, pivots
@@ -334,36 +334,9 @@ def invert(m: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def lattice_rank(rows) -> int:
-    """Rank over Q of the subgroup of Z^n generated by the rows.
-
-    Fraction-free Bareiss elimination on python ints; row operations do not
-    change the generated subgroup's rank.
-    """
-    mat = [[int(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if pr is None:
-            continue
-        mat[row], mat[pr] = mat[pr], mat[row]
-        for r in range(row + 1, len(mat)):
-            if not any(mat[r][col:]):
-                continue
-            lead = mat[r][col]
-            piv = mat[row][col]
-            for c in range(col, ncols):
-                mat[r][c] = (piv * mat[r][c] - lead * mat[row][c]) // prev
-        prev = mat[row][col]
-        rank += 1
-        row += 1
-        if row == len(mat):
-            break
-    return rank
+    """Rank over Q of the subgroup of Z^n generated by the rows: the number
+    of rows of its Hermite basis, which are independent over Q."""
+    return len(hermite_basis(rows))
 
 
 def hermite_basis(rows) -> list[list[int]]:

@@ -37,8 +37,7 @@ K0Vector = dict  # class id -> integer coefficient; projective ids never appear
 
 def class_vector(m: Rep, budgets: Budgets = DEFAULT) -> K0Vector:
     """[m] in K0: nonprojective indecomposable summand classes with multiplicity."""
-    res = decomp.decompose(m, seed=budgets.seed, confidence=budgets.confidence,
-                           budgets=budgets)
+    res = decomp.decompose(m, budgets)
     reg = m.algebra.registry()
     return {i: k for i, k in res.items if not reg.is_projective(i)}
 

@@ -18,6 +18,10 @@ from .budgets import DEFAULT, BudgetExceeded, Budgets
 from .pathalgebra import BoundAlgebra, Quiver, Relation, build_algebra
 from .repmod import Rep, projective_cover
 
+# the second try of selfinjectivity's iso tests: fixed, like the first (at
+# DEFAULT), so the answer cached per algebra never depends on --seed
+SELFINJECTIVITY_RETRY = Budgets(seed=1, confidence=200)
+
 
 # ---------------------------------------------------------------------------
 # covers and syzygies
@@ -69,9 +73,9 @@ def _selfinjectivity_compute(alg: BoundAlgebra) -> bool:
     op = alg.opposite()
     for v in alg.quiver.vertices:
         inj = repmod.dualize(op.projective(socle_vertex[v]))
-        res = decomp.is_isomorphic(alg.projective(v), inj, seed=0)
+        res = decomp.is_isomorphic(alg.projective(v), inj, DEFAULT)
         if res.verdict == "inconclusive":
-            res = decomp.is_isomorphic(alg.projective(v), inj, seed=1, confidence=200)
+            res = decomp.is_isomorphic(alg.projective(v), inj, SELFINJECTIVITY_RETRY)
         if res.verdict != "yes":
             return False
     return True
@@ -160,11 +164,9 @@ def syzygy_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> tup
         if not om.is_zero and not entry.projective and selfinjectivity(alg):
             # stable equivalence: the minimal syzygy of an indecomposable
             # nonprojective is again indecomposable nonprojective
-            entry.syzygy = ((registry.register(om, budgets.seed, budgets.confidence), 1),)
+            entry.syzygy = ((registry.register(om, budgets), 1),)
         else:
-            res = decomp.decompose(om, seed=budgets.seed,
-                                   confidence=budgets.confidence,
-                                   budgets=budgets, registry=registry)
+            res = decomp.decompose(om, budgets, registry=registry)
             entry.syzygy = res.items
             entry.syzygy_certified = res.certified
     return entry.syzygy
@@ -291,8 +293,7 @@ def pd_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> PdResul
 
 def pd(m: Rep, budgets: Budgets = DEFAULT) -> PdResult:
     """Projective dimension of a module via its class decomposition."""
-    res = decomp.decompose(m, seed=budgets.seed, confidence=budgets.confidence,
-                           budgets=budgets)
+    res = decomp.decompose(m, budgets)
     registry = m.algebra.registry()
     nonproj = res.nonprojective(registry)
     if not nonproj:
@@ -371,9 +372,7 @@ def syzygy_finite_probe(alg: BoundAlgebra, n_shift: int = 1,
         return OrbitResult((), (), True, "semisimple shift")
     registry = alg.registry()
     try:
-        res = decomp.decompose(shifted, seed=budgets.seed,
-                               confidence=budgets.confidence,
-                               budgets=budgets, registry=registry)
+        res = decomp.decompose(shifted, budgets, registry=registry)
     except BudgetExceeded as exc:
         return OrbitResult((), (), False, str(exc))
     orbit = omega_orbit(alg, [i for i, _ in res.items], budgets)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import decomp, exactfield as ef, grothendieck, homology, repmod
 from .budgets import DEFAULT, BudgetExceeded, Budgets
 from .pathalgebra import Arrow, BoundAlgebra, Quiver, Relation, build_algebra
@@ -120,7 +118,7 @@ def _generated_relations(spec: GluingSpec, quiver: Quiver) -> list[Relation]:
     return rels + [Relation(quiver, [(1, w)], p) for w in words]
 
 
-def glue(spec: GluingSpec, m_max: int | None = None) -> GluedAlgebra:
+def glue(spec: GluingSpec) -> GluedAlgebra:
     """Build C on the union quiver and verify the connector-ideal containment."""
     verts = spec.left.quiver.vertices + spec.right.quiver.vertices
     quiver = Quiver(verts, spec.left.quiver.arrows + spec.right.quiver.arrows
@@ -128,7 +126,7 @@ def glue(spec: GluingSpec, m_max: int | None = None) -> GluedAlgebra:
     generated = _generated_relations(spec, quiver)
     extra = [Relation(quiver, terms, spec.left.p) for terms in spec.extra_relations]
     algebra = build_algebra(quiver, generated + extra, spec.left.p,
-                            m_max or max(spec.left.m_max, spec.right.m_max),
+                            max(spec.left.m_max, spec.right.m_max),
                             name=spec.name)
     for rel in generated:
         if algebra.normal_form(rel.element()):
@@ -299,8 +297,7 @@ def verify_syzygy_split(c: GluedAlgebra, m: Rep, budgets: Budgets = DEFAULT) -> 
     if parts is None:
         detail = "syzygy does not split into one-sided parts"
         try:
-            res = decomp.decompose(om.strip(), seed=budgets.seed,
-                                   confidence=budgets.confidence, budgets=budgets)
+            res = decomp.decompose(om.strip(), budgets)
             reg = c.algebra.registry()
             bad = [i for i, _ in res.items
                    if reg.rep(i).support() & c.a_vertices
@@ -320,8 +317,7 @@ def verify_syzygy_split(c: GluedAlgebra, m: Rep, budgets: Budgets = DEFAULT) -> 
         else:
             mine = b_part if support <= c.a_vertices else a_part
             theirs = tparts[1] if support <= c.a_vertices else tparts[0]
-            res = decomp.is_isomorphic(mine, theirs, seed=budgets.seed,
-                                       confidence=budgets.confidence)
+            res = decomp.is_isomorphic(mine, theirs, budgets)
             top_clause = "match" if res.verdict == "yes" else f"mismatch ({res.verdict})"
     return SplitReport(True, dict(a_part.dims), dict(b_part.dims), top_clause)
 
@@ -350,9 +346,7 @@ def _side_orbit(side_alg: BoundAlgebra, seed_mod: Rep, budgets: Budgets):
     if seed_mod.is_zero:
         return homology.OrbitResult((), (), True, "empty seed")
     try:
-        res = decomp.decompose(seed_mod.strip(), seed=budgets.seed,
-                               confidence=budgets.confidence, budgets=budgets,
-                               registry=side_alg.registry())
+        res = decomp.decompose(seed_mod.strip(), budgets, registry=side_alg.registry())
     except BudgetExceeded as exc:
         return homology.OrbitResult((), (), False, str(exc))
     orbit = homology.omega_orbit(side_alg, [i for i, _ in res.items], budgets)
@@ -509,7 +503,6 @@ def classify_gluing(c: GluedAlgebra, a_status: SideStatus | None = None,
             ["J empty", "K empty"], None, []))
 
     h4_full = check_h4(c, budgets, "full")
-    h4_boundary = check_h4(c, budgets, "boundary")
 
     # syzygy-finite gluing
     if a_status.syzygy_finite and b_status.syzygy_finite \
@@ -636,12 +629,10 @@ def _block_lit_entry(c: GluedAlgebra, budgets: Budgets, samples: int):
     ok = True
     detail = ""
     for i in range(samples):
-        m = repmod.random_module(target, 1000 + i, 10)
+        m = repmod.random_module(target, (budgets.seed << 16) + 1000 + i, 10)
         om = homology.syzygy(m)
         try:
-            res = decomp.decompose(om.strip(), seed=budgets.seed,
-                                   confidence=budgets.confidence,
-                                   budgets=budgets, registry=reg)
+            res = decomp.decompose(om.strip(), budgets, registry=reg)
         except BudgetExceeded:
             ok = False
             detail = f"sample {i}: syzygy beyond decompose budget"

@@ -128,8 +128,7 @@ def criterion_2(fx: Fixtures, budgets: Budgets) -> dict:
     target = repmod.direct_sum([s1, s2])[0]
     for v, s in (("1", s1), ("2", s2)):
         om = homology.syzygy(s)
-        iso = decomp.is_isomorphic(om, target, seed=budgets.seed,
-                                   confidence=budgets.confidence)
+        iso = decomp.is_isomorphic(om, target, budgets)
         details.append(f"Omega(S{v}) ~ S1+S2: {iso.verdict}")
         ok &= iso.verdict == "yes"
     r = grothendieck.phi(repmod.direct_sum([s1, s2])[0], budgets)
@@ -166,12 +165,10 @@ def criterion_3(fx: Fixtures, budgets: Budgets) -> dict:
     s2 = repmod.simple(cop, "2")
     om_s2 = homology.syzygy(s2)
     target = repmod.direct_sum([repmod.simple(cop, "1"), s2])[0]
-    iso1 = decomp.is_isomorphic(om_s2, target, seed=budgets.seed,
-                                confidence=budgets.confidence)
+    iso1 = decomp.is_isomorphic(om_s2, target, budgets)
     m2 = cli.parse_module_expr(cop, "P1/(S1+S2)")
     om_m2 = homology.syzygy(m2)
-    iso2 = decomp.is_isomorphic(om_m2, target, seed=budgets.seed,
-                                confidence=budgets.confidence)
+    iso2 = decomp.is_isomorphic(om_m2, target, budgets)
     details.append(f"over Cop: Omega(S2) ~ S1+S2: {iso1.verdict}; "
                    f"Omega(P1/(S1+S2)) ~ S1+S2: {iso2.verdict}")
     ok &= iso1.verdict == "yes" and iso2.verdict == "yes"
@@ -201,8 +198,7 @@ def criterion_4(fx: Fixtures, budgets: Budgets) -> dict:
     c = fx.remark54
     alg = c.algebra
     om_sv = homology.syzygy(repmod.simple(alg, "v"))
-    iso = decomp.is_isomorphic(om_sv, alg.projective("0"), seed=budgets.seed,
-                               confidence=budgets.confidence)
+    iso = decomp.is_isomorphic(om_sv, alg.projective("0"), budgets)
     details.append(f"Omega_C(S_v) ~ P0: {iso.verdict}")
     ok &= iso.verdict == "yes"
     A = c.left
@@ -212,13 +208,12 @@ def criterion_4(fx: Fixtures, budgets: Budgets) -> dict:
         lhs = homology.syzygy(repmod.extend_rep(alg, m))
         rhs = repmod.extend_rep(alg, homology.syzygy(m))
         if not lhs.equals(rhs):
-            iso2 = decomp.is_isomorphic(lhs, rhs, seed=budgets.seed,
-                                        confidence=budgets.confidence)
+            iso2 = decomp.is_isomorphic(lhs, rhs, budgets)
             if iso2.verdict != "yes":
                 mism += 1
     details.append(f"Omega_C = Omega_A on 50 random A-side modules; mismatches {mism}")
     ok &= mism == 0
-    verdict = analysis.phi_zero_probe(alg, budgets, seed=budgets.seed)
+    verdict = analysis.phi_zero_probe(alg, budgets)
     details.append(verdict.describe())
     witness_ok = (verdict.kind == "witness"
                   and verdict.phi1.certified and verdict.phi1.value == 0
@@ -340,7 +335,7 @@ def criterion_6(fx: Fixtures, budgets: Budgets) -> dict:
     ]
     verdicts = {}
     for label, alg, expected in expectations:
-        v = analysis.phi_zero_probe(alg, budgets, seed=budgets.seed)
+        v = analysis.phi_zero_probe(alg, budgets)
         verdicts[label] = (alg, v)
         details.append(f"{label}: {v.kind} (expected {expected})")
         ok &= v.kind == expected
@@ -350,7 +345,7 @@ def criterion_6(fx: Fixtures, budgets: Budgets) -> dict:
             details.append(f"{label}: {found} phi-zero pairs closed, {bad} failures")
             ok &= found >= 100 and bad == 0
     for label, (alg, v) in verdicts.items():
-        vop = analysis.phi_zero_probe(alg.opposite(), budgets, seed=budgets.seed)
+        vop = analysis.phi_zero_probe(alg.opposite(), budgets)
         same = vop.kind == v.kind
         details.append(f"{label}^op: {vop.kind} (direct side: {v.kind})")
         ok &= same
@@ -387,9 +382,7 @@ def criterion_7(fx: Fixtures, budgets: Budgets) -> dict:
         m = repmod.random_module(c.algebra, (budgets.seed << 18) + i, 10)
         om2 = homology.omega_power(m, 2)
         try:
-            res = decomp.decompose(om2.strip(), seed=budgets.seed,
-                                   confidence=budgets.confidence,
-                                   budgets=budgets, registry=reg)
+            res = decomp.decompose(om2.strip(), budgets, registry=reg)
         except BudgetExceeded:
             outside += 1
             continue
@@ -399,13 +392,11 @@ def criterion_7(fx: Fixtures, budgets: Budgets) -> dict:
             rep = reg.rep(eid)
             supp = rep.support()
             if supp <= c.a_vertices:
-                sid = areg.register(repmod.restrict_rep(c.left, rep),
-                                     budgets.seed, budgets.confidence)
+                sid = areg.register(repmod.restrict_rep(c.left, rep), budgets)
                 if sid not in predicted_a:
                     outside += 1
             elif supp <= c.b_vertices:
-                sid = breg.register(repmod.restrict_rep(c.right, rep),
-                                     budgets.seed, budgets.confidence)
+                sid = breg.register(repmod.restrict_rep(c.right, rep), budgets)
                 if sid not in predicted_b:
                     outside += 1
             else:
@@ -477,8 +468,7 @@ def _check_g_side(c, side: str, budgets: Budgets, details: list) -> bool:
             commute_bad += 1
     for v in op.quiver.vertices:
         gproj = gfun(c, op.projective(v))
-        iso = decomp.is_isomorphic(gproj, cop.projective(v), seed=budgets.seed,
-                                   confidence=budgets.confidence)
+        iso = decomp.is_isomorphic(gproj, cop.projective(v), budgets)
         if iso.verdict != "yes":
             proj_bad += 1
     details.append(f"{c.algebra.name} side {side}: retract mismatches {mism}, "
@@ -540,9 +530,7 @@ def criterion_9(fx: Fixtures, budgets: Budgets, battery_payload: str) -> dict:
     from collections import Counter
 
     def classes(x):
-        return Counter(dict(decomp.decompose(x.strip(), seed=budgets.seed,
-                                             confidence=budgets.confidence,
-                                             budgets=budgets).items))
+        return Counter(dict(decomp.decompose(x.strip(), budgets).items))
 
     for label, alg in (("exB", fx.exB), ("a2", fx.a2)):
         for i in range(50):

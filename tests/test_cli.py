@@ -326,6 +326,28 @@ def test_negative_seed_exits_3(capsys, args):
     assert "input error" in err and "--seed" in err
 
 
+@pytest.mark.parametrize("args,says", [
+    (["registry", "exB.alg", "bogus"], "invalid choice: 'bogus'"),
+    (["--seed", "abc", "phi", "exB.alg", "--module", "S1"], "invalid int value: 'abc'"),
+    (["phi", "exB.alg"], "the following arguments are required: --module"),
+    (["nosuchcommand", "exB.alg"], "invalid choice: 'nosuchcommand'"),
+])
+def test_usage_errors_exit_3_not_as_inconclusive(capsys, args, says):
+    # 2 means an inconclusive result, so a typo must not exit with it
+    with pytest.raises(SystemExit) as exc:
+        _run(args)
+    assert exc.value.code == 3
+    assert says in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["phi", "--help"]])
+def test_help_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        _run(args)
+    assert exc.value.code == 0
+    assert "usage: quivalg" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("block", ["nope", ""])
 def test_zero_it_check_unknown_block_vertex_exits_3(capsys, block):
     assert _run(["zero-it-check", "exA.alg", "--generators", "S0", "--block", block]) == 3

@@ -431,10 +431,10 @@ def test_fingerprint_from_classes_is_the_fingerprint(name):
             m = repmod.direct_sum(parts)[0].strip()
             if m.is_zero:
                 continue
-            decomp.decompose(m, seed=seed)
+            decomp.decompose(m, Budgets(seed=seed))
             # an equal copy: registering an indecomposable m fingerprints it
             x = m.strip()
-            decomp._fingerprint_from_classes(x, seed, 40)
+            decomp._fingerprint_from_classes(x, Budgets(seed=seed))
             got, x._fp = x._fp, None
             assert got is not None and repr(got) == repr(decomp.fingerprint(x))
 

@@ -63,6 +63,18 @@ def test_lattice_rank_examples():
     assert ef.lattice_rank([]) == 0
 
 
+def test_lattice_rank_matches_sympy_over_q():
+    # the Hermite basis's length is the rank over Q, on full, low-rank and
+    # zero rows alike
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        rows = rng.integers(-3, 4, size=(rng.integers(0, 6), rng.integers(1, 7)))
+        if len(rows) > 2 and rng.random() < 0.4:
+            rows[-1] = 2 * rows[0] - rows[1]
+        want = DomainMatrix.from_list_sympy(*rows.shape, rows.tolist()).rank() if len(rows) else 0
+        assert ef.lattice_rank(rows.tolist()) == want
+
+
 def test_lattice_rank_row_operation_invariance():
     rng = np.random.default_rng(2)
     for _ in range(200):

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 from quivalg import cli, decomp, grothendieck as gk, homology, morita, repmod
-from quivalg.budgets import DEFAULT
+from quivalg.budgets import DEFAULT, Budgets
 from quivalg.pathalgebra import Quiver, build_algebra
 
 
@@ -233,6 +235,25 @@ def test_classify_gluing_entries(rsz, exCop):
     entry = next(e for e in report2.entries
                  if e.proposition == "selfinjective_block_lit")
     assert entry.witness["block"] == ["0"]
+
+
+def test_block_lit_samples_follow_the_seed(monkeypatch):
+    # the sampled syzygy shapes are drawn at the budgets' seed, and seed 0
+    # keeps the draws 1000 + i
+    exCop = cli.load_glue_file("exCop.glue")
+    draws = []
+    random_module = repmod.random_module
+
+    def spy(alg, seed, size_bound=12):
+        if sys._getframe(1).f_globals["__name__"] == "quivalg.morita":
+            draws.append(seed)
+        return random_module(alg, seed, size_bound)
+
+    monkeypatch.setattr(repmod, "random_module", spy)
+    for seed in (3, 0):
+        draws.clear()
+        morita._block_lit_entry(exCop, Budgets(seed=seed), 4)
+        assert draws == [(seed << 16) + 1000 + i for i in range(4)]
 
 
 def test_classify_product_case(exB):

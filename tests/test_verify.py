@@ -1,26 +1,35 @@
 """The battery's and split-check's decompositions, registrations and iso
 tests run at the budgets' seed and confidence, not at decompose's, register's
-and is_isomorphic's defaults."""
+and is_isomorphic's defaults, and every call in the package hands them over
+inside its Budgets."""
 
+import ast
+import inspect
 import json
+import pathlib
 import sys
 
 import numpy as np
 
 from quivalg import analysis, cli, decomp, homology, morita, repmod, verify
-from quivalg.budgets import Budgets
+from quivalg.budgets import DEFAULT, Budgets
 
 BUDGETS = Budgets(seed=3, confidence=7)
 
 
 def _spy(monkeypatch, name):
-    """(calling module, seed, confidence) of every call to decomp.<name>."""
+    """(calling module, seed, confidence) of every call to decomp.<name>, read
+    off the Budgets it is handed."""
     calls = []
     orig = getattr(decomp, name)
+    signature = inspect.signature(orig)
 
-    def spy(*args, seed=0, confidence=40, **kwargs):
-        calls.append((sys._getframe(1).f_globals["__name__"], seed, confidence))
-        return orig(*args, seed=seed, confidence=confidence, **kwargs)
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        budgets = bound.arguments["budgets"]
+        calls.append((sys._getframe(1).f_globals["__name__"], budgets.seed, budgets.confidence))
+        return orig(*args, **kwargs)
 
     monkeypatch.setattr(decomp, name, spy)
     return calls
@@ -65,13 +74,13 @@ def test_registrations_and_their_scans_run_at_the_budgets_seed_and_confidence(mo
     registers = []
     register = decomp.IsoRegistry.register
 
-    def spy(self, m, seed=0, confidence=40):
+    def spy(self, m, budgets=DEFAULT):
         caller = sys._getframe(1)
         while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
             caller = caller.f_back
         registers.append((f"{caller.f_globals['__name__']}.{caller.f_code.co_name}",
-                          seed, confidence))
-        return register(self, m, seed, confidence)
+                          budgets.seed, budgets.confidence))
+        return register(self, m, budgets)
 
     monkeypatch.setattr(decomp.IsoRegistry, "register", spy)
     isos = _spy(monkeypatch, "is_isomorphic")
@@ -79,7 +88,7 @@ def test_registrations_and_their_scans_run_at_the_budgets_seed_and_confidence(mo
     verify.criterion_7(verify.Fixtures(), BUDGETS)
     # the phi-zero witness pool registers the pieces of syzygies
     glued = cli.load_glue_file("remark54.glue").algebra
-    analysis.phi_zero_probe(glued, BUDGETS, seed=BUDGETS.seed)
+    analysis.phi_zero_probe(glued, BUDGETS)
     # over a selfinjective algebra a syzygy class is registered whole
     selfinj = cli.load_algebra_file("nakayama-selfinj.alg")
     homology.syzygy_class(selfinj, selfinj.registry().simple_ids["1"], BUDGETS)
@@ -87,10 +96,41 @@ def test_registrations_and_their_scans_run_at_the_budgets_seed_and_confidence(mo
     exB = cli.load_algebra_file("exB.alg")
     p1 = repmod.Rep(exB, {"1": 2, "2": 1}, {"bb1": np.array([[0, 2], [0, 0]], dtype=np.int64),
                                             "b1": np.array([[1], [0]], dtype=np.int64)})
-    decomp.decompose(p1, seed=BUDGETS.seed, confidence=BUDGETS.confidence)
+    decomp.decompose(p1, BUDGETS)
     # (a registry seeds its simples and projectives at the defaults)
     for caller in ("quivalg.verify.criterion_7", "quivalg.analysis._witness_pool",
                    "quivalg.homology.syzygy_class", "quivalg.decomp.decompose"):
         assert _from(registers, caller) == {(3, 7)}, caller
     # the registry's bucket scans pass both on to the iso test
     assert _from(isos, "quivalg.decomp") == {(3, 7)}
+
+
+SEEDED = {"decompose", "is_isomorphic", "register"}
+
+
+def _hands_seed_or_confidence(call: ast.Call) -> bool:
+    """Whether a call passes a seed or a confidence keyword, or an argument
+    that reads some .seed or .confidence or a variable of either name."""
+    names = ("seed", "confidence")
+    if any(k.arg in names for k in call.keywords):
+        return True
+    return any(isinstance(node, ast.Attribute) and node.attr in names
+               or isinstance(node, ast.Name) and node.id in names
+               for arg in call.args + [k.value for k in call.keywords]
+               for node in ast.walk(arg))
+
+
+def test_seeded_calls_take_seed_and_confidence_only_inside_budgets():
+    # a seed or a confidence passed by hand beside the Budgets that already
+    # holds it is how a call once dropped one of them; decompose,
+    # is_isomorphic and register read both off their Budgets alone
+    found = []
+    for path in sorted(pathlib.Path(decomp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in SEEDED and _hands_seed_or_confidence(node):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found
