@@ -26,7 +26,7 @@ m = repmod.random_module(A, seed=5, size_bound=10)
 print("phi(random) over exA:", gk.phi(m).describe())
 
 # The rank trace is monotone and every drop is a certified lower bound.
-trace = gk.rank_trace(both)
+trace = gk.phi(both).trace
 print("rank trace:", trace)
 
 # phi-dimension over a finite set of modules.

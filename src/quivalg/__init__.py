@@ -12,20 +12,18 @@ from .budgets import DEFAULT, BudgetExceeded, Budgets, RegistryAmbiguity
 from .pathalgebra import (Arrow, BoundAlgebra, MalformedRelation, NotAdmissible,
                           Quiver, Relation, build_algebra)
 from .repmod import (NotASubmodule, Rep, RepMap, direct_sum, dualize, hom_basis,
-                     kernel, loewy_length, quotient, radical, random_module,
-                     simple, socle, submodule, top, validate)
+                     quotient, radical, random_module, simple, socle, submodule,
+                     top, validate)
 from .decomp import (DecomposeResult, EndAlgebra, IsoRegistry, IsoResult, decompose,
                      fingerprint, is_isomorphic)
 from .homology import (OrbitResult, PdResult, omega_orbit, omega_power, pd,
                        projective_cover, syzygy, syzygy_class,
                        syzygy_finite_probe)
-from .grothendieck import (EtaCheck, PhiResult, class_vector, eta_bound_check,
-                           omega_bar, phi, phi_dim_over, rank_trace,
+from .grothendieck import (PhiResult, class_vector, omega_bar, phi, phi_dim_over,
                            subgroup_add)
-from .morita import (GluedAlgebra, GluingSpec, H3Violation, ModeError,
-                     check_h4, classify_gluing, f_map, g_a, g_b, glue, pi_a,
-                     pi_b, verify_syzygy_split)
+from .morita import (GluedAlgebra, GluingSpec, H3Violation, check_h4,
+                     classify_gluing, g_a, g_b, glue, pi_a, pi_b,
+                     verify_syzygy_split)
 from .analysis import (AdditivityVerdict, AlgebraProfile, GldimResult,
-                       findim_zero_probe, global_dimension, is_selfinjective,
-                       phi_zero_probe, profile, q_infinity, simple_socle_check,
-                       successors_closed, zero_it_check)
+                       global_dimension, phi_zero_probe, profile, q_infinity,
+                       simple_socle_check, successors_closed, zero_it_check)

@@ -9,7 +9,7 @@ non-additivity from a failed search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,19 +74,11 @@ def global_dimension(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> GldimResu
     return res
 
 
-def is_selfinjective(alg: BoundAlgebra) -> bool:
-    """Exact decision: indecomposable projectives coincide with injectives."""
-    return homology.selfinjectivity(alg)
-
-
 @dataclass
 class QInfinity:
     statuses: dict  # vertex -> PdResult
     certified: frozenset  # vertices with certified-infinite pd
     all_decided: bool  # no unknown statuses
-
-    def vertices(self) -> list:
-        return sorted(self.certified)
 
 
 def q_infinity(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> QInfinity:
@@ -135,14 +127,6 @@ class AdditivityVerdict:
     phi2: object = None
     phi12: object = None
     note: str = ""
-
-    @property
-    def additive(self) -> bool | None:
-        if self.kind.startswith("additive"):
-            return True
-        if self.kind == "witness":
-            return False
-        return None
 
     def describe(self) -> str:
         if self.kind == "additive_gldim":
@@ -252,7 +236,7 @@ def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets):
 
 def phi_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> AdditivityVerdict:
     """Decide additivity of phi^{-1}(0) or search for a certified witness pair."""
-    if is_selfinjective(alg):
+    if homology.selfinjectivity(alg):
         return AdditivityVerdict("additive_selfinjective")
     gd = global_dimension(alg, budgets)
     if gd.status == "finite":
@@ -299,37 +283,6 @@ def phi_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> AdditivityV
     return AdditivityVerdict(
         "inconclusive",
         note=f"no certified witness among {len(certified_zero)} phi-zero candidates")
-
-
-# ---------------------------------------------------------------------------
-# findim-zero probe
-
-
-@dataclass
-class FindimProbe:
-    status: str  # "consistent" | "counterexample" | "not_applicable"
-    samples: int = 0
-    counterexample: Rep | None = None
-    note: str = ""
-
-
-def findim_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
-                      samples: int = 200) -> FindimProbe:
-    """Search for a finite nonzero pd module on an all-simples-infinite algebra."""
-    qinf = q_infinity(alg, budgets)
-    if qinf.certified != frozenset(alg.quiver.vertices):
-        return FindimProbe("not_applicable",
-                           note="some simple has finite or undecided pd")
-    for i in range(samples):
-        m = repmod.random_module(alg, (budgets.seed << 16) + i, 12)
-        try:
-            r = homology.pd(m, budgets)
-        except BudgetExceeded:
-            continue
-        if r.status == "finite" and r.value > 0:
-            return FindimProbe("counterexample", i + 1, m,
-                               f"pd = {r.value} at sample {i}")
-    return FindimProbe("consistent", samples)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +432,7 @@ def profile(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> AlgebraProfile:
     succ, _ = successors_closed(alg, qinf)
     return AlgebraProfile(
         gldim=global_dimension(alg, budgets),
-        selfinjective=is_selfinjective(alg),
+        selfinjective=homology.selfinjectivity(alg),
         qinf=qinf,
         connected=alg.quiver.is_connected(),
         successors=succ,

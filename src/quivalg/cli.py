@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from . import __version__, analysis, decomp, exactfield, grothendieck, homology, morita, \
     repmod
@@ -251,10 +251,11 @@ def fixtures_dir() -> str:
 
 
 def resolve_path(path: str) -> str:
+    """path itself if it exists; a bare file name may also name a bundled fixture."""
     if os.path.exists(path):
         return path
-    candidate = os.path.join(fixtures_dir(), os.path.basename(path))
-    if os.path.exists(candidate):
+    candidate = os.path.join(fixtures_dir(), path)
+    if os.path.basename(path) == path and os.path.isfile(candidate):
         return candidate
     raise InputError(f"no such file: {path}")
 
@@ -546,7 +547,7 @@ def cmd_gldim(obj, args, budgets, rep: Report):
 
 def cmd_selfinjective(obj, args, budgets, rep: Report):
     alg = underlying_algebra(obj)
-    rep.results = {"selfinjective": analysis.is_selfinjective(alg)}
+    rep.results = {"selfinjective": homology.selfinjectivity(alg)}
 
 
 def cmd_opposite(obj, args, budgets, rep: Report):
@@ -555,7 +556,7 @@ def cmd_opposite(obj, args, budgets, rep: Report):
     src = AlgebraSource(
         op.name, op.p, op.m_max, op.quiver.vertices,
         tuple((a.name, a.source, a.target) for a in op.quiver.arrows),
-        tuple(tuple((c, k[1]) for c, k in r.terms) for r in op.relations))
+        tuple(r.words() for r in op.relations))
     text = print_algebra(src)
     rep.results = {"dim": op.dim, "source": text}
     if args.out:
@@ -798,12 +799,11 @@ def main(argv=None) -> int:
     budgets = Budgets(depth=args.depth_budget, classes=args.class_budget,
                       confidence=args.confidence, max_dim=args.max_dim,
                       seed=args.seed)
+    limits = asdict(budgets)
+    del limits["seed"]  # the report carries the seed at its top level
     rep = Report(command=args.cmd, args={k: v for k, v in vars(args).items()
                                          if k not in ("cmd", "json")},
-                 seed=args.seed,
-                 budgets={"depth": budgets.depth, "classes": budgets.classes,
-                          "confidence": budgets.confidence,
-                          "max_dim": budgets.max_dim})
+                 seed=args.seed, budgets=limits)
     t0 = time.time()
     try:
         if args.cmd == "verify-paper":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import decomp, exactfield as ef, homology, repmod
+from . import decomp, exactfield as ef, homology
 from .budgets import DEFAULT, BudgetExceeded, Budgets
 from .pathalgebra import BoundAlgebra
 from .repmod import Rep
@@ -64,19 +64,6 @@ def lattice_rank_of(vecs) -> int:
         return 0
     rows = [[v.get(i, 0) for i in support] for v in vecs]
     return ef.lattice_rank(rows)
-
-
-def lattice_member(vecs, target: K0Vector) -> bool:
-    support = sorted({i for v in list(vecs) + [target] for i in v})
-    if not support:
-        return True
-    rows = [[v.get(i, 0) for i in support] for v in vecs]
-    return ef.in_lattice(rows, [target.get(i, 0) for i in support])
-
-
-def rank_trace(m: Rep, budgets: Budgets = DEFAULT) -> list[int]:
-    """Ranks of Omega-bar^i <add m> for i = 0..depth (truncated on budget)."""
-    return phi(m, budgets).trace
 
 
 @dataclass
@@ -203,43 +190,3 @@ def phi_dim_over(ms, budgets: Budgets = DEFAULT) -> PhiDimResult:
     value = max((r.value for r in results if r.certified), default=0)
     return PhiDimResult(value, all(r.certified for r in results), results)
 
-
-@dataclass
-class EtaCheck:
-    status: str  # "ok" | "not_applicable" | "counterexample"
-    eta: int | None
-    rank: int
-    trace: list
-    note: str = ""
-
-
-def eta_bound_check(alg: BoundAlgebra, vecs, budgets: Budgets = DEFAULT) -> EtaCheck:
-    """For an Omega-bar-stable lattice G, assert stabilization index <= rank G."""
-    vecs = [dict(v) for v in vecs]
-    rank0 = lattice_rank_of(vecs)
-    if not vecs or rank0 == 0:
-        return EtaCheck("ok", 0, 0, [0], "zero lattice")
-    try:
-        images = [omega_bar(alg, v, budgets) for v in vecs]
-    except BudgetExceeded as exc:
-        return EtaCheck("not_applicable", None, rank0, [rank0], str(exc))
-    for img in images:
-        if not lattice_member(vecs, img):
-            return EtaCheck("not_applicable", None, rank0, [rank0],
-                            "lattice is not Omega-bar stable")
-    trace = [rank0]
-    cur = images
-    eta = 0
-    for depth in range(1, rank0 + 2):
-        r = lattice_rank_of(cur)
-        trace.append(r)
-        if r < trace[-2]:
-            eta = depth
-        if r == 0:
-            break
-        try:
-            cur = [omega_bar(alg, v, budgets) for v in cur]
-        except BudgetExceeded as exc:
-            return EtaCheck("not_applicable", eta, rank0, trace, str(exc))
-    status = "ok" if eta <= rank0 else "counterexample"
-    return EtaCheck(status, eta, rank0, trace)

@@ -90,7 +90,7 @@ def restricted_algebra(alg: BoundAlgebra, vertices: frozenset[str]) -> BoundAlge
         raise ValueError("vertex set is not successor-closed")
     verts = [v for v in alg.quiver.vertices if v in vertices]
     q = Quiver(verts, [a for a in alg.quiver.arrows if a.source in vertices])
-    rels = [Relation(q, [(c, k[1]) for c, k in rel.terms], alg.p)
+    rels = [Relation(q, rel.words(), alg.p)
             for rel in alg.relations if rel.source in vertices]
     sub = build_algebra(q, rels, alg.p, alg.m_max,
                         name=f"{alg.name}|{'+'.join(verts)}")
@@ -326,9 +326,6 @@ class OrbitResult:
     closed: bool
     note: str = ""
     certified: bool = True  # False when a decomposition it rests on is probabilistic
-
-    def nonprojective(self, registry) -> tuple:
-        return tuple(i for i in self.reached if not registry.is_projective(i))
 
 
 def omega_orbit(alg: BoundAlgebra, seeds, budgets: Budgets = DEFAULT) -> OrbitResult:

@@ -5,15 +5,15 @@ B->A); the glued ideal always contains the two-sided products that kill
 connector compositions (the `generated` set), and may extend it.  The module
 also provides the restriction functors to each side, the extension functors
 into modules over the opposite glued algebra, the syzygy-splitting check, the
-finite-generation probe for the orbit hypothesis, the boundary class map, and
-proposition-driven classification reports.
+finite-generation probe for the orbit hypothesis, and proposition-driven
+classification reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import decomp, exactfield as ef, grothendieck, homology, repmod
+from . import decomp, exactfield as ef, homology, repmod
 from .budgets import DEFAULT, BudgetExceeded, Budgets
 from .pathalgebra import Arrow, BoundAlgebra, Quiver, Relation, build_algebra
 from .repmod import Rep, RepMap
@@ -21,10 +21,6 @@ from .repmod import Rep, RepMap
 
 class H3Violation(RuntimeError):
     """An element of the generated connector ideal survives in the quotient."""
-
-
-class ModeError(RuntimeError):
-    """Operation requires a gluing whose ideal equals the generated set."""
 
 
 @dataclass
@@ -81,18 +77,6 @@ class GluedAlgebra:
     flags: dict
 
     @property
-    def t_vertices_op(self) -> frozenset:
-        """Connector sources in the opposite algebra (= targets here).
-
-        The boundary class map on syzygy classes of the opposite algebra
-        singles out the simples at these vertices; with the source-side set
-        the map would identify a connector-receiving simple with the
-        two-dimensional module restricting identically.
-        """
-        return frozenset(x.target for x in self.spec.alphas) | \
-            frozenset(x.target for x in self.spec.betas)
-
-    @property
     def left(self) -> BoundAlgebra:
         return self.spec.left
 
@@ -103,7 +87,7 @@ class GluedAlgebra:
 
 def _generated_relations(spec: GluingSpec, quiver: Quiver) -> list[Relation]:
     p = spec.left.p
-    rels = [Relation(quiver, [(c, k[1]) for c, k in rel.terms], p)
+    rels = [Relation(quiver, rel.words(), p)
             for side in (spec.left, spec.right) for rel in side.relations]
     words = [(arr.name, a.name) for a in spec.alphas
              for arr in spec.left.quiver.arrows if arr.target == a.source]
@@ -382,66 +366,6 @@ def check_h4(c: GluedAlgebra, budgets: Budgets = DEFAULT,
     settled = all(o.closed and o.certified for o in (a_orbit, b_orbit))
     status = "finitely_generated" if settled else "inconclusive"
     return H4Report(status, variant, a_orbit, b_orbit)
-
-
-# ---------------------------------------------------------------------------
-# the boundary class map f
-
-
-@dataclass
-class FTriple:
-    a_part: dict  # class vector over A^op (projectives dropped)
-    b_part: dict  # class vector over B^op
-    t_part: dict  # vertex -> multiplicity of connector-source simples
-
-    def is_zero_t(self) -> bool:
-        return not self.t_part
-
-    def add(self, other: "FTriple", mult: int = 1) -> "FTriple":
-        def merge(x, y):
-            out = dict(x)
-            for k, v in y.items():
-                out[k] = out.get(k, 0) + mult * v
-                if not out[k]:
-                    del out[k]
-            return out
-        return FTriple(merge(self.a_part, other.a_part),
-                       merge(self.b_part, other.b_part),
-                       merge(self.t_part, other.t_part))
-
-
-def f_map(c: GluedAlgebra, eid: int, budgets: Budgets = DEFAULT) -> FTriple:
-    """The three-case class assignment on indecomposables over C^op.
-
-    Requires a gluing in generated mode (the boundary-map analysis assumes the
-    ideal equals the generated set).
-    """
-    if not c.flags["generated"]:
-        raise ModeError("f_map requires a gluing built in generated mode")
-    cop = c.algebra.opposite()
-    reg = cop.registry()
-    rep = reg.rep(eid)
-    # case 1: a simple at a connector source of the opposite algebra
-    if rep.total_dim == 1:
-        v0 = next(v for v, d in rep.dims.items() if d)
-        if v0 in c.t_vertices_op:
-            return FTriple({}, {}, {v0: 1})
-    tops = reg.entries[eid].fp[1]
-    tsupp = frozenset(v for v, d in zip(cop.quiver.vertices, tops) if d)
-    if tsupp <= c.a_vertices:
-        part = repmod.restrict_rep(c.left.opposite(), rep)
-        return FTriple(grothendieck.class_vector(part, budgets), {}, {})
-    if tsupp <= c.b_vertices:
-        part = repmod.restrict_rep(c.right.opposite(), rep)
-        return FTriple({}, grothendieck.class_vector(part, budgets), {})
-    raise ValueError(f"class {eid} has mixed-side top; f is undefined on it")
-
-
-def f_vec(c: GluedAlgebra, vec: dict, budgets: Budgets = DEFAULT) -> FTriple:
-    out = FTriple({}, {}, {})
-    for eid, mult in vec.items():
-        out = out.add(f_map(c, eid, budgets), mult)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,10 @@ class Relation:
     def element(self) -> dict[PathKey, int]:
         return {k: c for c, k in self.terms}
 
+    def words(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
+        """The terms as (coeff, arrow names), the form the constructor takes."""
+        return tuple((c, k[1]) for c, k in self.terms)
+
     def __str__(self) -> str:
         return " + ".join(f"{c} {'*'.join(k[1])}" for c, k in self.terms)
 
@@ -408,7 +412,7 @@ class BoundAlgebra:
         """The opposite algebra: arrows reversed, relation paths reversed."""
         if self._opposite is None:
             rq = self.quiver.reversed()
-            rels = [Relation(rq, [(c, k[1][::-1]) for c, k in rel.terms], self.p)
+            rels = [Relation(rq, [(c, w[::-1]) for c, w in rel.words()], self.p)
                     for rel in self.relations]
             op = BoundAlgebra(rq, rels, self.p, self.m_max, name=self.name + "^op")
             op._opposite = self

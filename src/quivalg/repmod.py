@@ -389,13 +389,6 @@ def generated_submodule(m: Rep, rows: dict[str, np.ndarray]) -> tuple[Rep, RepMa
     return submodule(m, spans)
 
 
-def kernel(f: RepMap) -> tuple[Rep, RepMap]:
-    """Kernel of f with its inclusion into the source."""
-    p = f.source.algebra.p
-    rows = {v: ef.kernel_basis(f.mats[v].T, p) for v in f.mats}
-    return submodule(f.source, rows)
-
-
 def quotient(m: Rep, rows: dict[str, np.ndarray]) -> Rep:
     """m modulo the submodule spanned vertexwise by the given rows.
 
@@ -492,11 +485,6 @@ def radical_layers(m: Rep, dual: bool = False) -> list[tuple[int, ...]]:
         dims = shrunk
         out.append(dims)
     return out
-
-
-def loewy_length(m: Rep) -> int:
-    """Least n with rad^n = 0; zero module has length 0."""
-    return len(radical_layers(m))
 
 
 def dualize(m: Rep) -> Rep:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def criterion_1(fx: Fixtures, budgets: Budgets) -> dict:
     dim_ok = A.dim == 8 and oracle == 8
     details.append(f"dim(A) = {A.dim}, independent enumeration = {oracle}")
     ok &= dim_ok
-    si = analysis.is_selfinjective(A)
+    si = homology.selfinjectivity(A)
     details.append(f"selfinjective: {si}")
     ok &= si
     # local quotients of P0 and 50 random modules all have certified phi = 0
@@ -586,8 +587,6 @@ def run_all(budgets: Budgets = DEFAULT) -> tuple[dict, bool]:
     report = {
         "criteria": criteria,
         "passed": passed,
-        "budgets": {"depth": budgets.depth, "classes": budgets.classes,
-                    "confidence": budgets.confidence, "max_dim": budgets.max_dim,
-                    "seed": budgets.seed},
+        "budgets": asdict(budgets),
     }
     return report, passed

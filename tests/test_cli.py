@@ -254,6 +254,18 @@ def test_gluing_sides_resolve_against_the_gluing_file_only(tmp_path, capsys):
     assert glued.spec.left.name == "mine" and _run(["info", str(path)]) == 0
 
 
+@pytest.mark.parametrize("where", ["no/such/dir", "", "."],
+                         ids=["missing-dirs", "existing-dir", "dot"])
+def test_only_a_bare_name_falls_back_to_the_fixtures(tmp_path, capsys, where):
+    # a path with a directory part that does not exist is an input error,
+    # even when its file name is a bundled fixture's
+    missing = str(tmp_path / where / "exA.alg")
+    assert _run(["info", missing]) == 3
+    err = capsys.readouterr().err
+    assert f"input error: no such file: {missing}" in err and "Traceback" not in err
+    assert _run(["info", "exA.alg"]) == 0
+
+
 @pytest.mark.parametrize("connector,says", [
     # a connector with two arrows, and an alpha connector going B -> A
     pytest.param("alpha a0: 0 -> 1 -> 2", "expected: alpha name: v -> w",

@@ -700,7 +700,7 @@ def test_zero_module_paths(exB):
     assert homology.pd(z).value == 0
     r = gk.phi(z)
     assert r.value == 0 and r.certified
-    assert repmod.loewy_length(z) == 0
+    assert repmod.radical_layers(z) == []
 
 
 def test_registry_dump_schema(exB):

@@ -1,5 +1,3 @@
-import pytest
-
 from quivalg import cli, decomp, grothendieck as gk, homology, repmod
 from quivalg.budgets import DEFAULT
 
@@ -60,10 +58,9 @@ def test_subgroup_add(exB):
 
 def test_rank_traces(exB, a2):
     both = repmod.direct_sum([repmod.simple(exB, "1"), repmod.simple(exB, "2")])[0]
-    trace = gk.rank_trace(both)
-    assert trace[:3] == [2, 1, 1]
-    assert gk.rank_trace(repmod.simple(a2, "1")) == [1, 0]
-    assert gk.rank_trace(a2.projective("1")) == [0]
+    assert gk.phi(both).trace[:3] == [2, 1, 1]
+    assert gk.phi(repmod.simple(a2, "1")).trace == [1, 0]
+    assert gk.phi(a2.projective("1")).trace == [0]
 
 
 def test_phi_examples(exA, exB, a2):
@@ -102,16 +99,6 @@ def test_phi_dim_over(exB, a2):
     assert gk.phi_dim_over(projs).value == 0
     simples = [repmod.simple(a2, v) for v in a2.quiver.vertices]
     assert gk.phi_dim_over(simples).value == 1
-
-
-def test_eta_bound_examples(exB, a2):
-    both = repmod.direct_sum([repmod.simple(exB, "1"), repmod.simple(exB, "2")])[0]
-    e = gk.eta_bound_check(exB, gk.subgroup_add(both))
-    assert e.status == "ok" and e.eta == 1 and e.rank == 2
-    e2 = gk.eta_bound_check(a2, gk.subgroup_add(repmod.simple(a2, "1")))
-    assert e2.status == "ok" and e2.eta == 1 and e2.rank == 1
-    e3 = gk.eta_bound_check(exB, [])
-    assert e3.status == "ok" and e3.eta == 0
 
 
 def test_trace_against_module_level_oracle(exB, a2):
@@ -163,10 +150,3 @@ def test_vanishing_index_matches_phi_when_finite(a2, nak_a3):
             assert None not in indices
             assert res.value == max(indices)
 
-
-def test_eta_not_applicable_when_unstable(remark54):
-    alg = remark54.algebra
-    # <[S_0]> is not stable: its image involves the radical class of P0
-    vec = gk.subgroup_add(repmod.simple(alg, "0"))
-    e = gk.eta_bound_check(alg, vec)
-    assert e.status == "not_applicable"

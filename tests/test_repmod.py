@@ -106,19 +106,19 @@ def test_canonical_rows_is_the_reversed_rref(p, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 101])
 def test_fingerprint_matches_the_quotient_oracle(p):
     # the same tuple, entry types and repr included, on the modules of the
-    # hom oracle test over every bundled fixture; loewy_length agrees too
+    # hom oracle test over every bundled fixture; the radical layers agree too
     for name in FIXTURES:
         for m in _fixture_modules(name, p)[1]:
             want = quotient_fingerprint(m)
             got = decomp.fingerprint(m)
             assert got == want and repr(got) == repr(want), (name, m)
-            assert repmod.loewy_length(m) == len(want[3]), (name, m)
+            assert len(repmod.radical_layers(m)) == len(want[3]), (name, m)
 
 
 def test_series_of_a_module_that_is_its_own_radical_raise(exB):
     # bb1 * bb1 = 0 fails, so this module equals its own radical
     m = repmod.Rep(exB, {"1": 1}, {"bb1": np.array([[1]], dtype=np.int64)})
-    for series in (decomp.fingerprint, repmod.loewy_length):
+    for series in (decomp.fingerprint, repmod.radical_layers):
         with pytest.raises(ValueError, match="equals its own radical"):
             series(m)
 
@@ -163,19 +163,6 @@ def test_direct_sum_dims_and_maps(exB):
     # one summand is the sum itself
     assert repmod.direct_sum([p1]) == (p1, [{v: 0 for v in exB.quiver.vertices}])
     assert repmod.power(p1, 1) is p1
-
-
-def test_kernel_examples(a2):
-    p1 = a2.projective("1")
-    s1 = repmod.simple(a2, "1")
-    epi = repmod.hom_basis(p1, s1)[0]
-    ker, inc = repmod.kernel(epi)
-    assert ker.dims == {"1": 0, "2": 1}  # the radical S2
-    assert _is_hom(inc) and inc.is_injective()
-    ident = repmod.RepMap(p1, p1, {v: ef.eye(p1.dims[v]) for v in p1.dims})
-    assert repmod.kernel(ident)[0].is_zero
-    zero = repmod.RepMap(p1, s1, {})
-    assert repmod.kernel(zero)[0].total_dim == p1.total_dim
 
 
 def test_quotient_examples(exB):
@@ -224,9 +211,9 @@ def test_radical_socle_top_loewy(exA, exB, a2):
     assert repmod.radical(repmod.simple(exB, "1"))[0].is_zero
     socA, _ = repmod.socle(exA.projective("0"))
     assert socA.total_dim == 1
-    assert repmod.loewy_length(repmod.simple(exB, "1")) == 1
-    assert repmod.loewy_length(exB.projective("1")) == 2
-    assert repmod.loewy_length(repmod.zero_rep(a2)) == 0
+    assert len(repmod.radical_layers(repmod.simple(exB, "1"))) == 1
+    assert len(repmod.radical_layers(exB.projective("1"))) == 2
+    assert len(repmod.radical_layers(repmod.zero_rep(a2))) == 0
     top = repmod.top(exB.projective("1"))
     assert top.dims == {"1": 1, "2": 0}
 
