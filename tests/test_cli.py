@@ -112,8 +112,9 @@ def test_cli_phi_command(capsys):
 def test_cli_exit_codes(capsys, tmp_path):
     assert _run(["selfinjective", "exA.alg"]) == 0
     assert _run(["iso", "exB.alg", "--module", "S1", "--other", "S2"]) == 0
-    # input error: no such file
+    # input error: no such file; the empty path is not the fixtures directory
     assert _run(["info", "missing.alg"]) == 3
+    assert _run(["info", ""]) == 3
     # inconclusive: pd of a simple over the local algebra within tiny budget
     code = _run(["pd", "exB.alg", "--module", "S1"])
     assert code == 0
