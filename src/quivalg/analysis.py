@@ -214,7 +214,7 @@ def _witness_pool(alg: BoundAlgebra, qinf: QInfinity, budgets: Budgets):
         om, kinc = repmod.submodule(cover, repmod.presentation(s).omega)
         if om.is_zero or om.total_dim > budgets.max_dim:
             continue
-        pieces, _ = decomp.indecomposable_pieces(om.strip(), rng, budgets.confidence)
+        pieces, _ = decomp.indecomposable_pieces(om, rng, budgets.confidence)
         reg = alg.registry()
         nonproj = []
         for piece in pieces:
@@ -343,7 +343,7 @@ def zero_it_check(alg: BoundAlgebra, generators, blocks=(),
         if g.is_zero:
             continue
         try:
-            res = decomp.decompose(g.strip(), budgets, registry=reg)
+            res = decomp.decompose(g.strip(), budgets)
         except BudgetExceeded:
             add_closed = False
             details.append("a generator exceeds the decomposition budget")

@@ -166,7 +166,7 @@ def syzygy_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> tup
             # nonprojective is again indecomposable nonprojective
             entry.syzygy = ((registry.register(om, budgets), 1),)
         else:
-            res = decomp.decompose(om, budgets, registry=registry)
+            res = decomp.decompose(om, budgets)
             entry.syzygy = res.items
             entry.syzygy_certified = res.certified
     return entry.syzygy
@@ -367,9 +367,8 @@ def syzygy_finite_probe(alg: BoundAlgebra, n_shift: int = 1,
     shifted = omega_power(m0, n_shift)
     if shifted.is_zero:
         return OrbitResult((), (), True, "semisimple shift")
-    registry = alg.registry()
     try:
-        res = decomp.decompose(shifted, budgets, registry=registry)
+        res = decomp.decompose(shifted, budgets)
     except BudgetExceeded as exc:
         return OrbitResult((), (), False, str(exc))
     orbit = omega_orbit(alg, [i for i, _ in res.items], budgets)

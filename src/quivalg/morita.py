@@ -330,7 +330,7 @@ def _side_orbit(side_alg: BoundAlgebra, seed_mod: Rep, budgets: Budgets):
     if seed_mod.is_zero:
         return homology.OrbitResult((), (), True, "empty seed")
     try:
-        res = decomp.decompose(seed_mod.strip(), budgets, registry=side_alg.registry())
+        res = decomp.decompose(seed_mod, budgets)
     except BudgetExceeded as exc:
         return homology.OrbitResult((), (), False, str(exc))
     orbit = homology.omega_orbit(side_alg, [i for i, _ in res.items], budgets)
@@ -556,7 +556,7 @@ def _block_lit_entry(c: GluedAlgebra, budgets: Budgets, samples: int):
         m = repmod.random_module(target, (budgets.seed << 16) + 1000 + i, 10)
         om = homology.syzygy(m)
         try:
-            res = decomp.decompose(om.strip(), budgets, registry=reg)
+            res = decomp.decompose(om, budgets)
         except BudgetExceeded:
             ok = False
             detail = f"sample {i}: syzygy beyond decompose budget"

@@ -6,13 +6,21 @@ where each word starts and checks that the arrows compose and that the terms
 are parallel, so no other code validates paths.  The algebra is presented by
 a degree-truncated noncommutative Groebner basis under the
 length-then-declared-arrow-order path order; the normal (irreducible) paths
-form the working basis.  Paths compose left to right: for w = a1 a2 the arrow
-a1 is applied first and t(a1) = s(a2).
+form the working basis.  The Groebner basis is completed from one priority
+queue, shortest word first, up to m_max + 1 arrows (BoundAlgebra._complete);
+for a fixed ideal and order, the normal words and normal forms up to that
+length do not depend on the order the queue is worked in.  An ideal with no
+m <= m_max such that J^m lies in I raises NotAdmissible without listing the
+paths outside I, which can double with each length.
+Paths compose left to right: for w = a1 a2 the arrow a1 is applied first and
+t(a1) = s(a2).
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 from dataclasses import dataclass
 
 from .exactfield import DEFAULT_PRIME
@@ -184,7 +192,7 @@ class BoundAlgebra:
         )
         self._rules: dict[tuple, dict[PathKey, int]] = {}
         self._rule_lengths: tuple[int, ...] = ()
-        self._build_groebner()
+        self._complete()
         self._discover_truncation()
         self._enumerate_basis()
         self._opposite: BoundAlgebra | None = None
@@ -203,9 +211,6 @@ class BoundAlgebra:
         )
 
     # -- reduction engine ----------------------------------------------------
-
-    def _refresh_lengths(self):
-        self._rule_lengths = tuple(sorted({len(k) for k in self._rules}))
 
     def _find_reduction(self, key: PathKey):
         arrows = key[1]
@@ -251,121 +256,102 @@ class BoundAlgebra:
 
     # -- Groebner completion --------------------------------------------------
 
-    def _add_rule(self, elem: dict[PathKey, int]):
-        lead = max(elem, key=self._order_key)
-        inv = pow(elem[lead], self.p - 2, self.p)
-        tail = {k: (-c * inv) % self.p for k, c in elem.items() if k != lead}
-        self._rules[lead[1]] = tail
-        self._refresh_lengths()
-        return lead[1]
+    def _complete(self):
+        """Buchberger completion up to m_max + 1 arrows, shortest word first.
 
-    def _interreduce(self) -> bool:
-        """Bring the rule set to reduced form; returns True if anything changed."""
-        changed_any = False
-        stable = False
-        while not stable:
-            stable = True
-            for lm in sorted(self._rules, key=lambda w: (len(w), w)):
-                if lm not in self._rules:
-                    continue
-                tail = self._rules.pop(lm)
-                self._refresh_lengths()
-                start = self.quiver.arrow_map[lm[0]].source
-                if self._find_reduction((start, lm)) is not None:
-                    elem = {(start, lm): 1}
-                    for k, c in tail.items():
-                        elem[k] = (elem.get(k, 0) - c) % self.p
-                    red = self._reduce(elem)
-                    if red:
-                        self._add_rule(red)
-                    stable = False
-                    changed_any = True
-                    continue
-                newtail = self._reduce(tail)
-                self._rules[lm] = newtail
-                self._refresh_lengths()
-                if newtail != tail:
-                    stable = False
-                    changed_any = True
-        return changed_any
+        The queue holds elements of I, each under the length of the word it
+        was made from.  A popped element that reduces to nonzero becomes the
+        rule lead -> tail, and every rule whose lead contains the new lead
+        goes back on the queue as lead - tail, so no lead lies inside another
+        and only end overlaps remain.  Each end overlap of the new lead with
+        a rule (itself included, both orders) short enough queues its
+        S-element; two monomial rules have S-element 0 and are skipped.
+        """
+        p, cap = self.p, self.m_max + 1
+        queue: list = []
+        tiebreak = itertools.count()
 
-    def _spoly_candidates(self):
-        """All overlap/inclusion alignments (u, v, o) among current rule words."""
-        rules = sorted(self._rules, key=lambda w: (len(w), w))
-        cap = self.m_max + 1
-        for u in rules:
-            for v in rules:
-                for o in range(0, len(u) + 1):
-                    if u == v and o == 0:
-                        continue
-                    ov = min(len(u) - o, len(v))
-                    if ov <= 0:
-                        break
-                    if u[o : o + ov] != v[:ov]:
-                        continue
-                    word = u + v[ov:] if o + len(v) > len(u) else u
-                    if len(word) <= cap:
-                        yield u, v, o, word
+        def push(length, elem):
+            if elem:
+                heapq.heappush(queue, (length, next(tiebreak), elem))
 
-    def _build_groebner(self):
-        p = self.p
+        def start_of(word):
+            return self.quiver.arrow_map[word[0]].source
+
         for r in self.relations:
-            red = self._reduce(r.element())
-            if red:
-                self._add_rule(red)
-        processed: set = set()
-        while True:
-            self._interreduce()
-            added = False
-            for u, v, o, word in list(self._spoly_candidates()):
-                sig = (u, v, o)
-                if sig in processed:
+            push(max(len(k[1]) for _, k in r.terms), r.element())
+        while queue:
+            elem = self._reduce(heapq.heappop(queue)[2])
+            if not elem:
+                continue
+            (_, lead), lc = max(elem.items(), key=lambda kc: self._order_key(kc[0]))
+            inv = pow(lc, p - 2, p)
+            tail = {k: (-c * inv) % p for k, c in elem.items() if k[1] != lead}
+            n = len(lead)
+            for w in [w for w in self._rules
+                      if any(w[i:i + n] == lead for i in range(len(w) - n + 1))]:
+                back = {(start_of(w), w): 1}
+                for k, c in self._rules.pop(w).items():
+                    back[k] = -c % p
+                push(len(w), back)
+            self._rules[lead] = tail
+            self._rule_lengths = tuple(sorted({len(w) for w in self._rules}))
+            for w, w_tail in self._rules.items():
+                if not (tail or w_tail):
                     continue
-                processed.add(sig)
-                tail_u = self._rules.get(u)
-                tail_v = self._rules.get(v)
-                if tail_u is None or tail_v is None:
-                    continue
-                start = self.quiver.arrow_map[word[0]].source
-                suffix_u = word[len(u):]
-                elem1: dict[PathKey, int] = {}
-                for tk, tc in tail_u.items():
-                    nk = (start, tk[1] + suffix_u)
-                    elem1[nk] = (elem1.get(nk, 0) + tc) % p
-                prefix_v = word[:o]
-                suffix_v = word[o + len(v):]
-                elem2: dict[PathKey, int] = {}
-                for tk, tc in tail_v.items():
-                    nk = (start, prefix_v + tk[1] + suffix_v)
-                    elem2[nk] = (elem2.get(nk, 0) + tc) % p
-                spoly = dict(elem1)
-                for k, c in elem2.items():
-                    spoly[k] = (spoly.get(k, 0) - c) % p
-                red = self._reduce(spoly)
-                if red:
-                    self._add_rule(red)
-                    added = True
-            if not added:
-                break
+                for u, u_tail, v, v_tail in ((lead, tail, w, w_tail), (w, w_tail, lead, tail)):
+                    # u = x o and v = o y, o nonempty: u y = x v, so tail(u) y - x tail(v) is in I
+                    for ov in range(max(1, len(u) + len(v) - cap), min(len(u), len(v))):
+                        if u[len(u) - ov:] != v[:ov]:
+                            continue
+                        s = start_of(u)
+                        x, y = u[:len(u) - ov], v[ov:]
+                        spoly = {(s, k[1] + y): c for k, c in u_tail.items()}
+                        for k, c in v_tail.items():
+                            nk = (s, x + k[1])
+                            spoly[nk] = (spoly.get(nk, 0) - c) % p
+                        push(len(u) + len(v) - ov, spoly)
+                    if w == lead:
+                        break
 
     # -- truncation & basis ---------------------------------------------------
 
     def _discover_truncation(self):
-        frontier: dict[PathKey, None] = {(v, ()): None for v in self.quiver.vertices}
-        for m in range(1, self.m_max + 1):
-            new: dict[PathKey, None] = {}
-            for (start, arrows) in frontier:
-                end = self.quiver.arrow_map[arrows[-1]].target if arrows else start
+        """The least m <= m_max with J^m in I; NotAdmissible if there is none.
+
+        A normal word of length m_max rules every m out.  Whether a word
+        extends to a normal word depends only on its end vertex and its
+        longest suffix that is a proper prefix of a lead, so those states are
+        walked m_max steps first.  Otherwise the paths of each length outside
+        I are extended, one per normal form: paths with equal normal forms
+        have equal normal forms after every extension.
+        """
+        prefixes = {w[:i] for w in self._rules for i in range(len(w))} | {()}
+        states = {(v, ()) for v in self.quiver.vertices}
+        for _ in range(self.m_max):
+            nxt = set()
+            for end, s in states:
                 for a in self.quiver.arrows_out(end):
-                    key = (start, arrows + (a.name,))
-                    if key in new:
-                        continue
-                    if self._reduce({key: 1}):
-                        new[key] = None
-            if not new:
-                self.m = max(m, 2)
-                return
-            frontier = new
+                    w = s + (a.name,)
+                    if not any(w[i:] in self._rules for i in range(len(w))):
+                        nxt.add((a.target, next(w[i:] for i in range(len(w) + 1)
+                                                if w[i:] in prefixes)))
+            states = nxt
+        if not states:
+            frontier = [(v, ()) for v in self.quiver.vertices]
+            for m in range(1, self.m_max + 1):
+                new: dict[frozenset, PathKey] = {}
+                for (start, arrows) in frontier:
+                    end = self.quiver.arrow_map[arrows[-1]].target if arrows else start
+                    for a in self.quiver.arrows_out(end):
+                        key = (start, arrows + (a.name,))
+                        nf = self._reduce({key: 1})
+                        if nf:
+                            new.setdefault(frozenset(nf.items()), key)
+                if not new:
+                    self.m = max(m, 2)
+                    return
+                frontier = list(new.values())
         raise NotAdmissible(
             f"J^m does not vanish for any m <= {self.m_max}; "
             "the ideal is not admissible at this truncation bound"

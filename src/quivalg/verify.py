@@ -383,7 +383,7 @@ def criterion_7(fx: Fixtures, budgets: Budgets) -> dict:
         m = repmod.random_module(c.algebra, (budgets.seed << 18) + i, 10)
         om2 = homology.omega_power(m, 2)
         try:
-            res = decomp.decompose(om2.strip(), budgets, registry=reg)
+            res = decomp.decompose(om2, budgets)
         except BudgetExceeded:
             outside += 1
             continue

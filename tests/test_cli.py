@@ -1,8 +1,9 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
 from quivalg import cli, repmod
@@ -310,6 +311,29 @@ def test_bad_algebra_file_exits_3(tmp_path, capsys, lines, says):
     err = capsys.readouterr().err
     assert "input error" in err and says in err and "Traceback" not in err
 
+
+
+@pytest.mark.parametrize("relations", [
+    pytest.param("", id="free"),
+    pytest.param("relation 1 a*b - 1 b*a", id="commutative"),
+    pytest.param("relation 1 a*b - 1 b*a\nrelation 1 a*a*a - 1 a*a\nrelation 1 b*b*b - 1 b*b",
+                 id="idempotent-powers"),
+])
+def test_not_admissible_algebra_exits_3_at_once(tmp_path, relations):
+    # every power of J survives: the free and the commutative algebra on two
+    # loops have normal words of every length, and with a^3 = a^2 and
+    # b^3 = b^2 every path is outside I while its normal forms stay few.
+    # Exponentially many paths stay outside I at each length, so a search
+    # over them would not finish; a subprocess keeps that from hanging the suite
+    path = tmp_path / "t.alg"
+    path.write_text("algebra t field 101 truncate 30\nvertex 1\n"
+                    f"arrow a: 1 -> 1\narrow b: 1 -> 1\n{relations}\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import sys; from quivalg.cli import main; sys.exit(main())",
+                           "info", str(path)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert "not admissible at this truncation bound" in proc.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from quivalg import cli
 
 

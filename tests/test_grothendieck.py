@@ -1,4 +1,4 @@
-from quivalg import cli, decomp, grothendieck as gk, homology, repmod
+from quivalg import cli, grothendieck as gk, homology, repmod
 from quivalg.budgets import DEFAULT
 
 
@@ -11,27 +11,19 @@ def test_class_vector_examples(exB):
     assert gk.class_vector(mix) == {reg.simple_ids["1"]: 1}
 
 
-def test_probabilistic_syzygy_decomposition_weakens_phi_and_pd(monkeypatch):
+def test_probabilistic_syzygy_decomposition_weakens_phi_and_pd(
+        probabilistic_registry_decompositions):
     # Omega(S1) over A2 is P2: phi(S1) = pd(S1) = 1 rest on that one
     # syzygy decomposition, here reported as probabilistic
     alg = cli.load_algebra_file("a2.alg")
     s1 = repmod.simple(alg, "1")
-    decompose = decomp.decompose
-
-    def probabilistic_syzygies(m, *args, **kwargs):
-        res = decompose(m, *args, **kwargs)
-        if kwargs.get("registry") is None:
-            return res
-        return decomp.DecomposeResult(res.items, False, res.confidence)
-
-    monkeypatch.setattr(decomp, "decompose", probabilistic_syzygies)
     r = gk.phi(s1)
     assert (r.value, r.certificate) == (1, "finite_pd")
     assert not r.certified and r.status == "probabilistic"
     d = homology.pd(s1)
     assert (d.status, d.value, d.certified) == ("finite", 1, False)
     assert cli._pd_json(d)["certified"] is False
-    monkeypatch.undo()
+    probabilistic_registry_decompositions.undo()
     fresh = cli.load_algebra_file("a2.alg")
     assert gk.phi(repmod.simple(fresh, "1")).status == "certified"
     assert "certified" not in cli._pd_json(homology.pd(repmod.simple(fresh, "1")))

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
-from quivalg import exactfield as ef, repmod
+from quivalg import cli, exactfield as ef, repmod
 from quivalg.pathalgebra import (MalformedRelation, NotAdmissible, Quiver,
                                  Relation, build_algebra)
+
+from random_algebra import TRUNCATION, paths, random_presentation
 
 
 def test_a2_basis(a2):
@@ -155,3 +158,100 @@ def test_commutative_square():
     from quivalg import analysis
 
     assert analysis.global_dimension(alg).status == "finite"
+
+
+# -- an independent oracle: the ideal as a row space ---------------------------
+
+
+def _order(quiver, key):
+    """The declared path order: length, then arrow indices, then start vertex."""
+    return (len(key[1]), tuple(quiver.arrow_index[a] for a in key[1]),
+            quiver.vertex_index[key[0]])
+
+
+def _ideal_oracle(quiver, relations, p, cutoff, cut=True):
+    """{path: normal form} for the paths of length < cutoff, by linear algebra.
+
+    Rows span every u*r*v, r a relation and u, v paths: with `cut`, minus
+    its terms of length >= cutoff, so the quotient is kQ/(I + J^cutoff);
+    without, only those u*r*v whose terms are all shorter, a subspace of I.
+    Columns are the paths in descending path order, so the RREF's pivot
+    columns are the leading paths of the span, and a pivot path's normal
+    form is minus the rest of its row.
+    """
+    cols = sorted((k for n in range(cutoff) for k in paths(quiver, n)),
+                  key=lambda k: _order(quiver, k), reverse=True)
+    index = {k: j for j, k in enumerate(cols)}
+    into, out_of = {}, {}
+    for k in reversed(cols):  # shortest first
+        into.setdefault(quiver.arrow_map[k[1][-1]].target if k[1] else k[0], []).append(k)
+        out_of.setdefault(k[0], []).append(k)
+    rows = []
+    for r in relations:
+        lengths = [len(w) for _, (_, w) in r.terms]
+        room = cutoff - (min(lengths) if cut else max(lengths))
+        for u in into.get(r.source, ()):
+            for v in out_of.get(r.target, ()):
+                n = len(u[1]) + len(v[1])
+                if n >= room:
+                    break
+                row = np.zeros(len(cols), dtype=np.int64)
+                for c, (_, w) in r.terms:
+                    if n + len(w) < cutoff:
+                        row[index[(u[0], u[1] + w + v[1])]] = c
+                rows.append(row)
+    reduced, pivots, _ = ef.rref(np.array(rows).reshape(len(rows), len(cols)), p)
+    nf = {k: {k: 1} for k in cols}
+    for i, j in enumerate(pivots):
+        nf[cols[j]] = {cols[t]: int(-reduced[i, t]) % p
+                       for t in range(j + 1, len(cols)) if reduced[i, t]}
+    return nf
+
+
+def _assert_matches_oracle(alg):
+    """kQ/(I + J^(m+1)) has alg's basis, normal forms and m, and J^m lies in
+    I itself: every length-m path is a combination of u*r*v, uncut, no
+    longer than the completion looks (m_max + 1 arrows, or a relation)."""
+    q = alg.quiver
+    nf = _ideal_oracle(q, alg.relations, alg.p, alg.m + 1)
+    normal = [k for k, form in nf.items() if form == {k: 1}]
+    assert alg.basis == tuple(sorted(normal, key=lambda k: _order(q, k)))
+    assert alg.dim == len(normal)
+    assert alg.m == max([2] + [len(k[1]) + 1 for k in normal])
+    for k, form in nf.items():
+        assert alg.normal_form({k: 1}) == form, k
+    longest = max([alg.m] + [len(k[1]) for r in alg.relations for _, k in r.terms])
+    for cutoff in range(longest + 1, max(longest, alg.m_max + 1) + 2):
+        inside = _ideal_oracle(q, alg.relations, alg.p, cutoff, cut=False)
+        if all(inside[k] == {} for k in paths(q, alg.m)):
+            break
+    else:
+        pytest.fail(f"J^{alg.m} is not shown to lie in I")
+
+
+ALGEBRA_FIXTURES = ("a2.alg", "exA.alg", "exB.alg", "nakayama-a3.alg",
+                    "nakayama-selfinj.alg", "point.alg", "rsz-a.alg", "rsz-b.alg")
+GLUE_FIXTURES = ("exC.glue", "exCop.glue", "rad-square-zero-pair.glue", "remark54.glue")
+
+
+@pytest.mark.parametrize("name", ALGEBRA_FIXTURES + GLUE_FIXTURES)
+def test_fixture_basis_and_normal_forms_match_the_oracle(name):
+    alg = cli.underlying_algebra(cli.load_any(name))
+    _assert_matches_oracle(alg)
+    _assert_matches_oracle(alg.opposite())
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_generated_algebra_matches_the_oracle(seed):
+    quiver, relations, p = random_presentation(seed)
+    try:
+        alg = build_algebra(quiver, relations, p, TRUNCATION)
+    except NotAdmissible:
+        # these relations are homogeneous, so a path of length TRUNCATION
+        # outside I + J^(TRUNCATION + 1) is outside I: no m <= TRUNCATION
+        # has J^m inside I
+        rels = [Relation(quiver, r, p) for r in relations]
+        nf = _ideal_oracle(quiver, rels, p, TRUNCATION + 1)
+        assert any(nf[k] == {k: 1} for k in paths(quiver, TRUNCATION))
+        return
+    _assert_matches_oracle(alg)
