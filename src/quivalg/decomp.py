@@ -489,8 +489,10 @@ def _folded(budgets: Budgets, seed: int | None, confidence: int | None) -> Budge
     """budgets with the keyword seed and confidence of decompose and
     is_isomorphic folded in.  Only the benchmark's workloads pass those
     keywords; every call in the package hands its Budgets alone."""
+    if seed is None and confidence is None:
+        return budgets
     given = {k: v for k, v in (("seed", seed), ("confidence", confidence)) if v is not None}
-    return replace(budgets, **given) if given else budgets
+    return replace(budgets, **given)
 
 
 def is_isomorphic(m: Rep, n: Rep, budgets: Budgets = DEFAULT, *,
@@ -572,7 +574,8 @@ def _content(m: Rep) -> tuple:
 
 
 class RegistryEntry:
-    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "syzygy_certified", "omega", "pd")
+    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "syzygy_certified", "omega", "pd",
+                 "shortcut")
 
     def __init__(self, id_: int, rep: Rep, fp, projective: bool):
         self.id = id_
@@ -583,6 +586,7 @@ class RegistryEntry:
         self.syzygy_certified = True  # False when that decomposition is probabilistic
         self.omega = None  # the syzygy module itself while it waits on a larger max_dim
         self.pd = None
+        self.shortcut = False  # not yet taken; then homology's infinite-pd evidence or None
 
 
 class IsoRegistry:
@@ -609,12 +613,17 @@ class IsoRegistry:
     entry for any of its pieces.  Entries are never removed, and every iso
     verdict they rest on is certified, so re-registering equal pieces would
     return the stored ids.
+
+    `phis` holds the phi answers that can no longer change, keyed by the
+    sorted nonprojective class ids of add M and the budgets (see
+    grothendieck).
     """
 
     def __init__(self, algebra):
         self.algebra = algebra
         self.memo: dict[tuple, tuple] = {}
         self.content: dict[tuple, int] = {}
+        self.phis: dict[tuple, object] = {}
         self.entries: list[RegistryEntry] = []
         self.buckets: dict[tuple, list[int]] = {}
         self.simple_ids: dict[str, int] = {}
@@ -714,13 +723,13 @@ def decompose(m: Rep, budgets: Budgets = DEFAULT, registry: IsoRegistry | None =
     confidence alone and the registry decides only the class ids.  The
     block's new leaves are registered together, in _piece_sort_key order,
     and then the memo records the block and every piece split below it.  A
-    recorded sum of cached blocks builds no rng and takes no digest.
+    recorded sum of cached blocks builds no rng and takes no digest, and a
+    single cached block costs one content key and one lookup.
     """
     budgets = _folded(budgets, seed, confidence)
     seed, confidence = budgets.seed, budgets.confidence
     registry = registry or m.algebra.registry()
-    counter: Counter = Counter()
-    certified = True
+    blocks = []  # (items, certified) of each nonzero block
     memo = None
     stack = [m]
     while stack:
@@ -728,10 +737,11 @@ def decompose(m: Rep, budgets: Budgets = DEFAULT, registry: IsoRegistry | None =
         if cur.summands:
             stack.extend(cur.summands)
             continue
-        if cur.is_zero:
-            continue
         key = (seed, confidence, _content(cur))
-        if key not in registry.memo:
+        got = registry.memo.get(key)
+        if got is None:
+            if cur.is_zero:  # never recorded, so only a miss can be zero
+                continue
             if cur.total_dim > budgets.max_dim:
                 raise BudgetExceeded(
                     f"module dimension {cur.total_dim} exceeds the cap {budgets.max_dim}")
@@ -739,15 +749,21 @@ def decompose(m: Rep, budgets: Budgets = DEFAULT, registry: IsoRegistry | None =
                 rng = np.random.default_rng([int(seed) % (2 ** 31),
                                              m.algebra.structural_digest() % (2 ** 31), 23])
                 memo = _PieceMemo(registry.memo, (seed, confidence), rng.bit_generator.state, [])
-            got, ok = indecomposable_pieces(cur, rng, confidence, memo)
-            memo.split.append((key, got, ok))
-            fresh = sorted((x for x in got if isinstance(x, Rep)), key=_piece_sort_key)
+            pieces, ok = indecomposable_pieces(cur, rng, confidence, memo)
+            memo.split.append((key, pieces, ok))
+            fresh = sorted((x for x in pieces if isinstance(x, Rep)), key=_piece_sort_key)
             ids = {id(x): registry.register(x, budgets) for x in fresh}
-            for k, pieces, k_ok in memo.split:
-                local = Counter(ids[id(x)] if isinstance(x, Rep) else x for x in pieces)
+            for k, k_pieces, k_ok in memo.split:
+                local = Counter(ids[id(x)] if isinstance(x, Rep) else x for x in k_pieces)
                 registry.memo[k] = (tuple(sorted(local.items())), k_ok)
             memo.split.clear()
-        items, ok = registry.memo[key]
+            got = registry.memo[key]
+        blocks.append(got)
+    if len(blocks) == 1:
+        # a block's stored items are sorted with distinct ids already
+        return DecomposeResult(*blocks[0], confidence)
+    counter: Counter = Counter()
+    for items, _ in blocks:
         counter.update(dict(items))
-        certified = certified and ok
-    return DecomposeResult(tuple(sorted(counter.items())), certified, confidence)
+    return DecomposeResult(tuple(sorted(counter.items())), all(ok for _, ok in blocks),
+                           confidence)

@@ -383,7 +383,12 @@ def hermite_basis(rows) -> list[list[int]]:
 
 def in_lattice(basis_rows, v) -> bool:
     """Whether integer vector v lies in the Z-span of basis_rows."""
-    basis = hermite_basis(basis_rows)
+    return in_hermite_span(hermite_basis(basis_rows), v)
+
+
+def in_hermite_span(basis, v) -> bool:
+    """Whether integer vector v lies in the Z-span of a Hermite basis, as
+    hermite_basis returns it."""
     vec = [int(x) for x in v]
     for row in basis:
         piv = next((c for c in range(len(row)) if row[c]), None)

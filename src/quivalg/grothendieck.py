@@ -21,6 +21,18 @@ establishes injectivity for every later depth, pinning the exact value:
 The trace rests on the decompositions of the syzygies it passes through; when
 one of them (or one behind a pd certificate) is only probabilistic, so is the
 result: `certified` is False and the status reads "probabilistic".
+
+phi(M) depends only on add M, so each registry keeps a table of answers,
+`IsoRegistry.phis`, keyed by M's sorted nonprojective class ids and the
+budgets; `phi` reads it after `class_vector` and walks the trace only on a
+miss.  The walk reads cached syzygy classes, which never change once set,
+pd_class answers and budget stops.  A budget stop, a depth_budget stop or an
+unknown pd can become a longer walk once a call with a larger max_dim or
+depth has filled the caches, so an answer is stored only when its
+certificate is neither `budget` nor `depth_budget` and every pd_class it read
+was finite or infinite.  Such a walk rests on fixed data alone, so a re-walk
+would give the same value, certificate, trace, note and status.  Every
+answer is a fresh PhiResult with its own trace list.
 """
 
 from __future__ import annotations
@@ -97,18 +109,42 @@ def _support_vertices(alg: BoundAlgebra, ids) -> set[str]:
 
 
 def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
-    """The (right) Igusa-Todorov function with certification."""
-    alg = m.algebra
-    reg = alg.registry()
+    """The (right) Igusa-Todorov function with certification, read from the
+    registry's phi table when add m was answered before (see above)."""
+    reg = m.algebra.registry()
     gens = subgroup_add(m, budgets)
+    key = (tuple(i for g in gens for i in g), budgets)
+    got = reg.phis.get(key)
+    if got is None:
+        got, final = _walk(m.algebra, gens, budgets)
+        if not final:
+            return got
+        reg.phis[key] = got
+    return PhiResult(got.value, got.certified, got.certificate, list(got.trace),
+                     got.note, got.probabilistic)
+
+
+def _walk(alg: BoundAlgebra, gens: list[K0Vector], budgets: Budgets
+          ) -> tuple[PhiResult, bool]:
+    """phi from the rank trace of the generators of <add M>, and whether that
+    answer is final: no budget stopped the walk, and every pd_class answer it
+    read was finite or infinite."""
+    reg = alg.registry()
     trace = [len(gens)]
     used: set[int] = set()  # the classes whose syzygies the trace read
+    pds: list = []  # every pd_class answer the walk read
+
+    def pd_class(eid):
+        pds.append(homology.pd_class(alg, eid, budgets))
+        return pds[-1]
 
     def result(value, certified, certificate, note="", pdres=None):
         sure = all(reg.entries[i].syzygy_certified for i in used) \
             and (pdres is None or pdres.certified)
+        final = certificate not in ("budget", "depth_budget") \
+            and all(r.status != "unknown" for r in pds)
         return PhiResult(value, certified and sure, certificate, trace, note,
-                         probabilistic=not sure)
+                         probabilistic=not sure), final
 
     if not gens:
         return result(0, True, "rank_zero")
@@ -119,7 +155,7 @@ def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
     if blk is not None:
         return result(0, True, "theorem_selfinjective", f"block {'+'.join(sorted(blk))}")
     if len(gens) == 1:
-        pdres = homology.pd_class(alg, ids0[0], budgets)
+        pdres = pd_class(ids0[0])
         if pdres.status == "infinite":
             return result(0, True, "indec_infinite_pd", pdres.evidence.get("kind", ""),
                           pdres)
@@ -162,7 +198,7 @@ def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
                 # coefficients stay nonnegative, so one certified-infinite-pd
                 # class in the support pins the rank at 1 forever
                 for eid in sorted(support):
-                    pdres = homology.pd_class(alg, eid, budgets)
+                    pdres = pd_class(eid)
                     if pdres.status == "infinite":
                         return result(value, True, "rank_one_persistent",
                                       f"class {eid} has infinite pd "

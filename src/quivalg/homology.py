@@ -62,6 +62,11 @@ def selfinjectivity(alg: BoundAlgebra) -> bool:
 
 
 def _selfinjectivity_compute(alg: BoundAlgebra) -> bool:
+    # P_v is I_nu(v) on a selfinjective algebra, so the projectives' dim
+    # vectors (the Cartan rows) are the injectives' (the columns) up to order
+    rows = cartan_rows(alg)
+    if sorted(map(tuple, rows)) != sorted(zip(*rows)):
+        return False
     socle_vertex = {}
     for v in alg.quiver.vertices:
         soc, _ = repmod.socle(alg.projective(v))
@@ -130,12 +135,15 @@ def cartan_rows(alg: BoundAlgebra) -> list[list[int]]:
 
 
 def cartan_member(alg: BoundAlgebra, dim_vector) -> bool:
-    """Whether a dim vector lies in the Z-span of the projective dim vectors.
+    """Whether a dim vector lies in the Z-span of the projective dim vectors,
+    reduced against their Hermite basis, which is kept per algebra.
 
     A module of finite projective dimension always does (alternating sums), so
     non-membership certifies pd = infinity.
     """
-    return ef.in_lattice(cartan_rows(alg), list(dim_vector))
+    if "cartan_hermite" not in alg.cache:
+        alg.cache["cartan_hermite"] = ef.hermite_basis(cartan_rows(alg))
+    return ef.in_hermite_span(alg.cache["cartan_hermite"], dim_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +228,16 @@ def _find_cycle(edges: dict[int, set[int]]) -> list[int] | None:
 
 
 def _class_infinite_shortcut(alg: BoundAlgebra, eid: int) -> dict | None:
-    registry = alg.registry()
-    entry = registry.entries[eid]
+    """Evidence that class eid has infinite pd read off the algebra and the
+    class's dim vector and support alone, or None.  Those inputs never
+    change, so the verdict is taken once per class and kept on its entry."""
+    entry = alg.registry().entries[eid]
+    if entry.shortcut is False:
+        entry.shortcut = _infinite_shortcut(alg, entry)
+    return entry.shortcut
+
+
+def _infinite_shortcut(alg: BoundAlgebra, entry) -> dict | None:
     if entry.projective:
         return None
     if selfinjectivity(alg):

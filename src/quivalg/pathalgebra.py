@@ -210,6 +210,12 @@ class BoundAlgebra:
             self.quiver.vertex_index[start],
         )
 
+    def _heap_key(self, key: PathKey):
+        """The order key negated, so heapq's min-heap pops the largest path
+        first (equal lengths make the arrow tuples compare term by term)."""
+        length, arrows, vertex = self._order_key(key)
+        return -length, tuple(-a for a in arrows), -vertex
+
     # -- reduction engine ----------------------------------------------------
 
     def _find_reduction(self, key: PathKey):
@@ -226,13 +232,25 @@ class BoundAlgebra:
         return None
 
     def _reduce(self, elem: dict[PathKey, int]) -> dict[PathKey, int]:
-        """Fully reduce an element modulo the current rules."""
+        """Fully reduce an element modulo the current rules.
+
+        The terms wait on a max-heap of their order keys, each key built once
+        per term; a term whose coefficient cancels stays on the heap and is
+        skipped when popped.  A reduction puts only smaller terms in place of
+        its lead, so the popped keys strictly decrease and no popped term
+        comes back.
+        """
         p = self.p
         work = {k: c % p for k, c in elem.items() if c % p}
+        heap = [(self._heap_key(k), k) for k in work]
+        heapq.heapify(heap)
+        queued = set(work)
         out: dict[PathKey, int] = {}
-        while work:
-            key = max(work, key=self._order_key)
-            coeff = work.pop(key)
+        while heap:
+            key = heapq.heappop(heap)[1]
+            coeff = work.pop(key, 0)
+            if not coeff:
+                continue
             hit = self._find_reduction(key)
             if hit is None:
                 out[key] = coeff
@@ -246,6 +264,9 @@ class BoundAlgebra:
                 c = (work.get(nk, 0) + coeff * tc) % p
                 if c:
                     work[nk] = c
+                    if nk not in queued:
+                        queued.add(nk)
+                        heapq.heappush(heap, (self._heap_key(nk), nk))
                 elif nk in work:
                     del work[nk]
         return out

@@ -1,10 +1,9 @@
 """The benchmark's seed-0 result digests, pinned.
 
-Every speed change must leave results bit-identical.  One pass of the
-`phi-stream` and `large-dense` workloads, as `perfbench/workloads.py` builds
-them, runs in its own interpreter with the benchmark's pinned environment
-(the tracer-free path, but the same hash seed and BLAS threads), and its
-result digest must be the recorded one.
+Every speed change must leave results bit-identical.  One pass of each
+workload, as `perfbench/workloads.py` builds it, runs in one interpreter
+with the benchmark's pinned environment (the tracer-free path, but the same
+hash seed and BLAS threads), and its result digest must be the recorded one.
 """
 
 import json
@@ -15,6 +14,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DIGESTS = {
+    "battery": "5d0726e3f78aaee9340791a2d8ccf7ac13ea54185674f3969821bcf218d72805",
     "phi-stream": "92e6a6c7819ef484c52ad6b5f7d6f4cff860498ff17db91b0d54ee88e7defcad",
     "large-dense": "b471dc5ddc960836d39c68e0071efc1d3c01e1812980f1570f6b5649caf25998",
 }

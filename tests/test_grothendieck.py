@@ -1,5 +1,5 @@
-from quivalg import cli, grothendieck as gk, homology, repmod
-from quivalg.budgets import DEFAULT
+from quivalg import cli, decomp, exactfield as ef, grothendieck as gk, homology, repmod
+from quivalg.budgets import DEFAULT, Budgets
 
 
 def test_class_vector_examples(exB):
@@ -142,3 +142,55 @@ def test_vanishing_index_matches_phi_when_finite(a2, nak_a3):
             assert None not in indices
             assert res.value == max(indices)
 
+
+
+# -- the phi table on the registry ---------------------------------------------
+
+
+def test_phi_table_keeps_no_budget_stop():
+    # a budget stop is not stored: once a larger max_dim has cached the
+    # syzygy, the small budget walks on, as on a registry that never stopped
+    small, large = Budgets(max_dim=2), Budgets(max_dim=40)
+
+    def run(budgets):
+        s = repmod.simple(cli.load_glue_file("remark54.glue").algebra, "v")
+        return [gk.phi(s, b) for b in budgets]
+
+    first, _, last = run([small, large, small])
+    assert first.certificate == "budget"
+    assert last == run([large, small])[-1]
+    assert last.certificate == "finite_pd"
+
+
+def test_phi_of_an_equal_content_copy_walks_nothing(exB, monkeypatch):
+    both = repmod.direct_sum([repmod.simple(exB, "1"), repmod.simple(exB, "2")])[0].strip()
+    first = gk.phi(both)
+    calls = []
+    for mod, name in ((homology, "syzygy_class"), (ef, "lattice_rank")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert gk.phi(both.strip()) == first
+    assert calls == []
+
+
+def test_phi_answers_own_their_traces(exB):
+    m = repmod.random_module(exB, 3, 10)
+    first = gk.phi(m)
+    trace = list(first.trace)
+    first.trace.append(99)
+    second = gk.phi(m.strip())
+    assert second.trace == trace
+    second.trace[0] = -1
+    assert gk.phi(m).trace == trace
+
+
+def test_decompose_hit_returns_the_loop_result(exB):
+    parts = [repmod.random_module(exB, seed, 6) for seed in (3, 4)]
+    summed = repmod.direct_sum(parts + parts[:1])[0]
+    looped = decomp.decompose(summed)
+    block = summed.strip()
+    assert decomp.decompose(block) == looped
+    assert decomp.decompose(block.strip()) == looped
+    zero = repmod.zero_rep(exB)
+    assert decomp.decompose(zero) == decomp.DecomposeResult((), True, DEFAULT.confidence)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,23 @@ def test_normal_form_idempotent(exA):
     elem = {("0", ("g2", "g1")): 3, ("0", ("g3", "g2")): 5, ("0", ()): 1}
     once = exA.normal_form(elem)
     assert exA.normal_form(once) == once
+
+
+def test_reduce_builds_each_order_key_once(exA, monkeypatch):
+    # the terms wait on a heap keyed once per term, not on a max over every
+    # remaining term at every step
+    calls = Counter()
+    order_key = type(exA)._order_key
+
+    def counted(self, key):
+        calls[key] += 1
+        return order_key(self, key)
+
+    monkeypatch.setattr(type(exA), "_order_key", counted)
+    words = paths(exA.quiver, 2) + paths(exA.quiver, 3)
+    nf = exA.normal_form({k: i + 1 for i, k in enumerate(words)})
+    assert nf and len(calls) > len(words) // 2
+    assert max(calls.values()) == 1
 
 
 def test_relations_reduce_to_zero(exA, exB, nak_si):
