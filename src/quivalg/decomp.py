@@ -24,14 +24,14 @@ and the confidence reach `decompose`, `is_isomorphic` and
 command runs reads the one --seed and --confidence it was given.
 
 No work is done for an answer already known, and each shortcut gives the
-same pieces, class ids and payloads: the End of a one-dimensional module is
-its identity (EndAlgebra); a nonzero endomorphism f with f_v f_v = 0 at
-every vertex has minimal polynomial x^2, a prime power, so it is factored
-with no Krylov sequence and cannot split (_split_by); a split's pieces
-ker g(f) and ker h(f) are the images of h(f) and g(f), already evaluated
-(_split_by); the iso test reads dim Hom off repmod.hom_solve and builds a
-basis only for its random rounds (is_isomorphic); and a module equal entry
-for entry to a class representative is that class (IsoRegistry.content).
+same pieces, class ids and payloads: a nonzero endomorphism f with
+f_v f_v = 0 at every vertex has minimal polynomial x^2, a prime power, so
+it is factored with no Krylov sequence and cannot split (_split_by); a
+split's pieces ker g(f) and ker h(f) are the images of h(f) and g(f),
+already evaluated (_split_by); the iso test reads dim Hom off
+repmod.hom_solve and builds a basis only for its random rounds
+(is_isomorphic); and a module equal entry for entry to a class
+representative is that class (IsoRegistry.content).
 
 End(M)'s basis is kept as arrays, never as RepMaps: EndAlgebra holds one
 (dim E, d_v, d_v) stack per vertex where M is nonzero, read off the
@@ -48,9 +48,7 @@ piece split afresh its End with no Hom solved.  The canonical basis of a
 span depends on the span alone, and both the solve and the corner take it
 by the same reversed-column RREF (repmod.canonical_rows), so a piece's End
 equals hom_solve(X, X).rows() bit for bit and every candidate, rng draw,
-piece and class id is the one a solve would give.  Likewise the iso test
-takes the fingerprint of a module the registry has decomposed from its
-classes' fingerprints, as every component is additive over direct sums.
+piece and class id is the one a solve would give.
 """
 
 from __future__ import annotations
@@ -109,37 +107,6 @@ def fingerprint(m: Rep) -> tuple:
     return fp
 
 
-def _fingerprint_from_classes(m: Rep, budgets: Budgets) -> None:
-    """Fill in m's fingerprint from its decomposition, when the algebra's
-    registry holds one at the budgets' seed and confidence and m has none yet.
-
-    Every component is additive over direct sums: the dim vectors, the arrow
-    ranks and each term of both series, a shorter series padded with zero
-    vectors (rad^k and the socle layers of a summand vanish past its Loewy
-    length).  So m's fingerprint is the sum of its classes', each times its
-    multiplicity.
-    """
-    reg = m.algebra._registry
-    hit = m._fp is None and reg and reg.memo.get((budgets.seed, budgets.confidence,
-                                                  _content(m)))
-    if not hit:
-        return
-    fps = [reg.entries[eid].fp for eid, _ in hit[0]]
-    ks = [k for _, k in hit[0]]
-    length = max(len(fp[3]) for fp in fps)
-    zero = (0,) * len(m.dims)
-
-    def total(vectors):
-        return tuple(sum(k * x for k, x in zip(ks, xs)) for xs in zip(*vectors))
-
-    def series(j):
-        padded = [fp[j] + (zero,) * (length - len(fp[j])) for fp in fps]
-        return tuple(total(layers) for layers in zip(*padded))
-
-    m._fp = (total(fp[0] for fp in fps), total(fp[1] for fp in fps),
-             total(fp[2] for fp in fps), series(3), series(4), total(fp[5] for fp in fps))
-
-
 # ---------------------------------------------------------------------------
 # endomorphism algebras
 
@@ -155,16 +122,13 @@ class EndAlgebra:
     rows, when given, is that canonical basis already known: the rows
     `corners` derives for a summand of a module whose End is solved.  Only a
     block is solved; each split piece inherits its End from its parent's.
-    The End of a one-dimensional module is spanned by its identity, which is
-    the basis hom_basis would return (Hom is then all of the vertexwise maps,
-    whose canonical basis is the identity), so that case solves nothing.
     """
 
     def __init__(self, module: Rep, rows: np.ndarray | None = None):
         self.module = module
         self.p = module.algebra.p
         if rows is None:
-            rows = ef.eye(1) if module.total_dim == 1 else repmod.hom_solve(module, module).rows()
+            rows = repmod.hom_solve(module, module).rows()
         self.dim = rows.shape[0]
         # a row holds the vertex blocks in quiver order; zero vertices hold none
         self.stacks, off = {}, 0
@@ -510,9 +474,7 @@ def is_isomorphic(m: Rep, n: Rep, budgets: Budgets = DEFAULT, *,
     that number.  The basis is assembled from the same solve, as its
     canonical rows, when random combinations must be tried; each candidate is
     one combination of the rows, viewed as a RepMap.  End dimensions filled
-    in afterwards come from solves alone.  A module the algebra's registry
-    has decomposed at this seed and confidence takes its fingerprint from
-    its classes (_fingerprint_from_classes).
+    in afterwards come from solves alone.
     """
     budgets = _folded(budgets, seed, confidence)
     if m.algebra is not n.algebra:
@@ -525,8 +487,6 @@ def is_isomorphic(m: Rep, n: Rep, budgets: Budgets = DEFAULT, *,
     if m.equals(n):
         ident = RepMap(m, n, {v: ef.eye(m.dims[v]) for v in m.dims})
         return IsoResult("yes", ident, "structural equality")
-    for x in (m, n):
-        _fingerprint_from_classes(x, budgets)
     if fingerprint(m) != fingerprint(n):
         return IsoResult("no", None, "fingerprints differ")
     solve = repmod.hom_solve(m, n)

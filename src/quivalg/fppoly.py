@@ -8,13 +8,12 @@ eval_matrix and min_poly_matrix, multiply them by exactfield.matmul.
 Factorization is squarefree + distinct-degree + Cantor-Zassenhaus; the
 equal-degree stage draws from a caller-supplied generator so decomposition
 runs are reproducible per seed.  Most inputs are minimal polynomials of
-degree at most 2, which `factor` settles in closed form: a linear f is its
-own factor, and at odd p a quadratic's discriminant, by Euler's criterion,
-tells a double root, an irreducible f and two roots apart.  The two roots
-come from Tonelli-Shanks, and Cantor-Zassenhaus's draws for them are
-replayed on the values at the roots, so the factors and the generator's
-state afterwards are those of the polynomial path, which p = 2 and degree
-3 and up still take.
+degree at most 2, and `factor` settles a quadratic at odd p in closed form:
+its discriminant, by Euler's criterion, tells a double root, an irreducible
+f and two roots apart.  The two roots come from Tonelli-Shanks, and
+Cantor-Zassenhaus's draws for them are replayed on the values at the roots,
+so the factors and the generator's state afterwards are those of the
+polynomial path, which every other input takes (a linear f with no draw).
 """
 
 from __future__ import annotations
@@ -227,12 +226,9 @@ def _factor_quadratic(f: list[int], p: int, rng) -> list[tuple[list[int], int]]:
 def factor(f: list[int], p: int, rng) -> list[tuple[list[int], int]]:
     """Full factorization of f into (monic irreducible, multiplicity) pairs.
 
-    A linear f is its own factor, and a quadratic at odd p is factored in
-    closed form (_factor_quadratic); both give _factor_by_polynomials'
-    factors with the same rng draws.
+    A quadratic at odd p is factored in closed form (_factor_quadratic),
+    with _factor_by_polynomials' factors and rng draws.
     """
-    if len(f) == 2:
-        return [(monic(f, p), 1)]
     if len(f) == 3 and p != 2:
         return _factor_quadratic(monic(f, p), p, rng)
     return _factor_by_polynomials(f, p, rng)

@@ -106,17 +106,11 @@ def restricted_algebra(alg: BoundAlgebra, vertices: frozenset[str]) -> BoundAlge
 def selfinjective_block(alg: BoundAlgebra, vertices) -> bool:
     """Whether `vertices` is successor-closed with selfinjective restriction."""
     vs = frozenset(vertices)
-    key = ("sj_block", tuple(sorted(vs)))
-    if key in alg.cache:
-        return alg.cache[key]
-    ok = False
-    if vs and alg.quiver.successor_closure(vs) == vs:
-        if vs == frozenset(alg.quiver.vertices):
-            ok = selfinjectivity(alg)
-        else:
-            ok = selfinjectivity(restricted_algebra(alg, vs))
-    alg.cache[key] = ok
-    return ok
+    if not vs or alg.quiver.successor_closure(vs) != vs:
+        return False
+    if vs == frozenset(alg.quiver.vertices):
+        return selfinjectivity(alg)
+    return selfinjectivity(restricted_algebra(alg, vs))
 
 
 def covering_selfinjective_block(alg: BoundAlgebra, support) -> frozenset[str] | None:
@@ -371,22 +365,40 @@ def omega_orbit(alg: BoundAlgebra, seeds, budgets: Budgets = DEFAULT) -> OrbitRe
                        certified=all(registry.entries[i].syzygy_certified for i in seen))
 
 
-def syzygy_finite_probe(alg: BoundAlgebra, n_shift: int = 1,
-                        budgets: Budgets = DEFAULT):
-    """Closed(generating class set for K_{n_shift}) or Open.
+def module_orbit(m: Rep, budgets: Budgets = DEFAULT, shift: int = 0) -> OrbitResult:
+    """omega_orbit over the classes of Omega^shift(m); the orbit is certified
+    only if that decomposition is too.
 
-    Runs omega_orbit on the classes of Omega^{n_shift} of the sum of simples;
-    the orbit is certified only if that decomposition is too.
+    Omega^shift(m) is built block by block, and no block above
+    budgets.max_dim (the unit decompose caps) gets a syzygy: the orbit is
+    then open, with the cap in its note.
     """
-    simples = [repmod.simple(alg, v) for v in alg.quiver.vertices]
-    m0 = repmod.direct_sum(simples)[0]
-    shifted = omega_power(m0, n_shift)
-    if shifted.is_zero:
-        return OrbitResult((), (), True, "semisimple shift")
+    for k in range(shift):
+        blocks = _blocks(m)
+        big = max(b.total_dim for b in blocks)
+        if big > budgets.max_dim:
+            return OrbitResult((), (), False,
+                               f"Omega^{k} has a block of dimension {big} > cap {budgets.max_dim}")
+        m = repmod.direct_sum([syzygy(b) for b in blocks])[0]
+    if m.is_zero:
+        return OrbitResult((), (), True, "zero module")
     try:
-        res = decomp.decompose(shifted, budgets)
+        res = decomp.decompose(m, budgets)
     except BudgetExceeded as exc:
         return OrbitResult((), (), False, str(exc))
-    orbit = omega_orbit(alg, [i for i, _ in res.items], budgets)
+    orbit = omega_orbit(m.algebra, [i for i, _ in res.items], budgets)
     orbit.certified &= res.certified
     return orbit
+
+
+def _blocks(m: Rep) -> list[Rep]:
+    """The blocks of the direct sums m records, in order."""
+    return [b for x in m.summands for b in _blocks(x)] if m.summands else [m]
+
+
+def syzygy_finite_probe(alg: BoundAlgebra, n_shift: int = 1,
+                        budgets: Budgets = DEFAULT) -> OrbitResult:
+    """Closed(generating class set for K_{n_shift}) or Open: module_orbit of
+    the sum of simples at shift n_shift."""
+    simples = [repmod.simple(alg, v) for v in alg.quiver.vertices]
+    return module_orbit(repmod.direct_sum(simples)[0], budgets, n_shift)

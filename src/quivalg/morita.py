@@ -326,18 +326,6 @@ class H4Report:
         return out
 
 
-def _side_orbit(side_alg: BoundAlgebra, seed_mod: Rep, budgets: Budgets):
-    if seed_mod.is_zero:
-        return homology.OrbitResult((), (), True, "empty seed")
-    try:
-        res = decomp.decompose(seed_mod, budgets)
-    except BudgetExceeded as exc:
-        return homology.OrbitResult((), (), False, str(exc))
-    orbit = homology.omega_orbit(side_alg, [i for i, _ in res.items], budgets)
-    orbit.certified &= res.certified
-    return orbit
-
-
 def check_h4(c: GluedAlgebra, budgets: Budgets = DEFAULT,
              variant: str = "boundary") -> H4Report:
     """Probe finite generation of the connector-orbit subgroup.
@@ -361,8 +349,8 @@ def check_h4(c: GluedAlgebra, budgets: Budgets = DEFAULT,
         seed_b = pi_b(c, om)
     else:
         raise ValueError(f"unknown H4 variant {variant!r}")
-    a_orbit = _side_orbit(c.left, seed_a, budgets)
-    b_orbit = _side_orbit(c.right, seed_b, budgets)
+    a_orbit = homology.module_orbit(seed_a, budgets)
+    b_orbit = homology.module_orbit(seed_b, budgets)
     settled = all(o.closed and o.certified for o in (a_orbit, b_orbit))
     status = "finitely_generated" if settled else "inconclusive"
     return H4Report(status, variant, a_orbit, b_orbit)

@@ -76,6 +76,11 @@ def test_factor_p2():
     g = fppoly.mul(f, _poly(1, 1), 2)
     factors = fppoly.factor(g, 2, rng)
     assert sorted(fppoly.degree(q) for q, _ in factors) == [1, 2]
+    # a linear f is its own factor, with no draw
+    for f in ([0, 1], [1, 1]):
+        state = rng.bit_generator.state
+        assert fppoly.factor(f, 2, rng) == [(f, 1)]
+        assert rng.bit_generator.state == state
 
 
 def test_krylov_minpoly_definition():
@@ -271,12 +276,16 @@ def test_factor_output_and_draws_pinned():
 
 
 def _assert_closed_form_is_the_polynomial_path(f, p, seed):
-    # the same factors, and the rng left in the same state
+    # the same factors, and the rng left in the same state; a linear f is
+    # its own monic factor, with no draw
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = fppoly.factor(f, p, got_rng)
     assert got == fppoly._factor_by_polynomials(f, p, want_rng), (f, p)
     assert all(type(c) is int for q, _ in got for c in q)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state, (f, p)
+    if len(f) == 2:
+        assert got == [(fppoly.monic(f, p), 1)], (f, p)
+        assert got_rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -138,6 +138,30 @@ def test_syzygy_finite_probe(exB, exA, a2):
     assert 1 < d0 < d1
 
 
+def test_syzygy_finite_probe_builds_no_syzygy_above_the_cap(exCop, monkeypatch):
+    # the blocks of Omega^k of the sum of simples over the glued algebra are
+    # 31/34/17 dims at k = 3 and 49/82/51 at k = 4: at shift 5 and cap 40
+    # the probe opens at Omega^4 and takes no syzygy of a block above the cap
+    # (taking them would build the 386-dimensional Omega^5)
+    alg = exCop.algebra
+    m = repmod.direct_sum([repmod.simple(alg, v) for v in alg.quiver.vertices])[0]
+    for k in range(1, 5):
+        m = homology.syzygy(m)
+        if k >= 3:
+            want = [31, 34, 17] if k == 3 else [49, 82, 51]
+            assert [b.total_dim for b in m.summands] == want
+    sizes = []
+    syzygy = homology.syzygy
+
+    def spy(x):
+        sizes.append(x.total_dim)
+        return syzygy(x)
+
+    monkeypatch.setattr(homology, "syzygy", spy)
+    probe = homology.syzygy_finite_probe(alg, 5, Budgets(max_dim=40))
+    assert not probe.closed and "cap 40" in probe.note
+    assert sizes and max(sizes) <= 40
+
 def test_probabilistic_syzygy_decompositions_leave_orbits_uncertified(
         probabilistic_registry_decompositions):
     # fresh algebras, so no syzygy class is cached from a certified run
