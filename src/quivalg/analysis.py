@@ -40,38 +40,31 @@ class GldimResult:
         return "gldim unknown at budget"
 
 
-def _gldim_direct(alg: BoundAlgebra, budgets: Budgets) -> GldimResult:
-    worst = 0
-    unknown = False
-    for v in alg.quiver.vertices:
-        r = homology.pd(repmod.simple(alg, v), budgets)
-        if r.status == "infinite":
-            return GldimResult("infinite", None, v)
-        if r.status == "unknown":
-            unknown = True
-        else:
-            worst = max(worst, r.value)
-    if unknown:
-        return GldimResult("unknown")
-    return GldimResult("finite", worst)
-
-
-def global_dimension(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> GldimResult:
-    """gldim via pd of the simples, falling back to the opposite algebra.
+def global_dimension(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
+                     qinf: QInfinity | None = None) -> GldimResult:
+    """gldim read off the pd statuses of the simples (qinf, q_infinity's
+    pass when not given), falling back to the opposite algebra.
 
     Global dimension is left-right symmetric for these algebras (Tor measures
     it from either side), so a certificate over A^op transfers.
     """
-    key = ("gldim", budgets.depth, budgets.max_dim)
-    if key in alg.cache:
-        return alg.cache[key]
-    res = _gldim_direct(alg, budgets)
+    res = _gldim_of(qinf or q_infinity(alg, budgets))
     if res.status == "unknown":
-        opres = _gldim_direct(alg.opposite(), budgets)
+        opres = _gldim_of(q_infinity(alg.opposite(), budgets))
         if opres.status != "unknown":
             res = GldimResult(opres.status, opres.value, opres.witness, "opposite")
-    alg.cache[key] = res
     return res
+
+
+def _gldim_of(qinf: QInfinity) -> GldimResult:
+    """Infinite at the first infinite simple, else unknown at any unknown,
+    else the largest pd."""
+    for v, r in qinf.statuses.items():
+        if r.status == "infinite":
+            return GldimResult("infinite", None, v)
+    if not qinf.all_decided:
+        return GldimResult("unknown")
+    return GldimResult("finite", max(r.value for r in qinf.statuses.values()))
 
 
 @dataclass
@@ -238,10 +231,9 @@ def phi_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> AdditivityV
     """Decide additivity of phi^{-1}(0) or search for a certified witness pair."""
     if homology.selfinjectivity(alg):
         return AdditivityVerdict("additive_selfinjective")
-    gd = global_dimension(alg, budgets)
-    if gd.status == "finite":
-        return AdditivityVerdict("additive_gldim")
     qinf = q_infinity(alg, budgets)
+    if global_dimension(alg, budgets, qinf).status == "finite":
+        return AdditivityVerdict("additive_gldim")
     pool = _witness_pool(alg, qinf, budgets)
     certified_zero: list[tuple[Rep, object, dict]] = []
     for m in pool:
@@ -431,7 +423,7 @@ def profile(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> AlgebraProfile:
     qinf = q_infinity(alg, budgets)
     succ, _ = successors_closed(alg, qinf)
     return AlgebraProfile(
-        gldim=global_dimension(alg, budgets),
+        gldim=global_dimension(alg, budgets, qinf),
         selfinjective=homology.selfinjectivity(alg),
         qinf=qinf,
         connected=alg.quiver.is_connected(),

@@ -19,7 +19,8 @@ class Budgets:
 
     max_dim caps the dimension of each direct-sum block that decompose
     splits afresh (a block it has decomposed before is read from the
-    registry's memo); orbit probes report open/unknown beyond it.
+    registry's memo) and of each block of every Omega^k that
+    homology.omega_power builds; orbit probes report open/unknown beyond it.
     """
 
     depth: int = 64

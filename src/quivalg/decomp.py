@@ -659,18 +659,17 @@ def _piece_sort_key(piece: Rep):
             tuple(piece.mats[a].tobytes() for a in sorted(piece.mats)))
 
 
-def decompose(m: Rep, budgets: Budgets = DEFAULT, registry: IsoRegistry | None = None,
-              *, seed: int | None = None, confidence: int | None = None
-              ) -> DecomposeResult:
+def decompose(m: Rep, budgets: Budgets = DEFAULT, *, seed: int | None = None,
+              confidence: int | None = None) -> DecomposeResult:
     """Indecomposable decomposition of m as registry class ids with multiplicity.
 
     The seed, the confidence and the dimension cap are the budgets' (seed
     and confidence, when given, replace the budgets' own: see _folded).
 
-    Each direct-sum block is looked up in `registry.memo` (see IsoRegistry)
-    first, so a module equal entry for entry to one decomposed before with
-    the same seed and confidence costs no End(M), split or registration,
-    whatever its size.  The dimension cap applies to the other blocks, each
+    Each direct-sum block is looked up in the memo of m.algebra.registry()
+    (see IsoRegistry) first, so a module equal entry for entry to one
+    decomposed before with the same seed and confidence costs no End(M),
+    split or registration, whatever its size.  The dimension cap applies to the other blocks, each
     on its own (a block is the unit of hom-solve cost): a fresh block over
     the cap raises BudgetExceeded, while recorded sums of small modules
     decompose even when the total is large.
@@ -688,7 +687,7 @@ def decompose(m: Rep, budgets: Budgets = DEFAULT, registry: IsoRegistry | None =
     """
     budgets = _folded(budgets, seed, confidence)
     seed, confidence = budgets.seed, budgets.confidence
-    registry = registry or m.algebra.registry()
+    registry = m.algebra.registry()
     blocks = []  # (items, certified) of each nonzero block
     memo = None
     stack = [m]

@@ -33,11 +33,10 @@ The numpy kernel works on one int64 array, the augment block concatenated
 on the right.  For each pivot it reduces mod p only what a decision reads:
 the pivot column (to find the pivot row and the row factors) and the pivot
 row, which it scales to a leading 1.  It then subtracts f * (pivot row) from
-every hit row, from the pivot column rightwards (entries to the left are
-multiples of p there), with no `% p`, and when many rows are hit by a sparse
-pivot row, only on that row's nonzero columns.  Every decision reads exact
-residues, so R, the pivots and the augment block equal the list kernel's;
-the outputs are reduced once at the end.
+every hit row as one outer-product update, from the pivot column rightwards
+(entries to the left are multiples of p there), with no `% p`.  Every
+decision reads exact residues, so R, the pivots and the augment block equal
+the list kernel's; the outputs are reduced once at the end.
 """
 
 from __future__ import annotations
@@ -105,18 +104,6 @@ RREF_LIST_CELLS = 1024
 # on lists.  End to end, a large-dense pass took 1.05x the CPU time without
 # the rule (median of 6 rounds at seeds 1-6, best of 5 passes per side).
 RREF_DENSE_CELLS = 256
-
-# The numpy kernel updates only the nonzero columns of the pivot row when it
-# hits at least this many rows and fewer than a quarter of the row's columns
-# are nonzero.  Replaying the numpy-kernel inputs of one large-dense seed-0
-# pass (2-vCPU x86 VM, one BLAS thread, fastest of 5 per call), the kernel
-# with the restricted update took 0.72-0.75x the time of the one without it,
-# summed over the ops' systems, and moved the prepare() systems by under 4%;
-# thresholds of 8, 16 and 64 rows and cuts at 1/2 and 1/8 gave 0.71-0.78x.
-# End to end, decomposing the 127-dimensional exCop Omega^7(S0) took
-# 12.7-15.0 s with the update and 12.9-14.3 s without it (four runs each):
-# no difference beyond the host's noise.
-RREF_SUPPORT_ROWS = 32
 
 
 def check_prime(p: int) -> None:
@@ -250,10 +237,7 @@ def _rref_numpy(a: np.ndarray, p: int, aug: np.ndarray | None):
         w[row, col:] = prow
         factors[row] = 0
         hit = factors.nonzero()[0]
-        if hit.size >= RREF_SUPPORT_ROWS and 4 * np.count_nonzero(prow) < prow.size:
-            sup = prow.nonzero()[0]
-            w[np.ix_(hit, col + sup)] -= np.outer(factors[hit], prow[sup])
-        elif hit.size:
+        if hit.size:
             w[hit, col:] -= np.outer(factors[hit], prow)
         pivots.append(col)
         row += 1

@@ -11,6 +11,7 @@ resting on a probabilistic decomposition of a syzygy has certified=False.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import decomp, exactfield as ef, repmod
@@ -38,14 +39,23 @@ def syzygy(m: Rep) -> Rep:
     return repmod.submodule(cover, repmod.presentation(m).omega)[0]
 
 
-def omega_power(m: Rep, n: int, max_dim: int | None = None) -> Rep:
-    """Omega^n(m); BudgetExceeded once some Omega^k has dimension above max_dim."""
-    for k in range(1, n + 1):
-        m = syzygy(m)
-        if max_dim is not None and m.total_dim > max_dim:
-            raise BudgetExceeded(
-                f"Omega^{k} has dimension {m.total_dim} > cap {max_dim}")
-    return m
+def omega_powers(m: Rep, max_dim: int):
+    """Omega^0(m), Omega^1(m), ..., each the sum of the syzygies of the
+    blocks of the one before; BudgetExceeded as soon as a block of some
+    Omega^k is above max_dim (the unit decompose caps), before its syzygy."""
+    for k in itertools.count():
+        blocks = _blocks(m)
+        big = max(b.total_dim for b in blocks)
+        if big > max_dim:
+            raise BudgetExceeded(f"a block of Omega^{k} has dimension {big} > cap {max_dim}")
+        yield m
+        m = repmod.direct_sum([syzygy(b) for b in blocks])[0]
+
+
+def omega_power(m: Rep, n: int, max_dim: int) -> Rep:
+    """Omega^n(m), the n-th of omega_powers(m, max_dim): BudgetExceeded as
+    soon as a block of some Omega^k, 0 <= k <= n, is above max_dim."""
+    return next(itertools.islice(omega_powers(m, max_dim), n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +379,17 @@ def module_orbit(m: Rep, budgets: Budgets = DEFAULT, shift: int = 0) -> OrbitRes
     """omega_orbit over the classes of Omega^shift(m); the orbit is certified
     only if that decomposition is too.
 
-    Omega^shift(m) is built block by block, and no block above
-    budgets.max_dim (the unit decompose caps) gets a syzygy: the orbit is
-    then open, with the cap in its note.
+    Omega^shift(m) is omega_power's at budgets.max_dim: when a block of some
+    Omega^k, k <= shift, is above the cap the orbit is open, with the cap in
+    its note, and no block is decomposed.
     """
-    for k in range(shift):
-        blocks = _blocks(m)
-        big = max(b.total_dim for b in blocks)
-        if big > budgets.max_dim:
-            return OrbitResult((), (), False,
-                               f"Omega^{k} has a block of dimension {big} > cap {budgets.max_dim}")
-        m = repmod.direct_sum([syzygy(b) for b in blocks])[0]
-    if m.is_zero:
-        return OrbitResult((), (), True, "zero module")
     try:
-        res = decomp.decompose(m, budgets)
+        m = omega_power(m, shift, budgets.max_dim)
     except BudgetExceeded as exc:
         return OrbitResult((), (), False, str(exc))
+    if m.is_zero:
+        return OrbitResult((), (), True, "zero module")
+    res = decomp.decompose(m, budgets)
     orbit = omega_orbit(m.algebra, [i for i, _ in res.items], budgets)
     orbit.certified &= res.certified
     return orbit

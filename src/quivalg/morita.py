@@ -11,6 +11,7 @@ classification reports.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import decomp, exactfield as ef, homology, repmod
@@ -493,11 +494,13 @@ def classify_gluing(c: GluedAlgebra, a_status: SideStatus | None = None,
     if c.flags["generated"] and a_status.it_level and b_status.it_level:
         n = max(a_status.it_level["n"], b_status.it_level["n"])
         cop = c.algebra.opposite()
-        v3 = []
-        cur = repmod.direct_sum([repmod.simple(cop, v) for v in cop.quiver.vertices])[0]
-        for i in range(n):
-            cur = homology.syzygy(cur)
-            v3.append({v: d for v, d in cur.dims.items()})
+        c0 = repmod.direct_sum([repmod.simple(cop, v) for v in cop.quiver.vertices])[0]
+        v3, checks = [], []
+        try:
+            for om in itertools.islice(homology.omega_powers(c0, budgets.max_dim), 1, n + 1):
+                v3.append(dict(om.dims))
+        except BudgetExceeded as exc:
+            checks.append(f"syzygies of C0 over C^op stop at the cap: {exc}")
         entries.append(ClassificationEntry(
             "opposite_gluing",
             f"C^op is a {n + 1}-Igusa-Todorov algebra",
@@ -507,7 +510,7 @@ def classify_gluing(c: GluedAlgebra, a_status: SideStatus | None = None,
              f"{b_status.it_level['provenance']})",
              "ideal equals the generated set"],
             {"module": "G_A(V1) + G_B(V2) + (syzygies of C0 over C^op up to n)",
-             "v3_dims": v3}, []))
+             "v3_dims": v3}, checks))
 
     # selfinjective-block LIT shape over C^op: D = modules on the block,
     # V = the opposite-side simples; verified by sampling syzygy shapes.

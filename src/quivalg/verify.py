@@ -381,9 +381,8 @@ def criterion_7(fx: Fixtures, budgets: Budgets) -> dict:
     mixed = 0
     for i in range(50):
         m = repmod.random_module(c.algebra, (budgets.seed << 18) + i, 10)
-        om2 = homology.omega_power(m, 2)
         try:
-            res = decomp.decompose(om2, budgets)
+            res = decomp.decompose(homology.omega_power(m, 2, budgets.max_dim), budgets)
         except BudgetExceeded:
             outside += 1
             continue

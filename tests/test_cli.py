@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quivalg import cli, repmod
+from quivalg import cli, homology, repmod
 
 
 def test_parse_exA_builds_dim_8():
@@ -203,6 +203,22 @@ def test_cli_syzygy_power_stops_at_the_dimension_cap(capsys):
     assert _run(["--max-dim", "49", "syzygy", "exA.alg", "--module", "S0", "--power", "4"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert sum(data["syzygy"]["dims"].values()) == 49
+
+
+def test_cli_syzygy_power_caps_each_block(capsys, tmp_path, monkeypatch):
+    # Omega^3(S0 + S0) over exA is two blocks of 31 dims, each under the
+    # default cap of 40 though their sum is not; Omega^4(S0) is one of 49
+    assert _run(["syzygy", "exA.alg", "--module", "S0^2", "--power", "3"]) == 0
+    assert sum(json.loads(capsys.readouterr().out)["syzygy"]["dims"].values()) == 62
+    assert _run(["syzygy", "exA.alg", "--module", "S0", "--power", "4"]) == 2
+    # read back from a file, Omega^4(S0) is an input block above the cap:
+    # exit 2 before any syzygy is taken
+    assert _run(["--max-dim", "49", "syzygy", "exA.alg", "--module", "S0", "--power", "4"]) == 0
+    path = tmp_path / "omega4.json"
+    path.write_text(json.dumps(json.loads(capsys.readouterr().out)["syzygy"]))
+    monkeypatch.setattr(homology, "syzygy", lambda m: pytest.fail("syzygy taken"))
+    assert _run(["syzygy", "exA.alg", "--module", str(path), "--power", "1"]) == 2
+    assert "a block of Omega^0 has dimension 49 > cap 40" in capsys.readouterr().err
 
 
 def test_cli_gluing_parse_errors():

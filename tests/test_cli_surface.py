@@ -87,8 +87,29 @@ def test_check_h_inconclusive_exit(capsys):
     assert data["h4_full"]["status"] == "inconclusive"
 
 
-def test_verify_paper_text_lines(capsys):
-    # criterion lines stream to stdout; exercised fully in test_acceptance
-    parser = cli.make_parser()
-    args = parser.parse_args(["verify-paper"])
-    assert args.cmd == "verify-paper"
+def test_verify_paper_text_lines(capsys, tmp_path, monkeypatch):
+    # the wiring around the battery, with verify.run_all stubbed: one
+    # PASS/FAIL line per criterion, exit 1 on a failure and 0 without one,
+    # and the report as the JSON dump's results
+    from quivalg import verify
+
+    criteria = [{"name": "c1", "summary": "held", "passed": True},
+                {"name": "c2", "summary": "broke", "passed": False}]
+    seen = []
+
+    def run_all(budgets):
+        seen.append(budgets.seed)
+        report = {"criteria": criteria, "passed": all(c["passed"] for c in criteria)}
+        return report, report["passed"]
+
+    monkeypatch.setattr(verify, "run_all", run_all)
+    out = tmp_path / "verify.json"
+    assert cli.main(["--seed", "3", "--json", str(out), "verify-paper"]) == 1
+    assert capsys.readouterr().out.splitlines() == ["[PASS] c1: held", "[FAIL] c2: broke"]
+    data = json.loads(out.read_text())
+    assert (data["command"], data["status"], data["seed"]) == ("verify-paper", "fail", 3)
+    assert data["results"] == {"criteria": criteria, "passed": False}
+    criteria.pop()
+    assert cli.main(["verify-paper"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["[PASS] c1: held"]
+    assert seen == [3, 0]

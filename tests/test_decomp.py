@@ -76,9 +76,9 @@ def test_krull_schmidt_union(exB):
         assert cm + cn == cb
 
 
-def test_decompose_seeds_each_fresh_block_alike(exB, monkeypatch):
+def test_decompose_seeds_each_fresh_block_alike(monkeypatch):
+    exB = cli.load_algebra_file("exB.alg")  # its registry is fresh
     m, n = (repmod.random_module(exB, seed, 9).strip() for seed in (41, 42))
-    reg = decomp.IsoRegistry(exB)
     seen = []
     certify = decomp._certify_or_split
 
@@ -87,7 +87,7 @@ def test_decompose_seeds_each_fresh_block_alike(exB, monkeypatch):
         return certify(cur, E, rng, confidence)
 
     monkeypatch.setattr(decomp, "_certify_or_split", spy)
-    decomp.decompose(repmod.direct_sum([m, n])[0], registry=reg)
+    decomp.decompose(repmod.direct_sum([m, n])[0])
     # both fresh blocks and every piece split below them meet the rng in
     # the seeded initial state
     fresh = np.random.default_rng([0, exB.structural_digest() % (2 ** 31), 23])
@@ -96,7 +96,7 @@ def test_decompose_seeds_each_fresh_block_alike(exB, monkeypatch):
     # a recorded sum of cached blocks builds no rng and takes no digest
     seen.clear()
     monkeypatch.setattr(exB, "structural_digest", lambda: pytest.fail("digest taken"))
-    decomp.decompose(repmod.direct_sum([m, n])[0], registry=reg)
+    decomp.decompose(repmod.direct_sum([m, n])[0])
     assert not seen
 
 
@@ -111,15 +111,15 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_decompose_reads_the_memo_for_equal_content(exB, monkeypatch):
-    reg = decomp.IsoRegistry(exB)
+def test_decompose_reads_the_memo_for_equal_content(monkeypatch):
+    exB = cli.load_algebra_file("exB.alg")
     m = repmod.random_module(exB, 5, 9).strip()
-    first = decomp.decompose(m, registry=reg)
+    first = decomp.decompose(m)
     pieces = _count_calls(monkeypatch, decomp, "indecomposable_pieces")
     homs = _count_calls(monkeypatch, repmod, "hom_solve")
     registers = _count_calls(monkeypatch, decomp.IsoRegistry, "register")
     again = m.strip()
-    second = decomp.decompose(again, registry=reg)
+    second = decomp.decompose(again)
     assert (second.items, second.status()) == (first.items, first.status())
     assert not pieces and not homs and not registers
 
@@ -141,16 +141,15 @@ def test_memo_hit_leaves_the_rng_where_the_block_would(monkeypatch):
 
     def run(before):
         alg = cli.load_algebra_file("exB.alg")
-        reg = decomp.IsoRegistry(alg)
+        reg = alg.registry()
         a, b = (repmod.random_module(alg, seed, 9) for seed in (5, 6))
-        decomp.decompose(a.strip(), registry=reg)
+        decomp.decompose(a.strip())
         if before == "fresh":
             reg.memo.clear()
         entered.clear()
         a, b = a.strip(), b.strip()
         # the last summand is decomposed first, so A's block comes before B's
-        decomp.decompose(repmod.direct_sum([b] if before == "none" else [b, a])[0],
-                         registry=reg)
+        decomp.decompose(repmod.direct_sum([b] if before == "none" else [b, a])[0])
         assert any(cur is a for cur, *_ in entered) == (before == "fresh")
         at_b = next(i for i, (cur, *_) in enumerate(entered) if cur is b)
         into_b = [(state, status, split) for _, state, status, split in entered[at_b:]]
@@ -161,48 +160,49 @@ def test_memo_hit_leaves_the_rng_where_the_block_would(monkeypatch):
     assert run("fresh") == run("hit") == run("none")
 
 
-def test_memo_misses_on_any_key_difference(exB, a2, monkeypatch):
-    reg = decomp.IsoRegistry(exB)
+def test_memo_misses_on_any_key_difference(monkeypatch):
+    exB, twin, a2 = (cli.load_algebra_file(name) for name in ("exB.alg", "exB.alg", "a2.alg"))
+    reg = exB.registry()
     m = repmod.random_module(exB, 5, 9).strip()
-    decomp.decompose(m, registry=reg)
+    decomp.decompose(m)
     pieces = _count_calls(monkeypatch, decomp, "indecomposable_pieces")
     for kwargs in ({"seed": 1}, {"confidence": 39}):
         pieces.clear()
-        decomp.decompose(m.strip(), registry=reg, **kwargs)
+        decomp.decompose(m.strip(), **kwargs)
         assert pieces
     # after a fresh block (the last summand goes first) the key is the same
     pieces.clear()
     again, fresh = m.strip(), repmod.random_module(exB, 6, 9).strip()
-    decomp.decompose(repmod.direct_sum([again, fresh])[0], registry=reg)
+    decomp.decompose(repmod.direct_sum([again, fresh])[0])
     assert any(args[0] is fresh for args in pieces)
     assert not any(args[0] is again for args in pieces)
-    # a registry passed as registry= has its own memo, which holds m and
-    # every piece split below it
+    # the registry of another load of the algebra has its own memo, which
+    # holds m and every piece split below it
     pieces.clear()
-    other = decomp.IsoRegistry(exB)
-    decomp.decompose(m.strip(), registry=other)
+    decomp.decompose(repmod.Rep(twin, m.dims, m.mats))
+    other = twin.registry()
     assert pieces and set(other.memo) == {(0, 40, decomp._content(args[0])) for args in pieces}
     # each piece is keyed by seed and confidence as its block is
     assert {key[:2] for key in reg.memo} == {(0, 40), (1, 40), (0, 39)}
     # S1 and S2 over 1 -> 2 have the same (empty) arrow bytes
-    reg_a2 = decomp.IsoRegistry(a2)
     s1, s2 = repmod.simple(a2, "1"), repmod.simple(a2, "2")
     assert s1.mats["a"].tobytes() == s2.mats["a"].tobytes()
-    decomp.decompose(s1.strip(), registry=reg_a2)
+    decomp.decompose(s1.strip())
     pieces.clear()
-    decomp.decompose(s2.strip(), registry=reg_a2)
+    decomp.decompose(s2.strip())
     assert pieces
     # one entry apart, and isomorphic
     p1, p1_scaled = (repmod.Rep(a2, {"1": 1, "2": 1}, {"a": np.array([[c]], dtype=np.int64)})
                      for c in (1, 2))
-    first = decomp.decompose(p1, registry=reg_a2)
+    first = decomp.decompose(p1)
     pieces.clear()
-    assert decomp.decompose(p1_scaled, registry=reg_a2).items == first.items
+    assert decomp.decompose(p1_scaled).items == first.items
     assert pieces
 
 
-def test_registry_ambiguity_leaves_no_memo_entry(exB, monkeypatch):
-    reg = decomp.IsoRegistry(exB)
+def test_registry_ambiguity_leaves_no_memo_entry(monkeypatch):
+    exB = cli.load_algebra_file("exB.alg")
+    reg = exB.registry()
     # P1 with a basis vector rescaled: no class representative equals it
     # entry for entry, so only an iso test can place it
     m = repmod.Rep(exB, {"1": 2, "2": 1}, {"bb1": np.array([[0, 2], [0, 0]], dtype=np.int64),
@@ -210,17 +210,18 @@ def test_registry_ambiguity_leaves_no_memo_entry(exB, monkeypatch):
     monkeypatch.setattr(decomp, "is_isomorphic",
                         lambda *a, **k: decomp.IsoResult("inconclusive", None, "forced"))
     with pytest.raises(RegistryAmbiguity):
-        decomp.decompose(m, registry=reg)
+        decomp.decompose(m)
     assert reg.memo == {}
     monkeypatch.undo()
-    assert dict(decomp.decompose(m, registry=reg).items) == {reg.projective_ids["1"]: 1}
+    assert dict(decomp.decompose(m).items) == {reg.projective_ids["1"]: 1}
     assert len(reg.memo) == 1
 
 
-def test_registry_ambiguity_leaves_no_entry_for_any_piece(exB, monkeypatch):
-    reg = decomp.IsoRegistry(exB)
+def test_registry_ambiguity_leaves_no_entry_for_any_piece(monkeypatch):
+    exB = cli.load_algebra_file("exB.alg")
+    reg = exB.registry()
     m = repmod.random_module(exB, 5, 9).strip()
-    first = decomp.decompose(m, registry=reg)
+    first = decomp.decompose(m)
     before = dict(reg.memo)
     # an isomorphic copy in another basis: its pieces meet their classes'
     # representatives only through iso tests
@@ -229,17 +230,18 @@ def test_registry_ambiguity_leaves_no_entry_for_any_piece(exB, monkeypatch):
     monkeypatch.setattr(decomp, "is_isomorphic",
                         lambda *a, **k: decomp.IsoResult("inconclusive", None, "forced"))
     with pytest.raises(RegistryAmbiguity):
-        decomp.decompose(copy, registry=reg)
+        decomp.decompose(copy)
     assert len(pieces) > 1 and reg.memo == before
     monkeypatch.undo()
-    assert decomp.decompose(copy, registry=reg).items == first.items
+    assert decomp.decompose(copy).items == first.items
     assert len(reg.memo) > len(before)
 
 
-def test_a_memoized_piece_is_neither_solved_nor_registered(exB, monkeypatch):
-    reg = decomp.IsoRegistry(exB)
+def test_a_memoized_piece_is_neither_solved_nor_registered(monkeypatch):
+    exB = cli.load_algebra_file("exB.alg")
+    reg = exB.registry()
     m = repmod.random_module(exB, 5, 9).strip()
-    first = decomp.decompose(m, registry=reg)
+    first = decomp.decompose(m)
     # forget the block alone: its split's pieces are all still recorded
     key = (0, 40, decomp._content(m))
     del reg.memo[key]
@@ -247,17 +249,17 @@ def test_a_memoized_piece_is_neither_solved_nor_registered(exB, monkeypatch):
     ends = _count_calls(monkeypatch, decomp.EndAlgebra, "__init__")
     registers = _count_calls(monkeypatch, decomp.IsoRegistry, "register")
     again = m.strip()
-    second = decomp.decompose(again, registry=reg)
+    second = decomp.decompose(again)
     assert len(ends) == 1 and ends[0][1] is again and not registers
     assert (second.items, second.certified) == (first.items, first.certified)
     assert reg.memo[key] == (first.items, first.certified)
 
 
-def test_every_memo_entry_equals_decomposing_its_piece_afresh(exB, monkeypatch):
-    nak = cli.load_algebra_file("nakayama-a3.alg")
+def test_every_memo_entry_equals_decomposing_its_piece_afresh(monkeypatch):
     pieces = decomp.indecomposable_pieces
-    for alg in (exB, nak):
-        reg = decomp.IsoRegistry(alg)
+    for name in ("exB.alg", "nakayama-a3.alg"):
+        alg = cli.load_algebra_file(name)
+        reg = alg.registry()
         for seed in range(6):
             split = {}
 
@@ -267,39 +269,41 @@ def test_every_memo_entry_equals_decomposing_its_piece_afresh(exB, monkeypatch):
 
             monkeypatch.setattr(decomp, "indecomposable_pieces", spy)
             before = set(reg.memo)
-            decomp.decompose(repmod.random_module(alg, seed, 10).strip(), registry=reg)
+            decomp.decompose(repmod.random_module(alg, seed, 10).strip())
             monkeypatch.undo()
             written = {k: reg.memo[k] for k in set(reg.memo) - before}
             assert set(written) == set(split)
             memo = dict(reg.memo)
             for k, entry in written.items():
                 reg.memo.clear()
-                res = decomp.decompose(split[k].strip(), registry=reg)
+                res = decomp.decompose(split[k].strip())
                 assert (res.items, res.certified) == entry
             reg.memo = memo
 
 
-def test_decomp_cache_is_read_only_against_its_own_registry(exB):
-    m = repmod.random_module(exB, 5, 9)
-    first = decomp.decompose(m, registry=decomp.IsoRegistry(exB))
-    other = decomp.IsoRegistry(exB)
-    decomp.decompose(repmod.random_module(exB, 6, 9), registry=other)
-    got = decomp.decompose(m, registry=other)
-    want = decomp.decompose(m.strip(), registry=other)
+def test_decomp_cache_is_read_only_against_its_own_registry():
+    # equal modules over two loads of exB: each load's registry numbers the
+    # classes in the order it meets them, whatever the other has seen
+    exB, twin = (cli.load_algebra_file("exB.alg") for _ in range(2))
+    first = decomp.decompose(repmod.random_module(exB, 5, 9))
+    decomp.decompose(repmod.random_module(twin, 6, 9))
+    m = repmod.random_module(twin, 5, 9)
+    got = decomp.decompose(m)
+    want = decomp.decompose(m.strip())
     assert first.items == ((4, 1), (5, 1))
     assert got.items == want.items == ((6, 1), (7, 1))
 
 
-def test_memo_is_read_before_the_dimension_cap(exB):
-    reg = decomp.IsoRegistry(exB)
+def test_memo_is_read_before_the_dimension_cap():
+    exB = cli.load_algebra_file("exB.alg")
     m, n = (repmod.random_module(exB, seed, 9).strip() for seed in (5, 6))
-    first = decomp.decompose(m, registry=reg)
+    first = decomp.decompose(m)
     small = Budgets(max_dim=min(m.total_dim, n.total_dim) - 1)
     # an equal-content copy of a cached block costs no solve, whatever its size
-    assert decomp.decompose(m.strip(), budgets=small, registry=reg).items == first.items
+    assert decomp.decompose(m.strip(), budgets=small).items == first.items
     # a fresh block over the cap still raises
     with pytest.raises(BudgetExceeded):
-        decomp.decompose(n, budgets=small, registry=reg)
+        decomp.decompose(n, budgets=small)
 
 
 def test_end_algebra_builds_of_a_fixed_stream(monkeypatch):
@@ -311,10 +315,9 @@ def test_end_algebra_builds_of_a_fixed_stream(monkeypatch):
     counts = {}
     for name in ("exB.alg", "nakayama-a3.alg"):
         alg = cli.load_algebra_file(name)
-        reg = decomp.IsoRegistry(alg)
         builds.clear()
         for seed in range(20):
-            decomp.decompose(repmod.random_module(alg, seed, 10).strip(), registry=reg)
+            decomp.decompose(repmod.random_module(alg, seed, 10).strip())
         counts[name] = len(builds)
     assert counts == {"exB.alg": 40, "nakayama-a3.alg": 66}
 
@@ -367,10 +370,9 @@ def test_split_pieces_inherit_end_from_their_parent(name, p, inherited_ends):
     # seeded random modules and sums of two: every piece split afresh gets
     # the canonical basis a solve of End(piece) gives, bit for bit
     alg = cli.underlying_algebra(cli.load_any(name, p))
-    reg = decomp.IsoRegistry(alg)
     for seed in range(10):
         m, n = (repmod.random_module(alg, s, 8) for s in (seed, seed + 100))
-        decomp.decompose(repmod.direct_sum([m, n])[0].strip(), registry=reg)
+        decomp.decompose(repmod.direct_sum([m, n])[0].strip())
     assert len(inherited_ends) >= 10 and set(inherited_ends) == {"basis"}
 
 
@@ -403,14 +405,14 @@ def test_end_is_solved_once_per_fresh_block(monkeypatch):
     counts = {}
     for name in ("exB.alg", "nakayama-a3.alg"):
         alg = cli.load_algebra_file(name)
-        reg = decomp.IsoRegistry(alg)
+        reg = alg.registry()
         solves.clear()
         fresh = []
         for seed in range(20):
             m = repmod.random_module(alg, seed, 10).strip()
             if (0, 40, decomp._content(m)) not in reg.memo and not m.is_zero:
                 fresh.append(m)
-            decomp.decompose(m, registry=reg)
+            decomp.decompose(m)
         assert [id(x) for x in solves] == [id(x) for x in fresh]
         counts[name] = len(solves)
     assert counts == {"exB.alg": 17, "nakayama-a3.alg": 16}
@@ -473,21 +475,21 @@ def test_memo_agrees_with_decomposing_afresh(name, seeds, order_rng):
     # recorded sum beside a different neighbour each time (listed after it
     # and before it in turn): with the memo, and with the memo emptied
     # before every call
-    alg = _fixture_algebra(name)
-    modules = [repmod.random_module(alg, seed, 8) for seed in seeds]
-    order = list(range(len(modules))) * 2
+    order = list(range(len(seeds))) * 2
     order_rng.shuffle(order)
-    neighbours = [repmod.random_module(alg, 1000 + k, 4) for k in range(len(order))]
 
     def run(clear):
-        reg = decomp.IsoRegistry(alg)
+        alg = _fixture_algebra(name)
+        reg = alg.registry()
+        modules = [repmod.random_module(alg, seed, 8) for seed in seeds]
+        neighbours = [repmod.random_module(alg, 1000 + k, 4) for k in range(len(order))]
         results = []
         for k, i in enumerate(order):
             pair = [modules[i].strip(), neighbours[k].strip()]
             for m in (modules[i].strip(), repmod.direct_sum(pair[::(-1) ** k])[0]):
                 if clear:
                     reg.memo.clear()
-                res = decomp.decompose(m, registry=reg)
+                res = decomp.decompose(m)
                 results.append((res.items, res.certified))
         return results, reg.dump()
 
@@ -633,10 +635,11 @@ def test_registry_canonical_order_and_dedup(exB, a2):
 
 
 
-def test_register_finds_a_representative_by_content(exB, monkeypatch):
-    reg = decomp.IsoRegistry(exB)
+def test_register_finds_a_representative_by_content(monkeypatch):
+    exB = cli.load_algebra_file("exB.alg")
+    reg = exB.registry()
     for seed in range(4):
-        decomp.decompose(repmod.random_module(exB, seed, 9).strip(), registry=reg)
+        decomp.decompose(repmod.random_module(exB, seed, 9).strip())
 
     def fail(*args, **kwargs):
         raise AssertionError("no fingerprint or iso test on a content hit")
@@ -649,7 +652,7 @@ def test_register_finds_a_representative_by_content(exB, monkeypatch):
     # so none could come back inconclusive
     s1 = repmod.simple(exB, "1")
     m = repmod.direct_sum([s1, s1])[0].strip()
-    assert dict(decomp.decompose(m, registry=reg).items) == {reg.simple_ids["1"]: 2}
+    assert dict(decomp.decompose(m).items) == {reg.simple_ids["1"]: 2}
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -1167,10 +1170,10 @@ def test_decompositions_are_unchanged():
         for p in (2, 3, 101):
             alg = cli.underlying_algebra(cli.load_any(name, p))
             for a in (alg, alg.opposite()):
-                reg = decomp.IsoRegistry(a)
+                reg = a.registry()
                 mods = [repmod.random_module(a, seed, (8, 10, 12)[seed % 3]) for seed in range(6)]
                 for seed, m in enumerate(mods + [repmod.direct_sum(mods[:2])[0]]):
-                    res = decomp.decompose(m.strip(), seed=seed, registry=reg)
+                    res = decomp.decompose(m.strip(), seed=seed)
                     h.update(json.dumps([res.items, res.certified]).encode())
                 h.update(json.dumps(reg.dump(), sort_keys=True).encode())
     assert h.hexdigest() == DECOMPOSE_DIGEST

@@ -233,8 +233,8 @@ def _tall_sparse(p, seed):
 
 @pytest.mark.parametrize("p", [2, 101, MAX_PRIME_BELOW_CAP])
 def test_rref_kernels_agree_on_tall_sparse_matrices(p):
-    # the numpy kernel's many-hit-rows paths; the augment block has 120 rows,
-    # most of them beyond the rank
+    # numpy-kernel pivots that hit many rows, some with a sparse pivot row;
+    # the augment block has 120 rows, most of them beyond the rank
     rng = np.random.default_rng(p)
     for seed in range(6):
         m = _tall_sparse(p, seed)

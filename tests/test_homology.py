@@ -1,7 +1,9 @@
 import pytest
+from random_algebra import TRUNCATION, random_presentation
 
-from quivalg import cli, decomp, exactfield as ef, homology, repmod
-from quivalg.budgets import BudgetExceeded, Budgets
+from quivalg import analysis, cli, decomp, exactfield as ef, homology, repmod
+from quivalg.budgets import DEFAULT, BudgetExceeded, Budgets
+from quivalg.pathalgebra import build_algebra
 
 
 def test_cover_examples(exB, a2):
@@ -107,6 +109,24 @@ def test_pd_examples(exB, a2):
                                    "selfinjective_block")
 
 
+@pytest.mark.parametrize("seed", [247, 251])
+def test_pd_cycle_certificate(seed):
+    # two-vertex random algebras where no class is infinite by a shortcut
+    # (not selfinjective, no selfinjective block, dims in the Cartan span):
+    # the syzygy class graph from S0 returns to S0 in two steps
+    quiver, relations, p = random_presentation(seed)
+    alg = build_algebra(quiver, relations, p, TRUNCATION)
+    s0 = repmod.simple(alg, "0")
+    r = homology.pd(s0)
+    assert (r.status, r.evidence, r.certified) == (
+        "infinite", {"kind": "cycle", "classes": [0, 4, 0], "depth": 2}, True)
+    # S0 is a summand of Omega^2(S0), so pd(S0) is infinite
+    om2 = homology.omega_power(s0, 2, DEFAULT.max_dim)
+    assert alg.registry().simple_ids["0"] in dict(decomp.decompose(om2).items)
+    gd = analysis.global_dimension(alg)
+    assert (gd.status, gd.witness) == ("infinite", "0")
+
+
 def test_pd_selfinjective_shortcut(exA):
     m = repmod.random_module(exA, 4, 10)
     r = homology.pd(m)
@@ -124,6 +144,16 @@ def test_orbit_examples(exB, a2):
     rega = a2.registry()
     orbit2 = homology.omega_orbit(a2, [rega.projective_ids["1"]])
     assert orbit2.closed and orbit2.reached == (rega.projective_ids["1"],)
+
+
+def test_omega_orbit_stops_at_the_class_budget():
+    # the orbit of S1 over exB is S1 and the class of its syzygy
+    exB = cli.load_algebra_file("exB.alg")
+    seed = exB.registry().simple_ids["1"]
+    orbit = homology.omega_orbit(exB, [seed], Budgets(classes=1))
+    assert (orbit.closed, orbit.note, len(orbit.reached)) == (False, "class budget exceeded", 2)
+    assert orbit.frontier
+    assert homology.omega_orbit(exB, [seed], Budgets(classes=2)).closed
 
 
 def test_syzygy_finite_probe(exB, exA, a2):
@@ -161,6 +191,20 @@ def test_syzygy_finite_probe_builds_no_syzygy_above_the_cap(exCop, monkeypatch):
     probe = homology.syzygy_finite_probe(alg, 5, Budgets(max_dim=40))
     assert not probe.closed and "cap 40" in probe.note
     assert sizes and max(sizes) <= 40
+
+def test_module_orbit_opens_on_a_block_above_the_cap_whatever_the_memo(monkeypatch):
+    # P1 + P1 over exB as one 6-dimensional block, decomposed at the default
+    # cap, so the memo holds it: at a cap of 5 its orbit still opens at
+    # Omega^0, with no decomposition and no syzygy
+    exB = cli.load_algebra_file("exB.alg")
+    m = repmod.direct_sum([exB.projective("1")] * 2)[0].strip()
+    decomp.decompose(m)
+    monkeypatch.setattr(decomp, "decompose", lambda *a, **k: pytest.fail("decomposed"))
+    monkeypatch.setattr(homology, "syzygy", lambda x: pytest.fail("syzygy taken"))
+    orbit = homology.module_orbit(m, Budgets(max_dim=5))
+    assert not orbit.closed
+    assert orbit.note == "a block of Omega^0 has dimension 6 > cap 5"
+
 
 def test_probabilistic_syzygy_decompositions_leave_orbits_uncertified(
         probabilistic_registry_decompositions):
@@ -242,7 +286,7 @@ def test_large_excop_syzygies_decompose_to_one_certified_class():
     # the unbounded orbit of its selfinjective block: each is one certified
     # class, split-tested at sizes that no benchmark workload reaches
     alg = cli.load_glue_file("exCop.glue").algebra
-    m = homology.omega_power(repmod.simple(alg, "0"), 3)
+    m = homology.omega_power(repmod.simple(alg, "0"), 3, DEFAULT.max_dim)
     for dim, eid in ((49, 6), (71, 7)):
         m = homology.syzygy(m)
         res = decomp.decompose(m, budgets=Budgets(max_dim=80))

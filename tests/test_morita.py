@@ -152,7 +152,7 @@ def test_cross_parts_projective_on_disjoint_generated(rsz):
         b_part = parts[1]
         if b_part.is_zero:
             continue
-        res = decomp.decompose(b_part.strip(), registry=reg)
+        res = decomp.decompose(b_part.strip())
         assert all(reg.is_projective(i) for i, _ in res.items)
 
 
@@ -283,6 +283,29 @@ def test_classify_gluing_entries(rsz, exCop):
     entry = next(e for e in report2.entries
                  if e.proposition == "selfinjective_block_lit")
     assert entry.witness["block"] == ["0"]
+
+
+def test_opposite_gluing_witness_stops_at_the_block_cap(remark54):
+    # asserted 26-IT sides ask for Omega^1..Omega^26 of C0 over C^op; a block
+    # of Omega^3 has 62 dims, above the default cap of 40, so the witness
+    # lists Omega^1 and Omega^2 and a check names that block
+    asserted = {"n": 26, "provenance": "asserted"}
+    report = morita.classify_gluing(remark54, morita.SideStatus(it_level=asserted),
+                                    morita.SideStatus(it_level=asserted), DEFAULT, samples=1)
+    entry = next(e for e in report.entries if e.proposition == "opposite_gluing")
+    assert [sum(d.values()) for d in entry.witness["v3_dims"]] == [15, 34]
+    assert entry.checks == ["syzygies of C0 over C^op stop at the cap: "
+                            "a block of Omega^3 has dimension 62 > cap 40"]
+
+
+def test_lit_both_sides_entry(rsz):
+    # generated ideal, disjoint connector endpoints and asserted LIT sides
+    report = morita.classify_gluing(
+        rsz, morita.SideStatus(lit_level={"n": 1, "provenance": "asserted"}),
+        morita.SideStatus(lit_level={"n": 2, "provenance": "asserted"}), DEFAULT, samples=1)
+    entry = next(e for e in report.entries if e.proposition == "lit_both_sides")
+    assert entry.conclusion == "C is a 3-LIT algebra"
+    assert entry.hypotheses[:2] == ["A is 1-LIT (asserted)", "B is 2-LIT (asserted)"]
 
 
 def test_block_lit_samples_follow_the_seed(monkeypatch):
