@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 from .budgets import DEFAULT, BudgetExceeded, Budgets, RegistryAmbiguity
 from .pathalgebra import (Arrow, BoundAlgebra, MalformedRelation, NotAdmissible,
                           Quiver, Relation, build_algebra)
-from .repmod import (NotASubmodule, Rep, RepMap, direct_sum, dualize, hom_basis,
-                     quotient, radical, random_module, simple, socle, submodule,
-                     top, validate)
+from .repmod import (NotASubmodule, Rep, RepMap, direct_sum, hom_basis, quotient,
+                     radical, random_module, simple, socle, submodule, top,
+                     validate)
 from .decomp import (DecomposeResult, EndAlgebra, IsoRegistry, IsoResult, decompose,
                      fingerprint, is_isomorphic)
 from .homology import (OrbitResult, PdResult, omega_orbit, omega_power, pd,

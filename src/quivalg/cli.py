@@ -817,8 +817,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except BudgetExceeded as exc:
-        print(f"inconclusive (budget): {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:  # memory is a budget too
+        why = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+        print(f"inconclusive (budget): {why}", file=sys.stderr)
         return 2
     if args.json:
         rep.dump(args.json, time.time() - t0)

@@ -528,9 +528,11 @@ def is_isomorphic(m: Rep, n: Rep, budgets: Budgets = DEFAULT, *,
 
 
 def _content(m: Rep) -> tuple:
-    """m's dim vector and arrow matrix bytes in quiver arrow order: equal
-    tuples mean modules equal entry for entry."""
-    return m.dim_vector(), tuple(m.mats[a.name].tobytes() for a in m.algebra.quiver.arrows)
+    """m's dim vector and arrow matrix bytes in quiver arrow order, kept on m
+    (its matrices are read-only): equal tuples mean modules equal entry for entry."""
+    if m._key is None:
+        m._key = m.dim_vector(), tuple(m.mats[a].tobytes() for a in m.algebra.quiver.arrow_map)
+    return m._key
 
 
 class RegistryEntry:

