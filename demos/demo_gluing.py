@@ -14,7 +14,11 @@ print(alg, "flags:", c.flags)
 om = homology.syzygy(repmod.simple(alg, "v"))
 print("Omega(S_v) ~ P0:", decomp.is_isomorphic(om, alg.projective("0")).verdict)
 
-# Syzygies of glued modules split into one-sided parts.
+# Syzygies of glued modules split into one-sided parts: every connector acts
+# as zero on the radical of every projective, and Omega(M) lies in rad P0(M).
+hit = morita.nonzero_on_radicals(alg, c.spec.alphas + c.spec.betas)
+print("syzygy split for every module:",
+      "yes" if hit is None else f"no, connector {hit[1]} on rad P_{hit[0]}")
 for seed in range(3):
     m = repmod.random_module(alg, seed, 12)
     rep = morita.verify_syzygy_split(c, m)
@@ -39,6 +43,6 @@ print("opposite:", analysis.phi_zero_probe(alg.opposite()).describe())
 pair = cli.load_glue_file("rad-square-zero-pair.glue")
 probe = homology.syzygy_finite_probe(pair.algebra, 2)
 print("rad-square-zero pair, glued orbit closed:", probe.closed)
-report = morita.classify_gluing(pair, samples=5)
+report = morita.classify_gluing(pair)
 for entry in report.entries:
     print("-", entry.proposition + ":", entry.conclusion)

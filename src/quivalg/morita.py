@@ -4,9 +4,17 @@ A gluing joins algebras A and B along connector arrows (alphas A->B, betas
 B->A); the glued ideal always contains the two-sided products that kill
 connector compositions (the `generated` set), and may extend it.  The module
 also provides the restriction functors to each side, the extension functors
-into modules over the opposite glued algebra, the syzygy-splitting check, the
-finite-generation probe for the orbit hypothesis, and proposition-driven
-classification reports.
+into modules over the opposite glued algebra, the per-module syzygy-splitting
+check, the finite-generation probe for the orbit hypothesis, and
+proposition-driven classification reports.
+
+Two claims about every module are decided on the radicals of the
+projectives, by `nonzero_on_radicals`: Omega(M) lies in rad P0(M) for every
+M, and Omega(S_v) = rad P_v, so a set of arrows acts as zero on every syzygy
+iff it acts as zero on every rad P_v.  For the connectors of a built gluing
+that holds by H3 (every connector composition is zero in C), so Omega_C(M) is
+its A-part plus its B-part for every M.  For the arrows out of the B-vertices
+it gives the shape of the selfinjective-block LIT entry.
 """
 
 from __future__ import annotations
@@ -271,11 +279,27 @@ def one_sided_parts(c: GluedAlgebra, m: Rep):
     return None
 
 
+def nonzero_on_radicals(alg: BoundAlgebra, arrows):
+    """The first (vertex v, arrow name) with the arrow nonzero on rad P_v, or None.
+
+    None means the arrows act as zero on every syzygy over alg, since
+    Omega(M) lies in rad P0(M); a hit means they do not on Omega(S_v) = rad P_v.
+    """
+    for v in alg.quiver.vertices:
+        rad = repmod.radical(alg.projective(v))[0]
+        for arr in arrows:
+            if rad.mats[arr.name].any():
+                return v, arr.name
+    return None
+
+
 def verify_syzygy_split(c: GluedAlgebra, m: Rep, budgets: Budgets = DEFAULT) -> SplitReport:
-    """Check Omega_C(m) = (A-side part) + (B-side part).
+    """Check Omega_C(m) = (A-side part) + (B-side part) on one module.
 
     Also checks the top clause: for one-sided m, the opposite-side part of
     Omega(m) matches the opposite-side part of Omega(top m) up to isomorphism.
+    The claim for every module is `nonzero_on_radicals` on the connectors;
+    this per-module check is the tests' oracle of it.
     """
     om = homology.syzygy(m)
     parts = one_sided_parts(c, om)
@@ -402,8 +426,7 @@ def _machine_side_status(alg: BoundAlgebra, budgets: Budgets) -> SideStatus:
 
 def classify_gluing(c: GluedAlgebra, a_status: SideStatus | None = None,
                     b_status: SideStatus | None = None,
-                    budgets: Budgets = DEFAULT,
-                    samples: int = 20) -> ClassificationReport:
+                    budgets: Budgets = DEFAULT) -> ClassificationReport:
     """Apply the gluing propositions whose hypotheses verify; report-only."""
     entries: list[ClassificationEntry] = []
     notes: list[str] = []
@@ -516,70 +539,41 @@ def classify_gluing(c: GluedAlgebra, a_status: SideStatus | None = None,
             {"module": "G_A(V1) + G_B(V2) + (syzygies of C0 over C^op up to n)",
              "v3_dims": v3}, checks))
 
-    # selfinjective-block LIT shape over C^op: D = modules on the block,
-    # V = the opposite-side simples; verified by sampling syzygy shapes.
-    entry = _block_lit_entry(c, budgets, samples)
+    # selfinjective-block LIT shape over C or C^op: D = modules on the block,
+    # V = the opposite-side simples; decided on the projectives' radicals.
+    entry = _block_lit_entry(c)
     if entry is not None:
         entries.append(entry)
 
     return ClassificationReport(dict(c.flags), entries, notes)
 
 
-def _block_lit_entry(c: GluedAlgebra, budgets: Budgets, samples: int):
+def _block_lit_entry(c: GluedAlgebra):
     """LIT witness where the A side is a selfinjective sink block.
 
     Fires for the glued algebra itself or for its opposite, whichever has
-    every A-side path trapped inside the A vertices.
+    every A-side path trapped inside the A vertices and every arrow out of a
+    B-vertex zero on every rad P_v.  Then each syzygy, inside rad P0, is a
+    block module plus B-simples; Omega(S_v) = rad P_v shows the converse.
     """
-    a_verts = frozenset(c.a_vertices)
-    target = None
-    which = None
-    for label, alg in (("C", c.algebra), ("C^op", c.algebra.opposite())):
-        if alg.quiver.successor_closure(a_verts) != a_verts:
+    a_verts = c.a_vertices
+    for which, alg in (("C", c.algebra), ("C^op", c.algebra.opposite())):
+        if alg.quiver.successor_closure(a_verts) != a_verts \
+                or not homology.selfinjective_block(alg, a_verts):
             continue
-        if homology.selfinjective_block(alg, a_verts):
-            target, which = alg, label
-            break
-    if target is None:
-        return None
-    b_simple_ids = []
-    reg = target.registry()
-    checks = []
-    ok = True
-    detail = ""
-    for i in range(samples):
-        m = repmod.random_module(target, (budgets.seed << 16) + 1000 + i, 10)
-        om = homology.syzygy(m)
-        try:
-            res = decomp.decompose(om, budgets)
-        except BudgetExceeded:
-            ok = False
-            detail = f"sample {i}: syzygy beyond decompose budget"
-            break
-        for eid, _ in res.items:
-            rep = reg.rep(eid)
-            if rep.support() <= a_verts:
-                continue
-            if rep.total_dim == 1 and rep.support() <= c.b_vertices:
-                if eid not in b_simple_ids:
-                    b_simple_ids.append(eid)
-                continue
-            ok = False
-            detail = f"sample {i}: class {eid} is neither block-supported nor a B-simple"
-            break
-        if not ok:
-            break
-    checks.append(f"syzygy shape sampled on {samples} random modules over {which}: "
-                  + ("all of the form (block module) + (B-side simples)" if ok else detail))
-    if not ok:
-        return None
-    return ClassificationEntry(
-        "selfinjective_block_lit",
-        f"{which} is (1, V, D)-LIT with D = modules supported on the "
-        "selfinjective sink block and V = the opposite-side simples",
-        ["A-side vertices are successor-closed",
-         "restricted block algebra is selfinjective",
-         "sampled syzygies decompose as block-part + simples"],
-        {"algebra": which, "block": sorted(a_verts),
-         "v_simple_classes": sorted(b_simple_ids)},
-        checks)
+        out_of_b = [arr for arr in alg.quiver.arrows if arr.source in c.b_vertices]
+        if nonzero_on_radicals(alg, out_of_b) is not None:
+            continue
+        simple_ids = alg.registry().simple_ids
+        return ClassificationEntry(
+            "selfinjective_block_lit",
+            f"{which} is (1, V, D)-LIT with D = modules supported on the "
+            "selfinjective sink block and V = the opposite-side simples",
+            ["A-side vertices are successor-closed",
+             "restricted block algebra is selfinjective",
+             "arrows out of B-vertices vanish on every rad P_v"],
+            {"algebra": which, "block": sorted(a_verts),
+             "v_simple_classes": sorted(simple_ids[v] for v in c.b_vertices)},
+            [f"over {which}, every syzygy lies in rad P0, where the arrows out of "
+             "B-vertices act as zero: a block module plus B-side simples"])
+    return None

@@ -52,8 +52,8 @@ def rsz():
 
 # the package functions whose decompositions syzygy classes, syzygy probes,
 # orbit seeds and the registry checks of criterion 7 and zero_it_check use
-REGISTRY_DECOMPOSERS = frozenset({"syzygy_class", "module_orbit",
-                                  "_block_lit_entry", "criterion_7", "zero_it_check"})
+REGISTRY_DECOMPOSERS = frozenset({"syzygy_class", "module_orbit", "criterion_7",
+                                  "zero_it_check"})
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DIGESTS = {
-    "battery": "5d0726e3f78aaee9340791a2d8ccf7ac13ea54185674f3969821bcf218d72805",
+    "battery": "a03d5183f41b15347e1040b8577f72e360b3f10d4bab9c47243cc231bd63b66f",
     "phi-stream": "92e6a6c7819ef484c52ad6b5f7d6f4cff860498ff17db91b0d54ee88e7defcad",
     "large-dense": "b471dc5ddc960836d39c68e0071efc1d3c01e1812980f1570f6b5649caf25998",
 }

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quivalg import cli, homology, repmod
+from quivalg import cli, homology, morita, repmod
 
 
 def test_parse_exA_builds_dim_8():
@@ -144,10 +144,19 @@ def test_cli_additivity_witness(capsys):
 
 
 def test_cli_split_check(capsys):
-    code = _run(["split-check", "exC.glue", "--samples", "10"])
+    code = _run(["split-check", "exC.glue"])
     data = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert data["failures"] == []
+    assert data["holds_for_every_module"] is True
+
+
+def test_cli_split_check_fails_on_a_connector_nonzero_on_a_radical(capsys, monkeypatch):
+    # unreachable for a gluing that passed H3; the report names the vertex
+    monkeypatch.setattr(morita, "nonzero_on_radicals", lambda alg, arrows: ("0", "a0"))
+    assert _run(["split-check", "exC.glue"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["holds_for_every_module"] is False
+    assert data["reason"].startswith("connector a0 is nonzero on rad P_0 = Omega(S_0)")
 
 
 def test_cli_check_h(capsys):
@@ -366,8 +375,6 @@ def test_not_admissible_algebra_exits_3_at_once(tmp_path, relations):
 
 @pytest.mark.parametrize("args", [
     ["syzygy", "exB.alg", "--module", "S1", "--power", "-1"],
-    ["split-check", "exC.glue", "--samples", "-1"],
-    ["split-check", "exC.glue", "--samples", "0"],
     ["phi", "exB.alg", "--module", "S1^0"],
     ["phi", "exB.alg", "--module", "S1^-1"],
 ])

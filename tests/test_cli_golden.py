@@ -40,8 +40,7 @@ GOLDEN = {
     "check-h exC field 2": (["--field", "2", "check-h", "exC.glue"], "18dda898c173c8e9"),
     "classify rad-square-zero-pair field 3": (
         ["--field", "3", "classify", "rad-square-zero-pair.glue"], "2fb61b9f229ffb38"),
-    "split-check exC": (["--seed", "3", "split-check", "exC.glue", "--samples", "20"],
-                        "2ba4f2d7c09d0a9e"),
+    "split-check exC": (["--seed", "3", "split-check", "exC.glue"], "148f8229b57bef3e"),
     "additivity remark54 field 3": (["--field", "3", "additivity", "remark54.glue"],
                                     "bdc054bfca8506c5"),
     "zero-it-check exCop": (["zero-it-check", "exCop.glue", "--generators", "S0,P0",

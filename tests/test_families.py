@@ -1,5 +1,7 @@
 """Many-vertex families against their counting oracles (see families.py)."""
 
+from collections import Counter
+
 from families import (cyclic_nakayama, nakayama, radical_square_zero, rsz_selfinjective,
                       uniserial_pd)
 
@@ -34,6 +36,22 @@ def test_radical_square_zero_selfinjective_iff_in_and_out_degrees_agree():
         assert homology.selfinjectivity(alg) is want, (seed, edges)
         selfinjective += want
     assert 100 <= selfinjective <= 200
+
+
+def test_radical_square_zero_syzygy_of_a_simple_is_the_simples_at_its_arrows():
+    # Omega S_v = rad P_v = the sum of S_w over the arrows v -> w, with multiplicity
+    simples = 0
+    for seed in range(60):
+        alg, edges = radical_square_zero(seed)
+        reg = alg.registry()
+        for v in alg.quiver.vertices:
+            want = Counter(reg.simple_ids[str(t)] for s, t in edges if str(s) == v)
+            got = Counter()
+            for eid, mult in homology.syzygy_class(alg, reg.simple_ids[v]):
+                got[eid] += mult
+            assert got == want, (seed, v, edges)
+            simples += 1
+    assert simples == 207
 
 
 def test_linear_nakayama_pd_and_gldim_follow_the_uniserial_rule():

@@ -1,7 +1,9 @@
-import sys
 from typing import NamedTuple
 
-from quivalg import cli, decomp, grothendieck as gk, homology, morita, repmod
+import pytest
+
+from block_lit_oracle import sampled_block_lit, sampled_shape
+from quivalg import cli, decomp, grothendieck as gk, homology, morita, repmod, verify
 from quivalg.budgets import DEFAULT, Budgets
 from quivalg.pathalgebra import Quiver, build_algebra
 
@@ -65,11 +67,92 @@ def test_verify_split_examples(exC):
 def test_split_lemma_on_all_glued_fixtures(rsz, remark54):
     # the splitting lemma must hold on every gluing satisfying the
     # connector-ideal containment; exC/exCop take their 100-sample runs in
-    # the acceptance battery
+    # test_split_certificate_agrees_with_the_per_module_oracle
     for c in (rsz, remark54):
+        assert morita.nonzero_on_radicals(c.algebra, _connectors(c)) is None
         for seed in range(100):
             m = repmod.random_module(c.algebra, seed + 4000, 10)
             assert morita.verify_syzygy_split(c, m).ok
+
+
+def _connectors(c):
+    return c.spec.alphas + c.spec.betas
+
+
+def _product(exB):
+    """A gluing with no connectors: a2 on fresh vertex names next to exB."""
+    qa = Quiver(["x1", "x2"], [("ar", "x1", "x2")])
+    left = build_algebra(qa, [], 101, 30, name="a2x")
+    return morita.glue(morita.GluingSpec(left, exB, [], [], name="product"))
+
+
+def test_split_certificate_agrees_with_the_per_module_oracle(exC, exCop, exB):
+    # the 100 random modules each over exC and exCop that criterion 3 once
+    # sampled at the default seed, and a product gluing
+    for c, draws in ((exC, range(100)), (exCop, range(100)), (_product(exB), range(20))):
+        assert morita.nonzero_on_radicals(c.algebra, _connectors(c)) is None
+        for i in draws:
+            m = repmod.random_module(c.algebra, (DEFAULT.seed << 13) + i, 12)
+            assert morita.verify_syzygy_split(c, m, DEFAULT).ok
+
+
+def test_opposite_connector_on_a_radical_blocks_the_split(remark54, rsz):
+    # "the opposite of a LIT algebra is not LIT in general": over C^op a
+    # connector can act on rad P_v, and then Omega(S_v) = rad P_v has no
+    # one-sided split
+    for c, v in ((remark54, "0"), (rsz, "a1")):
+        cop = c.algebra.opposite()
+        assert morita.nonzero_on_radicals(cop, _connectors(c)) == (v, "be")
+        om = homology.syzygy(repmod.simple(cop, v))
+        assert om.dims == repmod.radical(cop.projective(v))[0].dims
+        assert morita.one_sided_parts(c, om) is None
+    # and an arrow out of a B-vertex on rad P_v breaks the block-LIT shape
+    cop = rsz.algebra.opposite()
+    out_of_b = [arr for arr in cop.quiver.arrows if arr.source in rsz.b_vertices]
+    assert morita.nonzero_on_radicals(cop, out_of_b) == ("b2", "al")
+    pieces = decomp.decompose(homology.syzygy(repmod.simple(cop, "b2"))).items
+    reps = [cop.registry().rep(eid) for eid, _ in pieces]
+    assert any(not rep.support() <= rsz.a_vertices
+               and not (rep.total_dim == 1 and rep.support() <= rsz.b_vertices)
+               for rep in reps)
+
+
+@pytest.mark.parametrize("name,expected", [("exC", "C^op"), ("exCop", "C"),
+                                           ("remark54", "C"), ("rsz", None)])
+def test_block_lit_shape_agrees_with_the_sampled_oracle(request, name, expected):
+    c = request.getfixturevalue(name)
+    for alg in (c.algebra, c.algebra.opposite()):
+        sampled, _ = sampled_shape(c, alg)
+        # every arrow into or out of a B-vertex zero on the radicals; with the
+        # A-vertices successor-closed these are the arrows out of B-vertices
+        touching_b = [arr for arr in alg.quiver.arrows
+                      if arr.source in c.b_vertices or arr.target in c.b_vertices]
+        assert sampled == (morita.nonzero_on_radicals(alg, touching_b) is None)
+        if alg.quiver.successor_closure(c.a_vertices) == c.a_vertices:
+            out_of_b = [arr for arr in alg.quiver.arrows if arr.source in c.b_vertices]
+            assert sampled == (morita.nonzero_on_radicals(alg, out_of_b) is None)
+    entry = morita._block_lit_entry(c)
+    old = sampled_block_lit(c)
+    assert (entry and entry.witness["algebra"]) == (old and old[0]) == expected
+    if expected:
+        assert set(old[1]) <= set(entry.witness["v_simple_classes"])
+
+
+def test_certificates_draw_no_random_module(monkeypatch):
+    draws = []
+    random_module = repmod.random_module
+
+    def spy(alg, seed, size_bound=12):
+        draws.append(seed)
+        return random_module(alg, seed, size_bound)
+
+    monkeypatch.setattr(repmod, "random_module", spy)
+    fx = verify.Fixtures()
+    assert verify.criterion_3(fx, DEFAULT)["passed"]
+    assert cli.main(["split-check", "exC.glue"]) == 0
+    for c in (fx.exC, fx.exCop, fx.remark54, fx.rsz):
+        morita.classify_gluing(c)
+    assert draws == []
 
 
 def test_g_functors(rsz, remark54):
@@ -278,7 +361,7 @@ def test_f_compatibility_sampled(rsz):
 
 
 def test_classify_gluing_entries(rsz, exCop):
-    report = morita.classify_gluing(rsz, budgets=DEFAULT, samples=5)
+    report = morita.classify_gluing(rsz, budgets=DEFAULT)
     props = {e.proposition for e in report.entries}
     assert "syzygy_finite_gluing" in props
     assert "igusa_todorov_gluing" in props
@@ -289,7 +372,7 @@ def test_classify_gluing_entries(rsz, exCop):
         b_status=morita.SideStatus(
             syzygy_finite={"n": 1, "provenance": "machine"},
             it_level={"n": 1, "provenance": "machine"}),
-        budgets=DEFAULT, samples=8)
+        budgets=DEFAULT)
     props2 = {e.proposition for e in report2.entries}
     assert "selfinjective_block_lit" in props2
     entry = next(e for e in report2.entries
@@ -303,7 +386,7 @@ def test_opposite_gluing_witness_stops_at_the_block_cap(remark54):
     # lists Omega^1 and Omega^2 and a check names that block
     asserted = {"n": 26, "provenance": "asserted"}
     report = morita.classify_gluing(remark54, morita.SideStatus(it_level=asserted),
-                                    morita.SideStatus(it_level=asserted), DEFAULT, samples=1)
+                                    morita.SideStatus(it_level=asserted), DEFAULT)
     entry = next(e for e in report.entries if e.proposition == "opposite_gluing")
     assert [sum(d.values()) for d in entry.witness["v3_dims"]] == [15, 34]
     assert entry.checks == ["syzygies of C0 over C^op stop at the cap: "
@@ -314,36 +397,14 @@ def test_lit_both_sides_entry(rsz):
     # generated ideal, disjoint connector endpoints and asserted LIT sides
     report = morita.classify_gluing(
         rsz, morita.SideStatus(lit_level={"n": 1, "provenance": "asserted"}),
-        morita.SideStatus(lit_level={"n": 2, "provenance": "asserted"}), DEFAULT, samples=1)
+        morita.SideStatus(lit_level={"n": 2, "provenance": "asserted"}), DEFAULT)
     entry = next(e for e in report.entries if e.proposition == "lit_both_sides")
     assert entry.conclusion == "C is a 3-LIT algebra"
     assert entry.hypotheses[:2] == ["A is 1-LIT (asserted)", "B is 2-LIT (asserted)"]
 
 
-def test_block_lit_samples_follow_the_seed(monkeypatch):
-    # the sampled syzygy shapes are drawn at the budgets' seed, and seed 0
-    # keeps the draws 1000 + i
-    exCop = cli.load_glue_file("exCop.glue")
-    draws = []
-    random_module = repmod.random_module
-
-    def spy(alg, seed, size_bound=12):
-        if sys._getframe(1).f_globals["__name__"] == "quivalg.morita":
-            draws.append(seed)
-        return random_module(alg, seed, size_bound)
-
-    monkeypatch.setattr(repmod, "random_module", spy)
-    for seed in (3, 0):
-        draws.clear()
-        morita._block_lit_entry(exCop, Budgets(seed=seed), 4)
-        assert draws == [(seed << 16) + 1000 + i for i in range(4)]
-
-
 def test_classify_product_case(exB):
-    qa = Quiver(["x1", "x2"], [("ar", "x1", "x2")])
-    left = build_algebra(qa, [], 101, 30, name="a2x")
-    c = morita.glue(morita.GluingSpec(left, exB, [], [], name="product"))
-    report = morita.classify_gluing(c, budgets=DEFAULT, samples=3)
+    report = morita.classify_gluing(_product(exB), budgets=DEFAULT)
     assert any(e.proposition == "product" for e in report.entries)
 
 
@@ -353,6 +414,6 @@ def test_lit_one_directional_entry(exC):
         exC,
         a_status=morita.SideStatus(it_level={"n": 1, "provenance": "asserted"}),
         b_status=morita.SideStatus(lit_level={"n": 1, "provenance": "asserted"}),
-        budgets=DEFAULT, samples=3)
+        budgets=DEFAULT)
     props = {e.proposition for e in report.entries}
     assert "lit_one_directional" in props
