@@ -375,6 +375,8 @@ def test_not_admissible_algebra_exits_3_at_once(tmp_path, relations):
 
 @pytest.mark.parametrize("args", [
     ["syzygy", "exB.alg", "--module", "S1", "--power", "-1"],
+    ["phi", "exB.alg", "--module", "S1^x"],
+    ["syzygy", "exB.alg", "--module", "S2^0"],
     ["phi", "exB.alg", "--module", "S1^0"],
     ["phi", "exB.alg", "--module", "S1^-1"],
 ])
