@@ -828,6 +828,3 @@ def main(argv=None) -> int:
 def _print_human(rep: Report):
     print(json.dumps(rep.results, indent=2, sort_keys=True, default=str))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -536,8 +536,7 @@ def _content(m: Rep) -> tuple:
 
 
 class RegistryEntry:
-    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "syzygy_certified", "omega", "pd",
-                 "shortcut")
+    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "syzygy_certified", "pd", "shortcut")
 
     def __init__(self, id_: int, rep: Rep, fp, projective: bool):
         self.id = id_
@@ -546,7 +545,6 @@ class RegistryEntry:
         self.projective = projective
         self.syzygy = None  # tuple[(id, mult)] once computed
         self.syzygy_certified = True  # False when that decomposition is probabilistic
-        self.omega = None  # the syzygy module itself while it waits on a larger max_dim
         self.pd = None
         self.shortcut = False  # not yet taken; then homology's infinite-pd evidence or None
 

@@ -2,13 +2,14 @@
 
 The syzygy of a module is the kernel of its projective cover, read off the
 presentation repmod caches per module (the same one hom_basis solves on);
-`projective_cover` is repmod's, imported here.  pd returns an honest
-three-state result: Finite(n) when the syzygy class multiset empties,
-InfiniteCertified with evidence (class-graph cycle, selfinjective algebra or
-block, or a Cartan-lattice obstruction), and Unknown at budget.  A result
-resting on a probabilistic decomposition of a syzygy has certified=False.
-Selfinjectivity is decided exactly from socles and Cartan dimensions, and
-only omega_powers splits a recorded sum: block by block, under a block cap.
+`projective_cover` is repmod's, imported here.  syzygy_class checks the cap
+on those rows; on a selfinjective block it registers Omega as one class.
+pd returns an honest three-state result: Finite(n) when the syzygy class
+multiset empties, InfiniteCertified with evidence (class-graph cycle,
+selfinjective algebra or block, or a Cartan-lattice obstruction), and
+Unknown at budget.  A result resting on a probabilistic decomposition of a
+syzygy has certified=False.  Selfinjectivity is decided exactly from socles
+and Cartan dimensions; only omega_powers splits a recorded sum, by blocks.
 """
 
 from __future__ import annotations
@@ -146,23 +147,21 @@ def syzygy_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> tup
 
     Projective summands are retained (K0 consumers drop them; orbit analysis
     keeps them as markers).  Whether the decomposition was certified is kept
-    in the entry's syzygy_certified.  A syzygy above budgets.max_dim is kept
-    in the entry's omega, so a later call checks it against its own cap with
-    no rebuild.
+    in the entry's syzygy_certified.  The cap is checked on the cached
+    presentation's rows, before Omega is built.  Omega of a class whose
+    support closure C is a selfinjective block is registered as one class:
+    its cover is a sum of P_v, v in C, so it is the same over A_C, where it is
+    indecomposable nonprojective (Auslander, Reiten and Smalø, IV.3).  Over a
+    selfinjective A those P_v are injective and supported on C: A_C is too.
     """
     registry = alg.registry()
     entry = registry.entries[eid]
     if entry.syzygy is None:
-        if entry.omega is None:
-            entry.omega = syzygy(entry.rep)
-        om = entry.omega
-        if om.total_dim > budgets.max_dim:
-            raise BudgetExceeded(
-                f"syzygy of class {eid} has dimension {om.total_dim} > cap")
-        entry.omega = None
-        if not om.is_zero and not entry.projective and selfinjectivity(alg):
-            # stable equivalence: the minimal syzygy of an indecomposable
-            # nonprojective is again indecomposable nonprojective
+        dim = sum(k.shape[0] for k in repmod.presentation(entry.rep).omega.values())
+        if dim > budgets.max_dim:
+            raise BudgetExceeded(f"syzygy of class {eid} has dimension {dim} > cap")
+        om = syzygy(entry.rep)
+        if not om.is_zero and covering_selfinjective_block(alg, entry.rep.support()) is not None:
             entry.syzygy = ((registry.register(om, budgets), 1),)
         else:
             res = decomp.decompose(om, budgets)
@@ -247,7 +246,8 @@ def pd_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> PdResul
     registry = alg.registry()
     entry = registry.entries[eid]
     if entry.pd is not None:
-        if entry.pd.status != "unknown" or entry.pd.depth_reached >= budgets.depth:
+        if entry.pd.status != "unknown" or (entry.pd.evidence["kind"] == "depth"
+                                            and entry.pd.depth_reached >= budgets.depth):
             return entry.pd
     if entry.projective:
         entry.pd = PdResult("finite", 0)

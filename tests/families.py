@@ -5,7 +5,8 @@
   M(i, l) = P_i / rad^l P_i for 1 <= l <= len P_i, with len P_i =
   min(L, n - i), and Omega M(i, l) = M(i + l, len P_i - l) (Auslander,
   Reiten and Smalø, the chapter on Nakayama algebras).  `uniserial_pd`
-  counts pd along that rule.
+  counts pd along that rule, and `uniserial` builds M(i, l) by hand, over
+  C(n, L) too.
 - `cyclic_nakayama(n, L)` is C(n, L): the cyclic quiver on n vertices with
   every path of length L zero, which is selfinjective.
 - `radical_square_zero(seed)` is a seeded random quiver with every path of
@@ -18,6 +19,9 @@
 
 import random
 
+import numpy as np
+
+from quivalg import repmod
 from quivalg.pathalgebra import Quiver, build_algebra
 
 P = 3
@@ -50,6 +54,29 @@ def uniserial_pd(n: int, length: int, i: int, l: int) -> int:
         i, l = i + l, projective_length(n, length, i) - l
         pd += 1
     return pd
+
+
+def uniserial_dims(n: int, i: int, l: int) -> tuple[int, ...]:
+    """The dim vector of M(i, l) over N(n, L) or C(n, L): one dimension at
+    each of the vertices i, i + 1, ..., i + l - 1, taken mod n."""
+    dims = [0] * n
+    for k in range(l):
+        dims[(i + k) % n] += 1
+    return tuple(dims)
+
+
+def uniserial(alg, i: int, l: int):
+    """M(i, l) over N(n, L) or C(n, L), built by hand: e_0, ..., e_{l-1} with
+    e_k at vertex i + k (mod n), and the arrow out of that vertex sending
+    e_k to e_{k+1}."""
+    n = len(alg.quiver.vertices)
+    at = [(i + k) % n for k in range(l)]
+    dims = uniserial_dims(n, i, l)
+    mats = {f"a{v}": np.zeros((dims[v], dims[(v + 1) % n]), dtype=np.int64)
+            for v in set(at[:-1])}
+    for k in range(l - 1):
+        mats[f"a{at[k]}"][at[:k].count(at[k]), at[:k + 1].count(at[k + 1])] = 1
+    return repmod.Rep(alg, {str(v): d for v, d in enumerate(dims)}, mats)
 
 
 def radical_square_zero(seed: int):

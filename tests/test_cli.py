@@ -365,12 +365,26 @@ def test_not_admissible_algebra_exits_3_at_once(tmp_path, relations):
     path = tmp_path / "t.alg"
     path.write_text("algebra t field 101 truncate 30\nvertex 1\n"
                     f"arrow a: 1 -> 1\narrow b: 1 -> 1\n{relations}\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", "import sys; from quivalg.cli import main; sys.exit(main())",
-                           "info", str(path)], env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_checkout("-c", "import sys; from quivalg.cli import main; sys.exit(main())",
+                         "info", str(path))
     assert proc.returncode == 3
     assert "not admissible at this truncation bound" in proc.stderr
+
+
+def _run_checkout(*args):
+    """Run the interpreter on args with this checkout's package on its path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_python_m_quivalg_runs_the_command_line(capsys):
+    proc = _run_checkout("-m", "quivalg", "info", "exB.alg")
+    assert _run(["info", "exB.alg"]) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+    proc = _run_checkout("-m", "quivalg", "info", "missing.alg")
+    assert proc.returncode == 3 and "input error: no such file: missing.alg" in proc.stderr
 
 
 @pytest.mark.parametrize("args", [

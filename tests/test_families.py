@@ -2,8 +2,8 @@
 
 from collections import Counter
 
-from families import (cyclic_nakayama, nakayama, radical_square_zero, rsz_selfinjective,
-                      uniserial_pd)
+from families import (cyclic_nakayama, nakayama, projective_length, radical_square_zero,
+                      rsz_selfinjective, uniserial, uniserial_dims, uniserial_pd)
 
 from quivalg import analysis, homology, repmod
 
@@ -52,6 +52,28 @@ def test_radical_square_zero_syzygy_of_a_simple_is_the_simples_at_its_arrows():
             assert got == want, (seed, v, edges)
             simples += 1
     assert simples == 207
+
+
+def test_syzygy_class_of_a_uniserial_follows_the_uniserial_rule():
+    # Omega M(i, l) = M(i + l, len P_i - l), by dim vector, over N(n, L) and
+    # over C(n, L), where len P_i = L and vertices are taken mod n;
+    # M(i, len P_i) is P_i, whose syzygy is zero
+    uniserials = 0
+    for n in SIZES:
+        for length in LENGTHS:
+            for alg, lengths in ((nakayama(n, length),
+                                  [projective_length(n, length, i) for i in range(n)]),
+                                 (cyclic_nakayama(n, length), [length] * n)):
+                reg = alg.registry()
+                for i, top in enumerate(lengths):
+                    for l in range(1, top + 1):
+                        eid = reg.register(uniserial(alg, i, l))
+                        got = [tuple(reg.rep(j).dim_vector())
+                               for j, mult in homology.syzygy_class(alg, eid) for _ in range(mult)]
+                        want = [uniserial_dims(n, i + l, top - l)] if l < top else []
+                        assert got == want, (alg.name, i, l)
+                        uniserials += 1
+    assert uniserials == 1129
 
 
 def test_linear_nakayama_pd_and_gldim_follow_the_uniserial_rule():

@@ -1,7 +1,8 @@
 import pytest
+from families import cyclic_nakayama, radical_square_zero
 from random_algebra import TRUNCATION, random_presentation
 
-from quivalg import analysis, cli, decomp, exactfield as ef, homology, repmod
+from quivalg import analysis, cli, decomp, exactfield as ef, grothendieck, homology, repmod
 from quivalg.budgets import DEFAULT, BudgetExceeded, Budgets
 from quivalg.pathalgebra import build_algebra
 
@@ -135,6 +136,17 @@ def test_pd_selfinjective_shortcut(exA):
         assert r.value == 0  # selfinjective: projective or infinite
 
 
+def test_pd_stopped_on_the_cap_is_walked_again_under_a_larger_cap():
+    # an unknown that stopped on the cap says nothing about a larger cap, even
+    # at a depth it reached: the walk is taken again, as on a fresh registry
+    alg = cli.load_glue_file("remark54.glue").algebra
+    m = repmod.random_module(alg, 17, 10)
+    r = homology.pd(m, Budgets(max_dim=6))
+    assert (r.status, r.evidence, r.depth_reached) == ("unknown", {"kind": "budget"}, 1)
+    r = homology.pd(m, Budgets(max_dim=40, depth=1))
+    assert (r.status, r.value) == ("finite", 1)
+
+
 def test_orbit_examples(exB, a2):
     regB = exB.registry()
     orbit = homology.omega_orbit(exB, [regB.simple_ids["1"], regB.simple_ids["2"]])
@@ -261,21 +273,54 @@ def test_closed_orbit_is_forward_closed(exB, rsz):
 
 
 def test_over_cap_syzygy_is_built_once(monkeypatch):
-    # Omega(S0) over exCop has dimension 7: above a cap of 6, the entry keeps
-    # it, so a second call at that cap raises with no rebuild, and a call
-    # at the default cap decomposes it as a fresh registry does
+    # Omega(S0) over exCop has dimension 7: a cap of 6 is checked on the
+    # presentation's rows, so both calls raise before any syzygy is built,
+    # and a call at the default cap builds it once and answers as a fresh
+    # registry does
     alg = cli.load_glue_file("exCop.glue").algebra
     eid = alg.registry().simple_ids["0"]
     built, syzygy = [], homology.syzygy
-    monkeypatch.setattr(homology, "syzygy", lambda m: built.append(m) or syzygy(m))
+    monkeypatch.setattr(homology, "syzygy", lambda m: built.append(syzygy(m)) or built[-1])
     for _ in range(2):
         with pytest.raises(BudgetExceeded, match=f"syzygy of class {eid} has dimension 7 > cap"):
             homology.syzygy_class(alg, eid, Budgets(max_dim=6))
-        assert len(built) == 1
+        assert not built
     got = homology.syzygy_class(alg, eid)
-    assert len(built) == 1
+    assert [m.total_dim for m in built] == [7]
     fresh = cli.load_glue_file("exCop.glue").algebra
     assert got == homology.syzygy_class(fresh, fresh.registry().simple_ids["0"])
+
+
+def _registered_syzygies_checked(alg) -> int:
+    """Walk the orbits of alg's simples, then check every class on a
+    selfinjective block whose syzygy class was taken: decompose finds its
+    syzygy to be the one certified class that syzygy_class registered."""
+    reg = alg.registry()
+    homology.omega_orbit(alg, [reg.simple_ids[v] for v in alg.quiver.vertices])
+    checked = 0
+    for entry in list(reg.entries):
+        if entry.syzygy is None or entry.projective:
+            continue
+        if homology.covering_selfinjective_block(alg, entry.rep.support()) is None:
+            continue
+        res = decomp.decompose(homology.syzygy(entry.rep))
+        assert (res.items, res.certified) == (entry.syzygy, True), (alg.name, entry.id)
+        assert len(entry.syzygy) == 1 and entry.syzygy[0][1] == 1
+        checked += 1
+    return checked
+
+
+def test_syzygy_on_a_selfinjective_block_is_the_class_decompose_finds():
+    counts = {}
+    for name in ("exC", "exCop", "remark54", "rad-square-zero-pair"):
+        alg = cli.load_glue_file(f"{name}.glue").algebra
+        counts[name] = _registered_syzygies_checked(alg), _registered_syzygies_checked(alg.opposite())
+    counts["C(n, L)"] = sum(_registered_syzygies_checked(cyclic_nakayama(n, length))
+                            for n in range(1, 9) for length in (2, 3, 4))
+    counts["radical square zero"] = sum(_registered_syzygies_checked(radical_square_zero(seed)[0])
+                                        for seed in range(60))
+    assert counts == {"exC": (0, 3), "exCop": (3, 0), "remark54": (3, 0),
+                      "rad-square-zero-pair": (0, 0), "C(n, L)": 180, "radical square zero": 67}
 
 
 def test_large_excop_syzygies_decompose_to_one_certified_class():
@@ -288,3 +333,21 @@ def test_large_excop_syzygies_decompose_to_one_certified_class():
         m = homology.syzygy(m)
         res = decomp.decompose(m, budgets=Budgets(max_dim=80))
         assert (m.total_dim, res.items, res.certified) == (dim, ((eid, 1),), True)
+
+
+def test_excop_orbit_at_a_cap_of_100_is_registered_not_decomposed(monkeypatch):
+    # phi(S0 + S1) over exCop walks the Omega-orbit of its selfinjective block
+    # {0} up to 97 dimensions: no syzygy there is decomposed, none above the
+    # cap is built, and the walk stops on the 127-dimensional one
+    alg = cli.load_glue_file("exCop.glue").algebra
+    m = repmod.direct_sum([repmod.simple(alg, "0"), repmod.simple(alg, "1")])[0]
+    decomposed, built = [], []
+    decompose, syzygy = decomp.decompose, homology.syzygy
+    monkeypatch.setattr(decomp, "decompose",
+                        lambda x, *a, **k: decomposed.append(x.support()) or decompose(x, *a, **k))
+    monkeypatch.setattr(homology, "syzygy", lambda x: built.append(syzygy(x)) or built[-1])
+    r = grothendieck.phi(m, Budgets(max_dim=100))
+    assert (r.certificate, r.note, r.trace) == (
+        "budget", "syzygy of class 11 has dimension 127 > cap", [2] * 7)
+    assert decomposed and {"0"} not in decomposed
+    assert max(x.total_dim for x in built) == 97
