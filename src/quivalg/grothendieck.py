@@ -1,38 +1,39 @@
 """The group K0 modulo projectives, the induced syzygy endomorphism, and phi.
 
 phi(M) is the Fitting stabilization index of the induced endomorphism on
-<add M>.  The value reported is always a certified lower bound (observed rank
-drops are real); the `certified` flag marks when one of the certificates
-establishes injectivity for every later depth, pinning the exact value:
+<add M> (Igusa and Todorov, Fields Inst. Commun. 45, 2005).  The value is a
+certified lower bound (rank drops are real); `certified` marks a certificate
+that the rank trace is constant from the last depth walked on:
 
   - rank_zero / finite_pd: the trace reaches rank 0 and stays there;
-  - orbit_cycle: the class set closes, so the trace is provably constant
-    beyond its size (eventual-image argument), and the plateau is inspected;
-  - theorem_selfinjective: all classes live on a successor-closed vertex set
-    whose restricted algebra is selfinjective, where the syzygy operator is
-    injective on classes;
-  - indec_infinite_pd: a single class of certified infinite projective
-    dimension has phi = 0;
-  - rank_one_persistent: generator coefficients stay nonnegative under the
-    class-level syzygy map, so once the trace sits at rank 1 with a
-    certified-infinite-pd class in its support, it can never reach 0 and no
-    further drop is possible.
+  - theorem_selfinjective / orbit_cycle: the classes close modulo
+    selfinjective blocks (below) at depth 0 / one depth past k0;
+  - indec_infinite_pd: one class, of certified infinite pd, has phi = 0;
+  - rank_one_persistent: coefficients stay nonnegative under the class-level
+    syzygy map, so a trace at rank 1 with a certified-infinite-pd class in
+    its support never reaches 0 and cannot drop again.
 
-The trace rests on the decompositions of the syzygies it passes through; when
-one of them (or one behind a pd certificate) is only probabilistic, so is the
-result: `certified` is False and the status reads "probabilistic".
+The closure.  Let V be the span of the classes whose support closure is a
+selfinjective block, F the other classes reached.  A class on the block C has
+its syzygy on C, the same over the selfinjective A_C, where Omega is a
+bijection on nonprojective indecomposables (stable equivalence; Auslander,
+Reiten and Smalo, IV.3); two blocks C, D make one, as C n D is a union of
+components of A_C and of A_D.  So Omega-bar maps V into V, injectively.  Let
+every syzygy class of F lie in F, V or the projectives, and k0 be the Fitting
+index of the induced T on span(F) = span(F u V) / V: ker T^k = ker T^k0 for
+k >= k0.  If u in <add M> has Omega-bar^k u = 0, k >= k0, then T^k0 kills
+pi u, so Omega-bar^k0 u lies in V, where Omega-bar^(k - k0) is injective: it
+is 0.  So the rank is constant from depth k0 on; F empty gives k0 = 0.
+
+A trace resting on a probabilistic syzygy decomposition (its own or a pd
+certificate's) is not `certified` either: its status reads "probabilistic".
 
 phi(M) depends only on add M, so each registry keeps a table of answers,
 `IsoRegistry.phis`, keyed by M's sorted nonprojective class ids and the
-budgets; `phi` reads it after `class_vector` and walks the trace only on a
-miss.  The walk reads cached syzygy classes, which never change once set,
-pd_class answers and budget stops.  A budget stop, a depth_budget stop or an
-unknown pd can become a longer walk once a call with a larger max_dim or
-depth has filled the caches, so an answer is stored only when its
-certificate is neither `budget` nor `depth_budget` and every pd_class it read
-was finite or infinite.  Such a walk rests on fixed data alone, so a re-walk
-would give the same value, certificate, trace, note and status.  Every
-answer is a fresh PhiResult with its own trace list.
+budgets.  A larger max_dim or depth can lengthen a walk that stopped on a
+budget or read an unknown pd; every other answer rests on fixed data (cached
+syzygy classes and pd answers) and is stored.  Every answer is a fresh
+PhiResult with its own trace list.
 """
 
 from __future__ import annotations
@@ -72,10 +73,7 @@ def subgroup_add(m: Rep, budgets: Budgets = DEFAULT) -> list[K0Vector]:
 
 def lattice_rank_of(vecs) -> int:
     support = sorted({i for v in vecs for i in v})
-    if not support:
-        return 0
-    rows = [[v.get(i, 0) for i in support] for v in vecs]
-    return ef.lattice_rank(rows)
+    return ef.lattice_rank([[v.get(i, 0) for i in support] for v in vecs])
 
 
 @dataclass
@@ -100,14 +98,6 @@ class PhiResult:
                 f"rank trace [{tr}{more}]")
 
 
-def _support_vertices(alg: BoundAlgebra, ids) -> set[str]:
-    reg = alg.registry()
-    verts: set[str] = set()
-    for i in ids:
-        verts |= reg.rep(i).support()
-    return verts
-
-
 def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
     """The (right) Igusa-Todorov function with certification, read from the
     registry's phi table when add m was answered before (see above)."""
@@ -126,9 +116,9 @@ def phi(m: Rep, budgets: Budgets = DEFAULT) -> PhiResult:
 
 def _walk(alg: BoundAlgebra, gens: list[K0Vector], budgets: Budgets
           ) -> tuple[PhiResult, bool]:
-    """phi from the rank trace of the generators of <add M>, and whether that
-    answer is final: no budget stopped the walk, and every pd_class answer it
-    read was finite or infinite."""
+    """phi from the rank trace of the generators of <add M>, and whether the
+    answer is final: no budget stopped it and every pd_class it read was finite
+    or infinite.  It stops past _closed's k0, past budgets.depth if need be."""
     reg = alg.registry()
     trace = [len(gens)]
     used: set[int] = set()  # the classes whose syzygies the trace read
@@ -148,27 +138,15 @@ def _walk(alg: BoundAlgebra, gens: list[K0Vector], budgets: Budgets
 
     if not gens:
         return result(0, True, "rank_zero")
-    if homology.selfinjectivity(alg):
-        return result(0, True, "theorem_selfinjective", "whole algebra")
     ids0 = [next(iter(v)) for v in gens]
-    blk = homology.covering_selfinjective_block(alg, _support_vertices(alg, ids0))
-    if blk is not None:
+    if not _free(alg, ids0):
+        blk = alg.quiver.successor_closure(set().union(*(reg.rep(i).support() for i in ids0)))
         return result(0, True, "theorem_selfinjective", f"block {'+'.join(sorted(blk))}")
-    if len(gens) == 1:
-        pdres = pd_class(ids0[0])
-        if pdres.status == "infinite":
-            return result(0, True, "indec_infinite_pd", pdres.evidence.get("kind", ""),
-                          pdres)
-    seen = set(ids0)
-    value = 0
-    depth = 0
-    closure_depth = None
-    cur = gens
-    while True:
-        limit = budgets.depth if closure_depth is None else max(
-            budgets.depth, len(seen) + 1)
-        if depth >= limit:
-            break
+    pdres = pd_class(ids0[0]) if len(gens) == 1 else None
+    if pdres is not None and pdres.status == "infinite":
+        return result(0, True, "indec_infinite_pd", pdres.evidence.get("kind", ""), pdres)
+    seen, value, depth, closed, cur = set(ids0), 0, 0, None, gens
+    while closed is not None or depth < budgets.depth:
         depth += 1
         used.update(i for g in cur for i in g)
         try:
@@ -186,27 +164,48 @@ def _walk(alg: BoundAlgebra, gens: list[K0Vector], budgets: Budgets
         support = {i for g in cur for i in g}
         new = support - seen
         seen |= support
-        if closure_depth is None:
-            blk = homology.covering_selfinjective_block(
-                alg, _support_vertices(alg, support))
-            if blk is not None:
-                return result(value, True, "theorem_selfinjective",
-                              f"block {'+'.join(sorted(blk))} from depth {depth}")
-            if not new:
-                closure_depth = depth
-            elif r == 1:
-                # coefficients stay nonnegative, so one certified-infinite-pd
-                # class in the support pins the rank at 1 forever
-                for eid in sorted(support):
-                    pdres = pd_class(eid)
-                    if pdres.status == "infinite":
-                        return result(value, True, "rank_one_persistent",
-                                      f"class {eid} has infinite pd "
-                                      f"({pdres.evidence.get('kind')})", pdres)
-        if closure_depth is not None and depth >= len(seen) + 1:
-            return result(value, True, "orbit_cycle",
-                          f"{len(seen)} classes, closed at depth {closure_depth}")
+        if closed is None and new and r == 1:
+            # coefficients stay nonnegative, so one certified-infinite-pd
+            # class in the support pins the rank at 1 forever
+            for eid in sorted(support):
+                pdres = pd_class(eid)
+                if pdres.status == "infinite":
+                    note = f"class {eid} has infinite pd ({pdres.evidence.get('kind')})"
+                    return result(value, True, "rank_one_persistent", note, pdres)
+        if new or closed is None:
+            closed = _closed(alg, seen, budgets)
+        if closed is not None and depth > closed[1]:
+            used.update(closed[0])
+            return result(value, True, "orbit_cycle", f"{len(closed[0])} classes closed "
+                          f"modulo selfinjective blocks, Fitting index {closed[1]}")
     return result(value, False, "depth_budget")
+
+
+def _free(alg: BoundAlgebra, ids) -> list[int]:
+    """The classes in ids whose support closure is no selfinjective block."""
+    reg = alg.registry()
+    return sorted(i for i in ids
+                  if homology.covering_selfinjective_block(alg, reg.rep(i).support()) is None)
+
+
+def _closed(alg: BoundAlgebra, seen, budgets: Budgets) -> tuple[list[int], int] | None:
+    """(F, k0), k0 ranked over the integers, when the classes seen close modulo
+    selfinjective blocks (see above); None otherwise or on a cap."""
+    reg, free = alg.registry(), _free(alg, seen)
+    rows = []  # rows[n]: T of the n-th class of F
+    for f in free:
+        try:
+            items = homology.syzygy_class(alg, f, budgets)
+        except BudgetExceeded:
+            return None
+        if _free(alg, [j for j, _ in items if j not in free and not reg.is_projective(j)]):
+            return None
+        rows.append([sum(k for j, k in items if j == g) for g in free])
+    ranks, power = [len(free), ef.lattice_rank(rows)], rows  # rank T^k; T^(k + 1)
+    while ranks[-1] < ranks[-2]:
+        power = [[sum(a * b for a, b in zip(row, c)) for c in zip(*rows)] for row in power]
+        ranks.append(ef.lattice_rank(power))
+    return free, len(ranks) - 2
 
 
 @dataclass

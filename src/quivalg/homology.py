@@ -5,8 +5,8 @@ presentation repmod caches per module (the same one hom_basis solves on);
 `projective_cover` is repmod's, imported here.  syzygy_class checks the cap
 on those rows; on a selfinjective block it registers Omega as one class.
 pd returns an honest three-state result: Finite(n) when the syzygy class
-multiset empties, InfiniteCertified with evidence (class-graph cycle,
-selfinjective algebra or block, or a Cartan-lattice obstruction), and
+multiset empties, InfiniteCertified with evidence (class-graph cycle, a
+selfinjective block, the whole algebra included, or a Cartan obstruction), and
 Unknown at budget.  A result resting on a probabilistic decomposition of a
 syzygy has certified=False.  Selfinjectivity is decided exactly from socles
 and Cartan dimensions; only omega_powers splits a recorded sum, by blocks.
@@ -230,14 +230,12 @@ def _class_infinite_shortcut(alg: BoundAlgebra, eid: int) -> dict | None:
 def _infinite_shortcut(alg: BoundAlgebra, entry) -> dict | None:
     if entry.projective:
         return None
-    if selfinjectivity(alg):
-        return {"kind": "selfinjective"}
     rep = entry.rep
-    if not cartan_member(alg, rep.dim_vector()):
-        return {"kind": "cartan", "dims": list(rep.dim_vector())}
     blk = covering_selfinjective_block(alg, rep.support())
     if blk is not None:
         return {"kind": "selfinjective_block", "vertices": sorted(blk)}
+    if not cartan_member(alg, rep.dim_vector()):
+        return {"kind": "cartan", "dims": list(rep.dim_vector())}
     return None
 
 

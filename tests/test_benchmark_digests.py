@@ -14,8 +14,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DIGESTS = {
-    "battery": "a03d5183f41b15347e1040b8577f72e360b3f10d4bab9c47243cc231bd63b66f",
-    "phi-stream": "92e6a6c7819ef484c52ad6b5f7d6f4cff860498ff17db91b0d54ee88e7defcad",
+    "battery": "910e8c2b05c70d36e96df3fc0655c7124115f2823c74ffaf1dc9e6fe134e5702",
+    "phi-stream": "c7903665acebf95b032f36bd7dd4447568332aa713c03cdef050e36a38453d72",
     "large-dense": "b471dc5ddc960836d39c68e0071efc1d3c01e1812980f1570f6b5649caf25998",
 }
 

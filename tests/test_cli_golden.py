@@ -23,9 +23,9 @@ GOLDEN = {
     "syzygy exB S1 power 3": (["syzygy", "exB.alg", "--module", "S1", "--power", "3"],
                               "db2e12528b9bcc70"),
     "pd exCop S2": (["pd", "exCop.glue", "--module", "S2"], "4a4b6f59193154ad"),
-    "phi exB S1+S2": (["phi", "exB.alg", "--module", "S1+S2"], "8222bb47d1c87bf6"),
+    "phi exB S1+S2": (["phi", "exB.alg", "--module", "S1+S2"], "0f17a3e7eef43743"),
     "phi exB field 2": (["--field", "2", "phi", "exB.alg", "--module", "P1+S1+S2"],
-                        "da355fbc013399c5"),
+                        "a87d1557cc6a9951"),
     "phi exB json": (["phi", "exB.alg", "--module", "{tmp}/m.json"], "c08ab59a3dc6b5b0"),
     "decompose exB json": (["decompose", "exB.alg", "--module", "{tmp}/m.json"],
                            "025f2f0876dc0d09"),
@@ -42,7 +42,7 @@ GOLDEN = {
         ["--field", "3", "classify", "rad-square-zero-pair.glue"], "2fb61b9f229ffb38"),
     "split-check exC": (["--seed", "3", "split-check", "exC.glue"], "148f8229b57bef3e"),
     "additivity remark54 field 3": (["--field", "3", "additivity", "remark54.glue"],
-                                    "bdc054bfca8506c5"),
+                                    "5be35c711a2fde96"),
     "zero-it-check exCop": (["zero-it-check", "exCop.glue", "--generators", "S0,P0",
                              "--block", "0"], "cc7966553aec16fe"),
 }

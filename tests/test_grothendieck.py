@@ -1,5 +1,13 @@
+import functools
+from collections import Counter
+
+from families import cyclic_nakayama, nakayama, radical_square_zero
+from phi_walk_oracle import oracle_phi
+from random_algebra import TRUNCATION, random_presentation
+
 from quivalg import cli, decomp, exactfield as ef, grothendieck as gk, homology, repmod
 from quivalg.budgets import DEFAULT, Budgets
+from quivalg.pathalgebra import NotAdmissible, build_algebra
 
 
 def test_class_vector_examples(exB):
@@ -194,3 +202,131 @@ def test_decompose_hit_returns_the_loop_result(exB):
     assert decomp.decompose(block.strip()) == looped
     zero = repmod.zero_rep(exB)
     assert decomp.decompose(zero) == decomp.DecomposeResult((), True, DEFAULT.confidence)
+
+
+# -- the closure certificate against the three-branch walk ---------------------
+
+
+def test_closure_needs_every_syzygy_class_of_f_reached():
+    # over N(4, 2) Omega S_i = S_(i+1) and S_3 = P_3: the simples close only
+    # once the chain is reached, and T is nilpotent with Fitting index 3
+    alg = nakayama(4, 2)
+    ids = [alg.registry().simple_ids[v] for v in "012"]
+    assert gk._closed(alg, set(ids[:2]), DEFAULT) is None
+    assert gk._closed(alg, set(ids), DEFAULT) == (sorted(ids), 3)
+
+
+FIXTURE_ALGEBRAS = ("a2.alg", "exA.alg", "exB.alg", "nakayama-a3.alg", "nakayama-selfinj.alg",
+                    "point.alg", "rsz-a.alg", "rsz-b.alg")
+FIXTURE_GLUINGS = ("exC.glue", "exCop.glue", "rad-square-zero-pair.glue", "remark54.glue")
+
+
+def _population():
+    """(group, algebra): the fixtures and their opposites, N(n, L) and C(n, L)
+    for n <= 8, radical-square-zero seeds 0-59, and the admissible generated
+    algebras at seeds 0-99."""
+    fixtures = [cli.load_algebra_file(name) for name in FIXTURE_ALGEBRAS]
+    fixtures += [cli.load_glue_file(name).algebra for name in FIXTURE_GLUINGS]
+    for alg in fixtures + [a.opposite() for a in fixtures]:
+        yield "fixtures", alg
+    for family in (nakayama, cyclic_nakayama):
+        for n in range(1, 9):
+            for length in (2, 3, 4):
+                yield "families", family(n, length)
+    for seed in range(60):
+        yield "radical square zero", radical_square_zero(seed)[0]
+    for seed in range(100):
+        try:
+            yield "generated", build_algebra(*random_presentation(seed), TRUNCATION)
+        except NotAdmissible:
+            pass
+
+
+def _modules(alg):
+    simples = [repmod.simple(alg, v) for v in alg.quiver.vertices]
+    yield repmod.direct_sum(simples)[0]
+    yield from simples
+    for seed in range(3):
+        yield repmod.random_module(alg, seed, 8)
+
+
+@functools.cache
+def _compared():
+    """phi against oracle_phi on every module of the population: the counts,
+    and each (module, answer) that phi certifies where the oracle stopped on
+    a budget."""
+    counts, fresh = Counter(), []
+    for group, alg in _population():
+        for m in _modules(alg):
+            new, old = gk.phi(m), oracle_phi(m)
+            counts[group, "ops"] += 1
+            if old.certificate in ("budget", "depth_budget"):
+                if new.certified:
+                    counts[group, "newly certified"] += 1
+                    fresh.append((m, new, DEFAULT))
+                else:
+                    assert (new.value, new.certificate, new.trace) == \
+                        (old.value, old.certificate, old.trace)
+                continue
+            assert (new.value, new.certified, new.status) == (old.value, old.certified, old.status)
+            if new.certificate != old.certificate:
+                # a selfinjective block that covers the support from depth d
+                # on is the one certificate the closure rule renames
+                assert old.certificate == "theorem_selfinjective" and " from depth " in old.note
+                counts[group, f"{old.certificate} -> {new.certificate}"] += 1
+            if len(new.trace) > len(old.trace):
+                # such an answer gains the plateau step that orbit_cycle shows
+                assert new.trace == old.trace + old.trace[-1:] and new.certificate == "orbit_cycle"
+                counts[group, "one plateau step longer"] += 1
+            elif new.trace != old.trace:
+                assert new.trace == old.trace[:len(new.trace)] and new.certificate == "orbit_cycle"
+                counts[group, "shorter"] += 1
+    return counts, fresh
+
+
+def test_phi_agrees_with_the_three_branch_walk():
+    counts, _ = _compared()
+    assert dict(counts) == {
+        ("fixtures", "ops"): 152,
+        ("fixtures", "shorter"): 7,
+        ("fixtures", "newly certified"): 4,
+        ("fixtures", "theorem_selfinjective -> rank_one_persistent"): 1,
+        ("families", "ops"): 408,
+        ("radical square zero", "ops"): 447,
+        ("radical square zero", "shorter"): 14,
+        ("radical square zero", "theorem_selfinjective -> orbit_cycle"): 3,
+        ("radical square zero", "one plateau step longer"): 3,
+        ("generated", "ops"): 535,
+        ("generated", "shorter"): 29,
+        ("generated", "theorem_selfinjective -> orbit_cycle"): 11,
+        ("generated", "one plateau step longer"): 11,
+    }
+
+
+def test_newly_certified_traces_stay_flat_at_a_cap_of_170():
+    # the closure rule's gate: each answer certified where the three-branch
+    # walk stopped on a budget, over the population above and the modules the
+    # phi-stream benchmark draws over exCop at seeds 0-9 (one fresh algebra
+    # per seed, as its cold half), is walked again by the oracle with a cap
+    # of 170: the value is the same and the trace stays flat past the depth
+    # where the closure rule stopped
+    fresh = list(_compared()[1])
+    for seed in range(10):
+        alg = cli.load_glue_file("exCop.glue").algebra
+        budgets = Budgets(seed=seed)
+        for i in range(12):
+            m = repmod.random_module(alg, (seed << 16) + i, 12)
+            new, old = gk.phi(m, budgets), oracle_phi(m, budgets)
+            if new.certified and not old.certified:
+                fresh.append((m, new, budgets))
+    depths = Counter()
+    for m, new, budgets in fresh:
+        far = oracle_phi(m, Budgets(seed=budgets.seed, max_dim=170))
+        stop = len(new.trace) - 1
+        assert far.value == new.value
+        assert far.trace[:stop + 1] == new.trace
+        assert set(far.trace[stop:]) == {new.trace[-1]}
+        depths[stop, len(far.trace) - 1] += 1
+    # (closure stop, oracle depth at a cap of 170): 33 answers, 4 of them
+    # from the population
+    assert dict(depths) == {(2, 8): 2, (2, 9): 1, (3, 6): 2, (3, 9): 8, (3, 10): 15, (3, 11): 5}

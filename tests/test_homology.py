@@ -251,6 +251,15 @@ def test_selfinjective_block_machinery(exCop):
     assert sub.dim == 8
 
 
+def test_pd_on_a_selfinjective_block_names_the_block(exA, exCop):
+    # one rule for a selfinjective algebra and for a block of one, taken
+    # before the Cartan test: both simples lie off the Cartan span too
+    for alg in (exA, exCop.algebra):
+        r = homology.pd(repmod.simple(alg, "0"))
+        assert (r.status, r.evidence) == (
+            "infinite", {"kind": "selfinjective_block", "vertices": ["0"], "class": 0})
+
+
 def test_cartan_certificate(exB):
     # dim vector (1,0) is outside the Z-span of (2,1) and (1,2)
     assert not homology.cartan_member(exB, (1, 0))
@@ -337,8 +346,9 @@ def test_large_excop_syzygies_decompose_to_one_certified_class():
 
 def test_excop_orbit_at_a_cap_of_100_is_registered_not_decomposed(monkeypatch):
     # phi(S0 + S1) over exCop walks the Omega-orbit of its selfinjective block
-    # {0} up to 97 dimensions: no syzygy there is decomposed, none above the
-    # cap is built, and the walk stops on the 127-dimensional one
+    # {0}: no syzygy there is decomposed and none above the cap is built.  The
+    # classes off the block close modulo it, so the walk stops one step past
+    # their Fitting index with a certified answer
     alg = cli.load_glue_file("exCop.glue").algebra
     m = repmod.direct_sum([repmod.simple(alg, "0"), repmod.simple(alg, "1")])[0]
     decomposed, built = [], []
@@ -347,7 +357,6 @@ def test_excop_orbit_at_a_cap_of_100_is_registered_not_decomposed(monkeypatch):
                         lambda x, *a, **k: decomposed.append(x.support()) or decompose(x, *a, **k))
     monkeypatch.setattr(homology, "syzygy", lambda x: built.append(syzygy(x)) or built[-1])
     r = grothendieck.phi(m, Budgets(max_dim=100))
-    assert (r.certificate, r.note, r.trace) == (
-        "budget", "syzygy of class 11 has dimension 127 > cap", [2] * 7)
+    assert (r.value, r.certified, r.certificate, r.trace) == (0, True, "orbit_cycle", [2, 2, 2])
     assert decomposed and {"0"} not in decomposed
-    assert max(x.total_dim for x in built) == 97
+    assert max(x.total_dim for x in built) <= 100
