@@ -536,7 +536,10 @@ def _content(m: Rep) -> tuple:
 
 
 class RegistryEntry:
-    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "syzygy_certified", "pd", "shortcut")
+    """A class and its node record in the syzygy graph, filled by homology."""
+
+    __slots__ = ("id", "rep", "fp", "projective", "syzygy", "syzygy_certified", "successors",
+                 "block", "checked", "pd")
 
     def __init__(self, id_: int, rep: Rep, fp, projective: bool):
         self.id = id_
@@ -545,8 +548,10 @@ class RegistryEntry:
         self.projective = projective
         self.syzygy = None  # tuple[(id, mult)] once computed
         self.syzygy_certified = True  # False when that decomposition is probabilistic
-        self.pd = None
-        self.shortcut = False  # not yet taken; then homology's infinite-pd evidence or None
+        self.successors = None  # the nonprojective ids of syzygy, in id order
+        self.block = False  # not yet taken; then the covering selfinjective block or None
+        self.checked = False  # whether homology has read its projective, block and Cartan verdicts
+        self.pd = None  # a finite or infinite PdResult; unknown answers are not kept
 
 
 class IsoRegistry:

@@ -183,9 +183,7 @@ def _walk(alg: BoundAlgebra, gens: list[K0Vector], budgets: Budgets
 
 def _free(alg: BoundAlgebra, ids) -> list[int]:
     """The classes in ids whose support closure is no selfinjective block."""
-    reg = alg.registry()
-    return sorted(i for i in ids
-                  if homology.covering_selfinjective_block(alg, reg.rep(i).support()) is None)
+    return sorted(i for i in ids if homology.class_block(alg, i) is None)
 
 
 def _closed(alg: BoundAlgebra, seen, budgets: Budgets) -> tuple[list[int], int] | None:
@@ -198,7 +196,7 @@ def _closed(alg: BoundAlgebra, seen, budgets: Budgets) -> tuple[list[int], int] 
             items = homology.syzygy_class(alg, f, budgets)
         except BudgetExceeded:
             return None
-        if _free(alg, [j for j, _ in items if j not in free and not reg.is_projective(j)]):
+        if _free(alg, [j for j in reg.entries[f].successors if j not in free]):
             return None
         rows.append([sum(k for j, k in items if j == g) for g in free])
     ranks, power = [len(free), ef.lattice_rank(rows)], rows  # rank T^k; T^(k + 1)

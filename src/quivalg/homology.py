@@ -4,12 +4,20 @@ The syzygy of a module is the kernel of its projective cover, read off the
 presentation repmod caches per module (the same one hom_basis solves on);
 `projective_cover` is repmod's, imported here.  syzygy_class checks the cap
 on those rows; on a selfinjective block it registers Omega as one class.
-pd returns an honest three-state result: Finite(n) when the syzygy class
-multiset empties, InfiniteCertified with evidence (class-graph cycle, a
-selfinjective block, the whole algebra included, or a Cartan obstruction), and
-Unknown at budget.  A result resting on a probabilistic decomposition of a
-syzygy has certified=False.  Selfinjectivity is decided exactly from socles
-and Cartan dimensions; only omega_powers splits a recorded sum, by blocks.
+
+Each registry entry is its class's node record in the syzygy graph, each field
+filled once: the syzygy's classes and its nonprojective successors
+(syzygy_class), the selfinjective block over the class's support (class_block,
+read by syzygy_class, pd and phi's closure rule), a flag that pd read its
+Cartan verdict, and a decided pd.  pd_class takes the syzygies within the
+depth budget breadth first, then settles the answer in one depth-first pass
+over the successors, keeping every decided answer it reaches.  pd returns an
+honest three-state result: Finite(n) when the syzygy class multiset empties,
+InfiniteCertified with evidence (class-graph cycle, a selfinjective block, the
+whole algebra included, or a Cartan obstruction), and Unknown at budget.  A
+result resting on a probabilistic decomposition of a syzygy has
+certified=False.  Selfinjectivity is decided exactly from socles and Cartan
+dimensions; only omega_powers splits a recorded sum, by blocks.
 """
 
 from __future__ import annotations
@@ -161,13 +169,23 @@ def syzygy_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> tup
         if dim > budgets.max_dim:
             raise BudgetExceeded(f"syzygy of class {eid} has dimension {dim} > cap")
         om = syzygy(entry.rep)
-        if not om.is_zero and covering_selfinjective_block(alg, entry.rep.support()) is not None:
+        if not om.is_zero and class_block(alg, eid) is not None:
             entry.syzygy = ((registry.register(om, budgets), 1),)
         else:
             res = decomp.decompose(om, budgets)
             entry.syzygy = res.items
             entry.syzygy_certified = res.certified
+        entry.successors = tuple(j for j, _ in entry.syzygy if not registry.is_projective(j))
     return entry.syzygy
+
+
+def class_block(alg: BoundAlgebra, eid: int) -> frozenset[str] | None:
+    """covering_selfinjective_block of class eid's support, taken once and
+    kept on its entry: its support never changes."""
+    entry = alg.registry().entries[eid]
+    if entry.block is False:
+        entry.block = covering_selfinjective_block(alg, entry.rep.support())
+    return entry.block
 
 
 # ---------------------------------------------------------------------------
@@ -191,133 +209,114 @@ class PdResult:
         return f"pd unknown at depth {self.depth_reached}"
 
 
-def _find_cycle(edges: dict[int, set[int]]) -> list[int] | None:
-    color: dict[int, int] = {}
-    stack_path: list[int] = []
-
-    def dfs(u: int):
-        color[u] = 1
-        stack_path.append(u)
-        for w in sorted(edges.get(u, ())):
-            if color.get(w, 0) == 1:
-                return stack_path[stack_path.index(w):] + [w]
-            if color.get(w, 0) == 0 and w in edges:
-                got = dfs(w)
-                if got:
-                    return got
-        color[u] = 2
-        stack_path.pop()
-        return None
-
-    for node in sorted(edges):
-        if color.get(node, 0) == 0:
-            got = dfs(node)
-            if got:
-                return got
-    return None
-
-
-def _class_infinite_shortcut(alg: BoundAlgebra, eid: int) -> dict | None:
-    """Evidence that class eid has infinite pd read off the algebra and the
-    class's dim vector and support alone, or None.  Those inputs never
-    change, so the verdict is taken once per class and kept on its entry."""
-    entry = alg.registry().entries[eid]
-    if entry.shortcut is False:
-        entry.shortcut = _infinite_shortcut(alg, entry)
-    return entry.shortcut
-
-
-def _infinite_shortcut(alg: BoundAlgebra, entry) -> dict | None:
-    if entry.projective:
-        return None
-    rep = entry.rep
-    blk = covering_selfinjective_block(alg, rep.support())
-    if blk is not None:
-        return {"kind": "selfinjective_block", "vertices": sorted(blk)}
-    if not cartan_member(alg, rep.dim_vector()):
-        return {"kind": "cartan", "dims": list(rep.dim_vector())}
-    return None
-
-
 def pd_class(alg: BoundAlgebra, eid: int, budgets: Budgets = DEFAULT) -> PdResult:
-    """Projective dimension of a registered class, with certificates."""
+    """Projective dimension of a registered class, with certificates.
+
+    The syzygies of the classes of undecided pd within budgets.depth steps
+    are taken first, breadth first.  Then one depth-first pass over the
+    successors settles each class it reaches once: 0 on a projective;
+    infinite on a selfinjective block, a dim vector off the Cartan lattice, a
+    cycle or a successor of infinite pd; unknown on a class whose syzygy was
+    not taken, past budgets.depth or over the cap, unless another successor
+    makes it infinite; otherwise 1 + the largest successor pd.  Decided
+    answers are kept on their entries; certified follows the syzygies the
+    answer rests on, a cycle's on every syzygy around it.
+    """
     registry = alg.registry()
-    entry = registry.entries[eid]
-    if entry.pd is not None:
-        if entry.pd.status != "unknown" or (entry.pd.evidence["kind"] == "depth"
-                                            and entry.pd.depth_reached >= budgets.depth):
-            return entry.pd
-    if entry.projective:
-        entry.pd = PdResult("finite", 0)
-        return entry.pd
-    shortcut = _class_infinite_shortcut(alg, eid)
-    if shortcut is not None:
-        entry.pd = PdResult("infinite", None, dict(shortcut, **{"class": eid}))
-        return entry.pd
-    edges: dict[int, set[int]] = {}
-    frontier = {eid}
-    depth = 0
-    result = None
-    while depth < budgets.depth:
-        depth += 1
-        nxt: set[int] = set()
-        for i in sorted(frontier):
-            if i not in edges:
+    if (known := _known(alg, registry.entries[eid])) is not None:
+        return known
+    level, reached, capped = [eid], {eid}, {}  # capped: class -> step, from 1
+    for step in range(1, budgets.depth + 1):
+        if not level:
+            break
+        nxt = set()
+        for i in level:
+            if _known(alg, registry.entries[i]) is None:
                 try:
-                    items = syzygy_class(alg, i, budgets)
+                    syzygy_class(alg, i, budgets)
                 except BudgetExceeded:
-                    result = PdResult("unknown", None, {"kind": "budget"}, depth)
-                    break
-                succ = {j for j, _ in items if not registry.is_projective(j)}
-                edges[i] = succ
-                for j in succ:
-                    sc = _class_infinite_shortcut(alg, j)
-                    if sc is not None:
-                        result = PdResult("infinite", None, dict(sc, **{"class": j}))
-                        break
-                if result:
-                    break
-            nxt |= edges[i]
-        if result:
-            break
-        cyc = _find_cycle(edges)
-        if cyc:
-            result = PdResult("infinite", None,
-                              {"kind": "cycle", "classes": cyc, "depth": depth})
-            break
-        if not nxt:
-            result = PdResult("finite", depth, None, depth)
-            break
-        frontier = nxt
-    if result is None:
-        result = PdResult("unknown", None, {"kind": "depth"}, budgets.depth)
-    result.certified = all(registry.entries[i].syzygy_certified for i in edges)
-    entry.pd = result
-    return result
+                    capped[i] = step
+                    continue
+                nxt.update(registry.entries[i].successors)
+        level = sorted(nxt - reached)
+        reached |= nxt
+    path: list[int] = []  # the classes whose successors are being read
+    unknown: dict[int, PdResult] = {}  # the classes this pass left unknown
+
+    def leaf(i: int) -> PdResult | None:
+        """i's answer without reading its successors, or None."""
+        node = registry.entries[i]
+        if _known(alg, node) is not None:
+            return node.pd
+        if i in path:
+            cycle = path[path.index(i):]
+            return PdResult("infinite", None, {"kind": "cycle", "classes": cycle + [i],
+                                               "depth": len(path)}, 0,
+                            all(registry.entries[k].syzygy_certified for k in cycle))
+        if node.successors is None:
+            return PdResult("unknown", None, {"kind": "budget" if i in capped else "depth"},
+                            capped.get(i, budgets.depth))
+        return unknown.get(i)
+
+    # an explicit stack, so the pass may follow a syzygy chain of any length:
+    # (successors, the answers read so far) per class on path, below them eid's
+    stack: list[tuple] = [((eid,), [])]
+    while True:
+        succ, results = stack[-1]
+        if len(results) < len(succ) and not (results and results[-1].status == "infinite"):
+            j = succ[len(results)]
+            if (answer := leaf(j)) is None:
+                path.append(j)
+                stack.append((registry.entries[j].successors, []))
+            else:
+                results.append(answer)
+            continue
+        if not path:
+            return results[0]
+        node = registry.entries[path.pop()]
+        stack.pop()
+        certified = node.syzygy_certified and all(r.certified for r in results)
+        if results and results[-1].status == "infinite":
+            node.pd = PdResult("infinite", None, results[-1].evidence, 0, certified)
+        elif open_ := next((r for r in results if r.status == "unknown"), None):
+            unknown[node.id] = PdResult("unknown", None, open_.evidence, open_.depth_reached,
+                                        certified)
+        else:
+            value = 1 + max((r.value for r in results), default=0)
+            node.pd = PdResult("finite", value, None, value, certified)
+        stack[-1][1].append(node.pd or unknown[node.id])
+
+
+def _known(alg: BoundAlgebra, node) -> PdResult | None:
+    """node.pd, read off the node record alone when it is not kept yet: 0 on
+    a projective, infinite on a selfinjective block or off the Cartan
+    lattice; else None.  These verdicts are read once."""
+    if node.pd is None and not node.checked:
+        node.checked = True
+        if node.projective:
+            node.pd = PdResult("finite", 0)
+        elif (blk := class_block(alg, node.id)) is not None:
+            node.pd = PdResult("infinite", None, {"kind": "selfinjective_block",
+                                                  "vertices": sorted(blk), "class": node.id})
+        elif not cartan_member(alg, dims := node.rep.dim_vector()):
+            node.pd = PdResult("infinite", None, {"kind": "cartan", "dims": list(dims),
+                                                  "class": node.id})
+    return node.pd
 
 
 def pd(m: Rep, budgets: Budgets = DEFAULT) -> PdResult:
     """Projective dimension of a module via its class decomposition."""
     res = decomp.decompose(m, budgets)
-    registry = m.algebra.registry()
-    nonproj = res.nonprojective(registry)
-    if not nonproj:
-        return PdResult("finite", 0)
-    best = 0
-    worst_unknown = None
-    certified = True
-    for eid, _ in nonproj:
+    best, certified, open_ = 0, True, None
+    for eid, _ in res.nonprojective(m.algebra.registry()):
         r = pd_class(m.algebra, eid, budgets)
         if r.status == "infinite":
             return r
         if r.status == "unknown":
-            worst_unknown = r
+            open_ = r
         else:
-            best = max(best, r.value)
-            certified = certified and r.certified
-    if worst_unknown is not None:
-        return worst_unknown
-    return PdResult("finite", best, certified=certified)
+            best, certified = max(best, r.value), certified and r.certified
+    return open_ or PdResult("finite", best, certified=certified)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +349,8 @@ def omega_orbit(alg: BoundAlgebra, seeds, budgets: Budgets = DEFAULT) -> OrbitRe
             except BudgetExceeded as exc:
                 return OrbitResult(tuple(sorted(seen)), tuple(frontier), False,
                                    str(exc))
-            for j, _ in items:
-                if j not in seen:
-                    seen.add(j)
-                    if not registry.is_projective(j):
-                        nxt.append(j)
+            nxt += [j for j in registry.entries[eid].successors if j not in seen]
+            seen.update(j for j, _ in items)  # projectives kept as markers
         frontier = sorted(nxt)
     return OrbitResult(tuple(sorted(seen)), (), True,
                        certified=all(registry.entries[i].syzygy_certified for i in seen))

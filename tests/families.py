@@ -15,6 +15,10 @@
   S_w per arrow v -> w, and I_w is S_w under one S_u per arrow u -> w, so
   P_v is some I_w only when v has no arrow in or out (w = v) or v -> w is
   the one arrow out of v and the one into w.
+- `ladder(n)` is the radical-square-zero algebra on 0 -> 1 -> ... -> n-1
+  with an arrow i -> i + 2 as well.  Omega S_i = S_{i+1} + S_{i+2}, so the
+  syzygy graph of the simples has Fibonacci-many paths from S_0, and
+  pd S_i = n - 1 - i, the longest path from i to the sink.
 """
 
 import random
@@ -102,6 +106,14 @@ def radical_square_zero(seed: int):
     quiver = Quiver([str(v) for v in vs], arrows)
     zero = [[(1, (a, b))] for a, s, t in arrows for b, s2, _ in arrows if s2 == t]
     return build_algebra(quiver, zero, P, 2, name=f"rsz{seed}"), edges
+
+
+def ladder(n: int):
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)]
+    arrows += [(f"b{i}", str(i), str(i + 2)) for i in range(n - 2)]
+    zero = [[(1, (a, b))] for a, _, t in arrows for b, s, _ in arrows if s == t]
+    return build_algebra(Quiver([str(i) for i in range(n)], arrows), zero, P, 2,
+                         name=f"ladder({n})")
 
 
 def rsz_selfinjective(n: int, edges) -> bool:

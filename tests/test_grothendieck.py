@@ -1,13 +1,14 @@
 import functools
+import pathlib
 from collections import Counter
 
-from families import cyclic_nakayama, nakayama, radical_square_zero
+from families import nakayama
 from phi_walk_oracle import oracle_phi
-from random_algebra import TRUNCATION, random_presentation
+from population import modules, population
 
+import quivalg
 from quivalg import cli, decomp, exactfield as ef, grothendieck as gk, homology, repmod
 from quivalg.budgets import DEFAULT, Budgets
-from quivalg.pathalgebra import NotAdmissible, build_algebra
 
 
 def test_class_vector_examples(exB):
@@ -216,38 +217,24 @@ def test_closure_needs_every_syzygy_class_of_f_reached():
     assert gk._closed(alg, set(ids), DEFAULT) == (sorted(ids), 3)
 
 
-FIXTURE_ALGEBRAS = ("a2.alg", "exA.alg", "exB.alg", "nakayama-a3.alg", "nakayama-selfinj.alg",
-                    "point.alg", "rsz-a.alg", "rsz-b.alg")
-FIXTURE_GLUINGS = ("exC.glue", "exCop.glue", "rad-square-zero-pair.glue", "remark54.glue")
+def test_phi_stream_takes_each_block_verdict_once(monkeypatch):
+    # the cold half of the seed-0 phi-stream pass, as the benchmark builds it:
+    # each class's selfinjective-block verdict is taken once, on its registry
+    # entry, however often the walk's closure rule and pd read it
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
 
-
-def _population():
-    """(group, algebra): the fixtures and their opposites, N(n, L) and C(n, L)
-    for n <= 8, radical-square-zero seeds 0-59, and the admissible generated
-    algebras at seeds 0-99."""
-    fixtures = [cli.load_algebra_file(name) for name in FIXTURE_ALGEBRAS]
-    fixtures += [cli.load_glue_file(name).algebra for name in FIXTURE_GLUINGS]
-    for alg in fixtures + [a.opposite() for a in fixtures]:
-        yield "fixtures", alg
-    for family in (nakayama, cyclic_nakayama):
-        for n in range(1, 9):
-            for length in (2, 3, 4):
-                yield "families", family(n, length)
-    for seed in range(60):
-        yield "radical square zero", radical_square_zero(seed)[0]
-    for seed in range(100):
-        try:
-            yield "generated", build_algebra(*random_presentation(seed), TRUNCATION)
-        except NotAdmissible:
-            pass
-
-
-def _modules(alg):
-    simples = [repmod.simple(alg, v) for v in alg.quiver.vertices]
-    yield repmod.direct_sum(simples)[0]
-    yield from simples
-    for seed in range(3):
-        yield repmod.random_module(alg, seed, 8)
+    calls, covering = Counter(), homology.covering_selfinjective_block
+    monkeypatch.setattr(homology, "covering_selfinjective_block",
+                        lambda alg, support: calls.update([alg]) or covering(alg, support))
+    ops = workloads.PhiStream(quivalg, 0).prepare()
+    for op in ops[:len(ops) // 2]:
+        op.run()
+    assert calls == {alg: sum(e.block is not False for e in alg.registry().entries)
+                     for alg in calls}
+    assert {alg.name: (n, len(alg.registry().entries)) for alg, n in calls.items()} == {
+        "a2": (1, 3), "exB": (13, 15), "nakayama-selfinj": (5, 8), "nakayama-a3": (2, 5),
+        "exA": (12, 14), "exCop": (20, 23), "rsz-pair": (12, 16), "remark54": (8, 12)}
 
 
 @functools.cache
@@ -256,8 +243,8 @@ def _compared():
     and each (module, answer) that phi certifies where the oracle stopped on
     a budget."""
     counts, fresh = Counter(), []
-    for group, alg in _population():
-        for m in _modules(alg):
+    for group, alg in population():
+        for m in modules(alg):
             new, old = gk.phi(m), oracle_phi(m)
             counts[group, "ops"] += 1
             if old.certificate in ("budget", "depth_budget"):

@@ -1,5 +1,11 @@
+import sys
+import traceback
+from collections import Counter
+
 import pytest
-from families import cyclic_nakayama, radical_square_zero
+from families import cyclic_nakayama, ladder, nakayama, radical_square_zero
+from pd_bfs_oracle import oracle_pd_class
+from population import modules, population
 from random_algebra import TRUNCATION, random_presentation
 
 from quivalg import analysis, cli, decomp, exactfield as ef, grothendieck, homology, repmod
@@ -128,6 +134,20 @@ def test_pd_cycle_certificate(seed):
     assert (gd.status, gd.witness) == ("infinite", "0")
 
 
+def test_pd_cycle_rests_on_every_syzygy_around_it():
+    # on the seed-247 cycle 0 -> 4 -> 0, class 4's kept answer closes the
+    # cycle through S0's syzygy, so it is probabilistic when that one is
+    quiver, relations, p = random_presentation(247)
+    alg = build_algebra(quiver, relations, p, TRUNCATION)
+    s0 = alg.registry().simple_ids["0"]
+    homology.syzygy_class(alg, s0)
+    alg.registry().entries[s0].syzygy_certified = False
+    r = homology.pd(repmod.simple(alg, "0"))
+    assert (r.status, r.evidence["classes"], r.certified) == ("infinite", [0, 4, 0], False)
+    r = homology.pd_class(alg, 4)
+    assert (r.status, r.certified) == ("infinite", False)
+
+
 def test_pd_selfinjective_shortcut(exA):
     m = repmod.random_module(exA, 4, 10)
     r = homology.pd(m)
@@ -145,6 +165,149 @@ def test_pd_stopped_on_the_cap_is_walked_again_under_a_larger_cap():
     assert (r.status, r.evidence, r.depth_reached) == ("unknown", {"kind": "budget"}, 1)
     r = homology.pd(m, Budgets(max_dim=40, depth=1))
     assert (r.status, r.value) == ("finite", 1)
+
+
+def test_pd_reads_each_class_a_few_times_on_a_graph_of_many_paths(monkeypatch):
+    # Fibonacci-many paths lead from S0 to the classes 10 steps away, whose
+    # syzygies are not taken: each class is read a bounded number of times,
+    # and its Cartan verdict is taken once
+    alg = ladder(40)
+    reads, known = Counter(), homology._known
+    monkeypatch.setattr(homology, "_known",
+                        lambda a, node: reads.update([node.id]) or known(a, node))
+    verdicts, member = Counter(), homology.cartan_member
+    monkeypatch.setattr(homology, "cartan_member",
+                        lambda a, dims: verdicts.update([tuple(dims)]) or member(a, dims))
+    r = homology.pd(repmod.simple(alg, "0"), Budgets(depth=10))
+    assert (r.status, r.evidence, r.depth_reached) == ("unknown", {"kind": "depth"}, 10)
+    assert max(reads.values()) <= 4
+    assert max(verdicts.values()) == 1
+    # at depth 20 every class is within reach: the pass reads pd S0 = 39
+    # along the longest path, past the depth
+    r = homology.pd(repmod.simple(alg, "0"), Budgets(depth=20))
+    assert (r.status, r.value) == ("finite", 39)
+
+
+def test_pd_walks_a_long_syzygy_chain_with_no_frame_per_class():
+    # the orbit takes N(64, 3)'s 42 syzygies from S0 and keeps no pd; the
+    # pass then walks that chain past the depth on an explicit stack, under
+    # a recursion limit a few frames above the caller's
+    alg = nakayama(64, 3)
+    s0 = alg.registry().simple_ids["0"]
+    assert homology.omega_orbit(alg, [s0]).closed
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 20)
+    try:
+        r = homology.pd_class(alg, s0, Budgets(depth=1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (r.status, r.value) == ("finite", 42)
+
+
+def _pd_against_the_breadth_first_search(budgets):
+    """pd_class against oracle_pd_class on every nonprojective class registered
+    over the population, once its modules are decomposed: the oracle's
+    statuses by group; each class it left unknown that pd_class decides
+    (from an answer kept by an earlier query, or through syzygies taken
+    before, past the depth); and each other class whose evidence differs, as
+    (algebra, class, the oracle's evidence, pd_class's), the values of each
+    evidence dict in order.  Every other answer has the oracle's status,
+    value, certified flag and evidence kind."""
+    counts, decided, changed = Counter(), [], []
+    for group, alg in population():
+        for m in modules(alg):
+            decomp.decompose(m, budgets)
+        for entry in alg.registry().entries:  # the searches append syzygy classes
+            if entry.projective:
+                continue
+            new = homology.pd_class(alg, entry.id, budgets)
+            old = oracle_pd_class(alg, entry.id, budgets)
+            counts[group, old.status] += 1
+            if old.status == "unknown" and new.status != "unknown":
+                decided.append((alg.name, entry.id, new.describe()))
+                continue
+            assert (new.status, new.value, new.certified) == \
+                (old.status, old.value, old.certified), (alg.name, entry.id)
+            assert (new.evidence or {}).get("kind") == (old.evidence or {}).get("kind")
+            if new.evidence != old.evidence:
+                changed.append((alg.name, entry.id, tuple(old.evidence.values()),
+                                tuple(new.evidence.values())))
+    return dict(counts), decided, changed
+
+
+# the cycle evidence pd_class gives where it differs from the oracle's: its
+# classes are the cycle met from the first class queried, which a class can
+# inherit from a successor, and its depth is the length of the walked path,
+# not the breadth-first level
+CHANGED_6_7 = [("rsz6", 2, ("cycle", [2, 2], 1), ("cycle", [0, 2, 0], 2)),
+               ("rsz6", 10, ("cycle", [2, 2], 2), ("cycle", [0, 2, 0], 2)),
+               ("rsz7", 2, ("cycle", [0, 0], 2), ("cycle", [0, 0], 1))]
+CHANGED_37_58 = [("rsz37", 2, ("cycle", [3, 3], 2), ("cycle", [3, 3], 3)),
+                 ("rsz37", 3, ("cycle", [3, 3], 1), ("cycle", [3, 3], 3)),
+                 ("rsz37", 5, ("cycle", [3, 3], 2), ("cycle", [3, 3], 3)),
+                 ("rsz58", 0, ("cycle", [0, 3, 0], 2), ("cycle", [0, 2, 1, 3, 0], 4)),
+                 ("rsz58", 1, ("cycle", [0, 3, 0], 3), ("cycle", [0, 2, 1, 3, 0], 4)),
+                 ("rsz58", 3, ("cycle", [0, 3, 0], 2), ("cycle", [0, 2, 1, 3, 0], 4))]
+
+
+def test_pd_agrees_with_the_breadth_first_search_at_the_default_budgets():
+    changed = CHANGED_6_7 + [("rsz7", 5, ("cycle", [0, 0], 3), ("cycle", [0, 0], 1)),
+                             ("rsz37", 1, ("cycle", [3, 3], 4), ("cycle", [3, 3], 3))]
+    assert _pd_against_the_breadth_first_search(DEFAULT) == ({
+        ("fixtures", "finite"): 7, ("fixtures", "infinite"): 75,
+        ("families", "finite"): 114, ("families", "infinite"): 124,
+        ("radical square zero", "finite"): 21, ("radical square zero", "infinite"): 126,
+        ("generated", "finite"): 49, ("generated", "infinite"): 200,
+    }, [], changed + CHANGED_37_58)
+
+
+TIGHT = {
+    1: ({("fixtures", "finite"): 5, ("fixtures", "infinite"): 75, ("fixtures", "unknown"): 2,
+         ("families", "finite"): 50, ("families", "infinite"): 124, ("families", "unknown"): 64,
+         ("radical square zero", "finite"): 12, ("radical square zero", "infinite"): 111,
+         ("radical square zero", "unknown"): 24,
+         ("generated", "finite"): 40, ("generated", "infinite"): 199, ("generated", "unknown"): 10},
+        [("nakayama-a3^op", 2, "pd = 2"), ("N(5,3)", 9, "pd = 2"), ("N(6,3)", 11, "pd = 2"),
+         ("N(6,3)", 12, "pd = 2"), ("N(6,4)", 11, "pd = 2"), ("N(7,3)", 15, "pd = 2"),
+         ("N(7,3)", 16, "pd = 2"), ("N(7,4)", 13, "pd = 2"), ("N(7,4)", 14, "pd = 2"),
+         ("N(8,3)", 17, "pd = 2"), ("N(8,3)", 18, "pd = 2"), ("N(8,4)", 16, "pd = 2"),
+         ("N(8,4)", 17, "pd = 2"), ("N(8,4)", 18, "pd = 2"),
+         ("rsz0", 9, "pd = infinity (cartan)"), ("rsz6", 10, "pd = infinity (cycle)"),
+         ("rsz7", 2, "pd = infinity (cycle)"), ("rsz7", 5, "pd = infinity (cycle)"),
+         ("rsz37", 4, "pd = infinity (cycle)"), ("rsz37", 5, "pd = infinity (cycle)"),
+         ("rsz37", 12, "pd = infinity (cycle)"), ("rsz50", 2, "pd = 3"), ("rsz50", 7, "pd = 3"),
+                 ("rsz58", 3, "pd = infinity (cycle)"), ("generated 11", 5, "pd = infinity (cartan)"),
+         ("generated 58", 2, "pd = 2"), ("generated 81", 2, "pd = 2"),
+         ("generated 84", 5, "pd = 2"), ("generated 96", 5, "pd = 2"),
+         ("generated 96", 6, "pd = 2")],
+        [("rsz6", 2, ("cycle", [2, 2], 1), ("cycle", [2, 0, 2], 2))]),
+    2: ({("fixtures", "finite"): 7, ("fixtures", "infinite"): 75,
+         ("families", "finite"): 79, ("families", "infinite"): 124, ("families", "unknown"): 35,
+         ("radical square zero", "finite"): 17, ("radical square zero", "infinite"): 119,
+         ("radical square zero", "unknown"): 11,
+         ("generated", "finite"): 49, ("generated", "infinite"): 200},
+        [("N(7,3)", 13, "pd = 4"), ("N(7,3)", 14, "pd = 3"), ("N(8,3)", 15, "pd = 3"),
+         ("N(8,3)", 16, "pd = 4"), ("rsz7", 5, "pd = infinity (cycle)"),
+         ("rsz37", 4, "pd = infinity (cycle)"), ("rsz37", 12, "pd = infinity (cycle)"),
+         ("rsz50", 2, "pd = 3"), ("rsz50", 7, "pd = 3"), ("rsz58", 1, "pd = infinity (cycle)"),
+         ("rsz58", 2, "pd = infinity (cycle)")],
+        CHANGED_6_7 + [("rsz37", 3, ("cycle", [3, 3], 1), ("cycle", [3, 3], 2))]),
+    3: ({("fixtures", "finite"): 7, ("fixtures", "infinite"): 75,
+         ("families", "finite"): 99, ("families", "infinite"): 124, ("families", "unknown"): 15,
+         ("radical square zero", "finite"): 21, ("radical square zero", "infinite"): 124,
+         ("radical square zero", "unknown"): 2,
+         ("generated", "finite"): 49, ("generated", "infinite"): 200},
+        [("N(7,3)", 13, "pd = 4"), ("N(8,3)", 16, "pd = 4"),
+         ("rsz37", 1, "pd = infinity (cycle)"), ("rsz58", 2, "pd = infinity (cycle)")],
+        CHANGED_6_7 + [("rsz7", 5, ("cycle", [0, 0], 3), ("cycle", [0, 0], 1))] + CHANGED_37_58),
+}
+
+
+@pytest.mark.parametrize("depth", sorted(TIGHT))
+def test_pd_decides_what_the_breadth_first_search_decides_at_tight_budgets(depth):
+    # no decided answer changes; the unknowns pd_class decides and the
+    # evidence it changes are listed
+    assert _pd_against_the_breadth_first_search(Budgets(depth=depth, max_dim=8)) == TIGHT[depth]
 
 
 def test_orbit_examples(exB, a2):
