@@ -16,8 +16,9 @@ honest three-state result: Finite(n) when the syzygy class multiset empties,
 InfiniteCertified with evidence (class-graph cycle, a selfinjective block, the
 whole algebra included, or a Cartan obstruction), and Unknown at budget.  A
 result resting on a probabilistic decomposition of a syzygy has
-certified=False.  Selfinjectivity is decided exactly from socles and Cartan
-dimensions; only omega_powers splits a recorded sum, by blocks.
+certified=False.  Selfinjectivity, of the algebra or of a successor-closed
+block, is one exact predicate on the full algebra's cached Cartan rows and
+socle vertices; only omega_powers splits a recorded sum, by blocks.
 """
 
 from __future__ import annotations
@@ -25,10 +26,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import decomp, exactfield as ef, repmod
 from .budgets import DEFAULT, BudgetExceeded, Budgets
-from .pathalgebra import BoundAlgebra, Quiver, Relation, build_algebra
+from .pathalgebra import BoundAlgebra, build_algebra
 from .repmod import Rep, projective_cover
+
+# kept for this binding's one reader, perfbench/selftest.py's
+# test_builds_through_every_binding_are_counted (ROADMAP item 12)
+_build_algebra_pin = build_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -67,56 +74,44 @@ def omega_power(m: Rep, n: int, max_dim: int) -> Rep:
 
 
 def selfinjectivity(alg: BoundAlgebra) -> bool:
-    """Whether every indecomposable projective P_v is injective, cached.
-
-    P_v with simple socle S_w is an essential extension of S_w, so it embeds
-    in the injective envelope I_w, and is I_w iff dim P_v = dim I_w, the sum
-    of the Cartan column of w (Auslander, Reiten and Smalø, Representation
-    Theory of Artin Algebras).  A selfinjective algebra has P_v = I_nu(v).
-    """
+    """Whether every indecomposable projective P_v is injective: the block
+    predicate of selfinjective_block on all vertices, cached."""
     if "selfinjective" not in alg.cache:
-        alg.cache["selfinjective"] = _selfinjectivity_compute(alg)
+        alg.cache["selfinjective"] = _selfinjective_on(alg, alg.quiver.vertices)
     return alg.cache["selfinjective"]
-
-
-def _selfinjectivity_compute(alg: BoundAlgebra) -> bool:
-    # P_v is I_nu(v) on a selfinjective algebra, so the projectives' dim
-    # vectors (the Cartan rows) are the injectives' (the columns) up to order
-    rows = cartan_rows(alg)
-    if sorted(map(tuple, rows)) != sorted(zip(*rows)):
-        return False
-    columns = dict(zip(alg.quiver.vertices, map(sum, zip(*rows))))
-    socles = (repmod.socle(alg.projective(v))[0] for v in alg.quiver.vertices)
-    # soc P_v = S_w, and P_v embeds in I_w: equal dimensions make it I_w
-    return all(soc.total_dim == 1 and sum(row) == columns[next(iter(soc.support()))]
-               for soc, row in zip(socles, rows))
-
-
-def restricted_algebra(alg: BoundAlgebra, vertices: frozenset[str]) -> BoundAlgebra:
-    """Subalgebra on a successor-closed vertex set (paths cannot escape)."""
-    key = ("restricted", tuple(sorted(vertices)))
-    if key in alg.cache:
-        return alg.cache[key]
-    if alg.quiver.successor_closure(vertices) != frozenset(vertices):
-        raise ValueError("vertex set is not successor-closed")
-    verts = [v for v in alg.quiver.vertices if v in vertices]
-    q = Quiver(verts, [a for a in alg.quiver.arrows if a.source in vertices])
-    rels = [Relation(q, rel.words(), alg.p)
-            for rel in alg.relations if rel.source in vertices]
-    sub = build_algebra(q, rels, alg.p, alg.m_max,
-                        name=f"{alg.name}|{'+'.join(verts)}")
-    alg.cache[key] = sub
-    return sub
 
 
 def selfinjective_block(alg: BoundAlgebra, vertices) -> bool:
     """Whether `vertices` is successor-closed with selfinjective restriction."""
     vs = frozenset(vertices)
-    if not vs or alg.quiver.successor_closure(vs) != vs:
-        return False
-    if vs == frozenset(alg.quiver.vertices):
-        return selfinjectivity(alg)
-    return selfinjectivity(restricted_algebra(alg, vs))
+    return bool(vs) and alg.quiver.successor_closure(vs) == vs and _selfinjective_on(alg, vs)
+
+
+def _selfinjective_on(alg: BoundAlgebra, block) -> bool:
+    """Whether A_B is selfinjective, B a successor-closed vertex set, read
+    off the full algebra's projectives: for v in B the P_v of A_B is A's.
+
+    P_v with simple socle S_w is an essential extension of S_w, so it embeds
+    in the injective envelope I_w over A_B, and is I_w iff dim P_v = dim I_w,
+    the sum over u in B of dim (P_u)_w (Auslander, Reiten and Smalø,
+    Representation Theory of Artin Algebras).  A selfinjective A_B has
+    P_v = I_nu(v) for every v in B.
+    """
+    cartan = cartan_rows(alg)
+    rows = [i for i, v in enumerate(alg.quiver.vertices) if v in block]
+    columns = cartan[rows].sum(axis=0)  # dim I_w over A_B, for each w
+    return all((w := _socle_vertex(alg, i)) is not None and cartan[i].sum() == columns[w]
+               for i in rows)
+
+
+def _socle_vertex(alg: BoundAlgebra, i: int) -> int | None:
+    """The index w of the vertex with soc P_v = S_w, v the i-th vertex, or
+    None when that socle is not simple; kept per algebra."""
+    socles = alg.cache.setdefault("socle_vertex", {})
+    if i not in socles:
+        soc = repmod.socle(alg.projective(alg.quiver.vertices[i]))[0]
+        socles[i] = soc.dim_vector().index(1) if soc.total_dim == 1 else None
+    return socles[i]
 
 
 def covering_selfinjective_block(alg: BoundAlgebra, support) -> frozenset[str] | None:
@@ -127,10 +122,11 @@ def covering_selfinjective_block(alg: BoundAlgebra, support) -> frozenset[str] |
     return closure if selfinjective_block(alg, closure) else None
 
 
-def cartan_rows(alg: BoundAlgebra) -> list[list[int]]:
+def cartan_rows(alg: BoundAlgebra) -> np.ndarray:
+    """The dim vectors of the projectives P_v, one row each, cached."""
     if "cartan" not in alg.cache:
-        alg.cache["cartan"] = [list(alg.projective(v).dim_vector())
-                               for v in alg.quiver.vertices]
+        alg.cache["cartan"] = np.array([alg.projective(v).dim_vector()
+                                        for v in alg.quiver.vertices], dtype=np.int64)
     return alg.cache["cartan"]
 
 

@@ -5,7 +5,7 @@ from collections import Counter
 from families import (cyclic_nakayama, nakayama, projective_length, radical_square_zero,
                       rsz_selfinjective, uniserial, uniserial_dims, uniserial_pd)
 
-from quivalg import analysis, homology, repmod
+from quivalg import analysis, grothendieck, homology, repmod
 
 SIZES = (2, 3, 5, 8, 16, 32)
 LENGTHS = (2, 3, 4)
@@ -74,6 +74,24 @@ def test_syzygy_class_of_a_uniserial_follows_the_uniserial_rule():
                         assert got == want, (alg.name, i, l)
                         uniserials += 1
     assert uniserials == 1129
+
+
+def test_phi_over_a_linear_nakayama_registers_only_uniserials():
+    # every indecomposable over N(n, L) is some M(i, l): each class phi's walk
+    # registers has a 0/1 dim vector on an interval of length at most L, and
+    # no two classes share one
+    classes = 0
+    for n in (4, 8, 16):
+        for length in LENGTHS:
+            alg = nakayama(n, length)
+            for seed in range(20):
+                grothendieck.phi(repmod.random_module(alg, seed, 12))
+            dims = [e.rep.dim_vector() for e in alg.registry().entries]
+            want = {uniserial_dims(n, i, l) for i in range(n)
+                    for l in range(1, projective_length(n, length, i) + 1)}
+            assert set(dims) <= want and len(set(dims)) == len(dims), (n, length)
+            classes += len(dims)
+    assert classes == 207
 
 
 def test_linear_nakayama_pd_and_gldim_follow_the_uniserial_rule():

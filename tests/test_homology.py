@@ -7,6 +7,7 @@ from families import cyclic_nakayama, ladder, nakayama, radical_square_zero
 from pd_bfs_oracle import oracle_pd_class
 from population import modules, population
 from random_algebra import TRUNCATION, random_presentation
+from selfinjective_oracle import restricted_algebra
 
 from quivalg import analysis, cli, decomp, exactfield as ef, grothendieck, homology, repmod
 from quivalg.budgets import DEFAULT, BudgetExceeded, Budgets
@@ -410,7 +411,7 @@ def test_selfinjective_block_machinery(exCop):
     cop = exCop.algebra
     assert homology.selfinjective_block(cop, frozenset({"0"}))
     assert not homology.selfinjective_block(cop, frozenset({"1"}))  # not closed
-    sub = homology.restricted_algebra(cop, frozenset({"0"}))
+    sub = restricted_algebra(cop, frozenset({"0"}))
     assert sub.dim == 8
 
 

@@ -1,7 +1,8 @@
 """Golden digest of the presentations of every bundled fixture.
 
 For each fixture's algebra (the glued algebra of a `.glue` file), its
-opposite and its restriction to each proper successor-closed vertex set, the
+opposite and its restriction to each proper successor-closed vertex set
+(built by the selfinjectivity oracle's `restricted_algebra`), the
 structural digest and the printed relations, in order, are hashed.  The
 structural digest seeds every rng stream, so a change to the content or the
 order of relations, wherever they are built, changes this digest.
@@ -11,7 +12,9 @@ import hashlib
 import itertools
 import os
 
-from quivalg import cli, homology
+from selfinjective_oracle import restricted_algebra
+
+from quivalg import cli
 
 STRUCTURAL_DIGEST = "ab88ca04fffb1cb1"
 
@@ -28,7 +31,7 @@ def _presentations(alg):
     yield alg
     yield alg.opposite()
     for vs in _closed_proper_subsets(alg):
-        yield homology.restricted_algebra(alg, vs)
+        yield restricted_algebra(alg, vs)
 
 
 def structural_digest() -> str:
