@@ -30,41 +30,18 @@ class GldimResult:
     status: str  # "finite" | "infinite" | "unknown"
     value: int | None = None
     witness: str | None = None  # vertex of an infinite-pd simple
-    via: str = "direct"
 
     def describe(self) -> str:
         if self.status == "finite":
             return f"gldim = {self.value}"
         if self.status == "infinite":
-            return f"gldim = infinity (simple at {self.witness}, via {self.via})"
+            return f"gldim = infinity (simple at {self.witness})"
         return "gldim unknown at budget"
 
 
-def global_dimension(alg: BoundAlgebra, budgets: Budgets = DEFAULT,
-                     qinf: QInfinity | None = None) -> GldimResult:
-    """gldim read off the pd statuses of the simples (qinf, q_infinity's
-    pass when not given), falling back to the opposite algebra.
-
-    Global dimension is left-right symmetric for these algebras (Tor measures
-    it from either side), so a certificate over A^op transfers.
-    """
-    res = _gldim_of(qinf or q_infinity(alg, budgets))
-    if res.status == "unknown":
-        opres = _gldim_of(q_infinity(alg.opposite(), budgets))
-        if opres.status != "unknown":
-            res = GldimResult(opres.status, opres.value, opres.witness, "opposite")
-    return res
-
-
-def _gldim_of(qinf: QInfinity) -> GldimResult:
-    """Infinite at the first infinite simple, else unknown at any unknown,
-    else the largest pd."""
-    for v, r in qinf.statuses.items():
-        if r.status == "infinite":
-            return GldimResult("infinite", None, v)
-    if not qinf.all_decided:
-        return GldimResult("unknown")
-    return GldimResult("finite", max(r.value for r in qinf.statuses.values()))
+def global_dimension(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> GldimResult:
+    """gldim read off the pd statuses of the simples: q_infinity's gldim."""
+    return q_infinity(alg, budgets).gldim
 
 
 @dataclass
@@ -72,16 +49,32 @@ class QInfinity:
     statuses: dict  # vertex -> PdResult
     certified: frozenset  # vertices with certified-infinite pd
     all_decided: bool  # no unknown statuses
+    gldim: GldimResult  # the first infinite simple, any unknown, or the largest pd
 
 
 def q_infinity(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> QInfinity:
-    """Per-vertex pd status of the simples; the certified-infinite locus."""
-    statuses = {}
-    for v in alg.quiver.vertices:
-        statuses[v] = homology.pd(repmod.simple(alg, v), budgets)
+    """Per-vertex pd status of the simples; the certified-infinite locus.
+
+    Each simple's pd is read at budgets.depth first.  The simples it leaves
+    unknown are re-read after omega_orbit of their classes, under
+    budgets.classes and max_dim: a closed orbit holds the syzygy of every
+    class it reached, so pd then settles them with no depth bound.  When
+    gldim is finite the orbit of the simples is a finite set of classes.
+    """
+    simples = {v: repmod.simple(alg, v) for v in alg.quiver.vertices}
+    statuses = {v: homology.pd(s, budgets) for v, s in simples.items()}
+    if open_ := [v for v, r in statuses.items() if r.status == "unknown"]:
+        homology.omega_orbit(alg, [alg.registry().simple_ids[v] for v in open_], budgets)
+        statuses.update((v, homology.pd(simples[v], budgets)) for v in open_)
     certified = frozenset(v for v, r in statuses.items() if r.status == "infinite")
     decided = all(r.status != "unknown" for r in statuses.values())
-    return QInfinity(statuses, certified, decided)
+    if certified:
+        gldim = GldimResult("infinite", None, next(v for v in statuses if v in certified))
+    elif not decided:
+        gldim = GldimResult("unknown")
+    else:
+        gldim = GldimResult("finite", max(r.value for r in statuses.values()))
+    return QInfinity(statuses, certified, decided, gldim)
 
 
 def successors_closed(alg: BoundAlgebra, qinf: QInfinity):
@@ -232,7 +225,7 @@ def phi_zero_probe(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> AdditivityV
     if homology.selfinjectivity(alg):
         return AdditivityVerdict("additive_selfinjective")
     qinf = q_infinity(alg, budgets)
-    if global_dimension(alg, budgets, qinf).status == "finite":
+    if qinf.gldim.status == "finite":
         return AdditivityVerdict("additive_gldim")
     pool = _witness_pool(alg, qinf, budgets)
     certified_zero: list[tuple[Rep, object, dict]] = []
@@ -399,7 +392,6 @@ def zero_it_check(alg: BoundAlgebra, generators, blocks=(),
 
 @dataclass
 class AlgebraProfile:
-    gldim: GldimResult
     selfinjective: bool
     qinf: QInfinity
     connected: bool
@@ -408,8 +400,8 @@ class AlgebraProfile:
 
     def to_json(self) -> dict:
         return {
-            "gldim": {"status": self.gldim.status, "value": self.gldim.value,
-                      "witness": self.gldim.witness, "via": self.gldim.via},
+            "gldim": {"status": self.qinf.gldim.status, "value": self.qinf.gldim.value,
+                      "witness": self.qinf.gldim.witness},
             "selfinjective": self.selfinjective,
             "q_infinity": sorted(self.qinf.certified),
             "q_infinity_decided": self.qinf.all_decided,
@@ -423,7 +415,6 @@ def profile(alg: BoundAlgebra, budgets: Budgets = DEFAULT) -> AlgebraProfile:
     qinf = q_infinity(alg, budgets)
     succ, _ = successors_closed(alg, qinf)
     return AlgebraProfile(
-        gldim=global_dimension(alg, budgets, qinf),
         selfinjective=homology.selfinjectivity(alg),
         qinf=qinf,
         connected=alg.quiver.is_connected(),

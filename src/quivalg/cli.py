@@ -539,8 +539,7 @@ def cmd_iso(obj, args, budgets, rep: Report):
 def cmd_gldim(obj, args, budgets, rep: Report):
     alg = underlying_algebra(obj)
     r = analysis.global_dimension(alg, budgets)
-    rep.results = {"status": r.status, "value": r.value, "witness": r.witness,
-                   "via": r.via}
+    rep.results = {"status": r.status, "value": r.value, "witness": r.witness}
     if r.status == "unknown":
         rep.status = "inconclusive"
 

@@ -22,6 +22,7 @@
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -120,3 +121,52 @@ def rsz_selfinjective(n: int, edges) -> bool:
     out = [sum(s == v for s, _ in edges) for v in range(n)]
     into = [sum(t == v for _, t in edges) for v in range(n)]
     return all(a == b <= 1 for a, b in zip(out, into))
+
+
+def rsz_phi(alg, edges, reps, length: int = 0):
+    """(trace, phi) over a radical-square-zero algebra, by counting: the
+    rank trace of the syzygy map on <add M>, M with the indecomposable
+    summand classes reps, to at least `length` entries, and its last drop.
+
+    rad^2 = 0 makes Omega(X) a submodule of rad P(X), semisimple, with
+    dim Omega(X)_u = sum over arrows v -> u of dim top(X)_v, less
+    dim rad(X)_u; X is projective iff that is zero.  [Omega S_v] is the sum
+    of [S_w] over the arrows v -> w, so on the nonprojective simples (the
+    sources of arrows) Omega-bar is the arrow-adjacency matrix A, and the
+    k-th entry, k >= 1, is the rank of the vectors [Omega X]A^(k-1).  A is
+    invertible on its Fitting image, which A^n reaches, n the number of
+    nonprojective simples: the trace is constant from entry n + 1 on.
+    """
+    live = sorted({s for s, _ in edges})
+    vectors = []
+    for x in reps:
+        rad = {v: _rank([row for a in alg.quiver.arrows if a.target == v
+                             for row in x.mats[a.name].tolist()], alg.p)
+               for v in alg.quiver.vertices}
+        omega = {u: sum(x.dims[str(s)] - rad[str(s)] for s, t in edges if t == u)
+                 - rad[str(u)] for u in range(len(alg.quiver.vertices))}
+        if any(omega.values()):
+            vectors.append([omega[u] for u in live])
+    trace = [len(vectors)]
+    while len(trace) < max(length, len(live) + 2):
+        trace.append(_rank(vectors))
+        vectors = [[sum(c * edges.count((s, t)) for c, s in zip(row, live)) for t in live]
+                   for row in vectors]
+    return trace, max((k for k in range(1, len(trace)) if trace[k] < trace[k - 1]), default=0)
+
+
+def _rank(rows, p: int | None = None) -> int:
+    """The rank of integer rows over F_p, or over Q when p is None."""
+    field = (lambda c: c % p) if p else Fraction
+    rows, rank = [[field(c) for c in row] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        scale = pow(pivot[col], -1, p) if p else 1 / pivot[col]
+        rows[rank + 1:] = [[field(a - r[col] * scale * b) for a, b in zip(r, pivot)]
+                           for r in rows[rank + 1:]]
+        rank += 1
+    return rank

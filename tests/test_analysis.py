@@ -1,8 +1,12 @@
+import gldim_opposite_oracle as oracle
 import numpy as np
 import pytest
+from families import nakayama, uniserial_pd
+from population import population
 
 from quivalg import analysis, decomp, grothendieck as gk, homology, repmod
-from quivalg.pathalgebra import Quiver, build_algebra
+from quivalg.budgets import Budgets
+from quivalg.pathalgebra import BoundAlgebra, Quiver, build_algebra
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +23,74 @@ def test_gldim_examples(a2, exB, nak_a3):
     assert analysis.global_dimension(nak_a3).value == 2
     r = analysis.global_dimension(exB)
     assert r.status == "infinite" and r.witness in ("1", "2")
+
+
+def _oracle_algebras():
+    """The oracle population and N(n, 3), n in {16, 32, 48}, built afresh."""
+    for _, alg in population():
+        yield alg
+    for n in (16, 32, 48):
+        yield nakayama(n, 3)
+
+
+# depth -> (answers the oracle took off the opposite algebra, unknown -> decided
+# as (algebra, value), witness changes as (algebra, oracle's, gldim's))
+ORACLE_COUNTS = {
+    64: (0, [], []),
+    3: (9, [], []),
+    2: (15, [("rsz26", 3)], [("rsz37", "2", "0")]),
+    1: (9, [("N(4,3)", 2), ("N(5,3)", 3), ("N(5,4)", 2), ("N(6,3)", 3), ("N(6,4)", 3),
+               ("N(7,3)", 4), ("N(7,4)", 3), ("N(8,3)", 5), ("N(8,4)", 3), ("rsz20", 2),
+               ("rsz26", 3), ("generated 20", 2), ("generated 26", 2), ("generated 53", 2),
+               ("generated 84", 2), ("N(16,3)", 10), ("N(32,3)", 21), ("N(48,3)", 31)],
+        [("rsz6", "2", "0"), ("rsz37", "3", "0"), ("rsz58", "3", "0")]),
+}
+
+
+@pytest.mark.parametrize("depth", sorted(ORACLE_COUNTS, reverse=True))
+def test_gldim_agrees_with_the_opposite_algebra_fallback(depth):
+    """gldim against the earlier pass with the opposite-algebra fallback,
+    each on its own fresh algebra: every answer the oracle decided is kept,
+    with its status and value.  The oracle's unknowns that gldim decides and
+    the witnesses that change are pinned; a witness changes only where the
+    oracle's own pass left a simple unknown, which gldim re-reads after the
+    orbit of the simples."""
+    budgets = Budgets(depth=depth)
+    opposite, newly, witnesses, total = 0, [], [], 0
+    for old_alg, alg in zip(_oracle_algebras(), _oracle_algebras()):
+        qinf = oracle.q_infinity(old_alg, budgets)
+        old = oracle.global_dimension(old_alg, budgets, qinf)
+        new = analysis.global_dimension(alg, budgets)
+        total += 1
+        opposite += old.via == "opposite"
+        if old.status == "unknown":
+            if new.status != "unknown":
+                newly.append((alg.name, new.value))
+            continue
+        assert (new.status, new.value) == (old.status, old.value), (alg.name, old, new)
+        if new.witness != old.witness:
+            assert not qinf.all_decided, alg.name
+            witnesses.append((alg.name, old.witness, new.witness))
+    assert total == 225
+    assert (opposite, newly, witnesses) == ORACLE_COUNTS[depth]
+
+
+def test_gldim_builds_no_opposite_algebra(monkeypatch):
+    """Answers the fallback took off the opposite algebra, read off the
+    orbit of the simples: N(32, 3) at depth 4 has gldim 21, the largest
+    uniserial pd, and N(8, 3) at depth 1 has gldim 5."""
+    def refuse(self):
+        raise AssertionError("opposite algebra built")
+
+    monkeypatch.setattr(BoundAlgebra, "opposite", refuse)
+    want = max(uniserial_pd(32, 3, i, 1) for i in range(32))
+    assert want == 21
+    depth4 = Budgets(depth=4)
+    r = analysis.global_dimension(nakayama(32, 3), depth4)
+    assert (r.status, r.value) == ("finite", want)
+    assert analysis.q_infinity(nakayama(32, 3), depth4).all_decided
+    r = analysis.global_dimension(nakayama(8, 3), Budgets(depth=1))
+    assert (r.status, r.value) == ("finite", 5)
 
 
 def test_gldim_semisimple():

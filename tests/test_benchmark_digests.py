@@ -14,7 +14,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DIGESTS = {
-    "battery": "910e8c2b05c70d36e96df3fc0655c7124115f2823c74ffaf1dc9e6fe134e5702",
+    "battery": "e32b09f7b94569a7aaa6b331e76487188c3baf66795798c2ad02228074599c2d",
     "phi-stream": "c7903665acebf95b032f36bd7dd4447568332aa713c03cdef050e36a38453d72",
     "large-dense": "b471dc5ddc960836d39c68e0071efc1d3c01e1812980f1570f6b5649caf25998",
 }

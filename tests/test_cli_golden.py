@@ -18,7 +18,7 @@ MODULE = {"algebra": "exB", "dims": {"1": 2, "2": 1},
           "maps": {"bb1": [[0, -100], [0, 101]], "b1": [[1], [0]]}}
 
 GOLDEN = {
-    "info exB": (["info", "exB.alg"], "870cbc3f4bff7983"),
+    "info exB": (["info", "exB.alg"], "e6769a9da8ac5fb9"),
     "projectives nakayama-a3": (["projectives", "nakayama-a3.alg"], "01e9a8550f2500f0"),
     "syzygy exB S1 power 3": (["syzygy", "exB.alg", "--module", "S1", "--power", "3"],
                               "db2e12528b9bcc70"),
@@ -34,7 +34,7 @@ GOLDEN = {
         ["decompose", "nakayama-selfinj.alg", "--module", "P1/socle^2+S2"], "b568ab6a5da8ae73"),
     "iso exB": (["iso", "exB.alg", "--module", "rad P1", "--other", "S1+S2"],
                 "e2d954c20a081fba"),
-    "gldim a2": (["gldim", "a2.alg"], "d2b88b8730587052"),
+    "gldim a2": (["gldim", "a2.alg"], "d7b2c61c4c67d078"),
     "registry exB": (["registry", "exB.alg", "dump", "--modules", "rad P1"],
                      "cac6e9b267654097"),
     "check-h exC field 2": (["--field", "2", "check-h", "exC.glue"], "18dda898c173c8e9"),
